@@ -158,6 +158,38 @@ def _canonical_order(a: AppDescriptor, b: AppDescriptor) -> bool:
     return ka <= kb
 
 
+def _knob_columns(f1, b1, m1, f2, b2, m2) -> np.ndarray:
+    """The six knobs of each configuration as model-input columns.
+
+    Knobs are expressed in human scale (GHz, log2 MB, mappers) so the
+    learned models see comparable magnitudes; :func:`basin_select`
+    measures distances in the same columns.
+    """
+    f1, b1, m1, f2, b2, m2 = (np.asarray(a, dtype=float) for a in (f1, b1, m1, f2, b2, m2))
+    return np.column_stack(
+        [f1 / GHZ, np.log2(b1 / MB), m1, f2 / GHZ, np.log2(b2 / MB), m2]
+    )
+
+
+def _rows_for_knobs(
+    feat_a: np.ndarray,
+    size_a: int,
+    feat_b: np.ndarray,
+    size_b: int,
+    knobs: np.ndarray,
+) -> np.ndarray:
+    """Model-input rows: both applications' features and log sizes,
+    then one row of :func:`_knob_columns` each."""
+    na, nb = len(feat_a), len(feat_b)
+    X = np.empty((len(knobs), na + nb + 2 + knobs.shape[1]))
+    X[:, :na] = feat_a
+    X[:, na] = np.log2(size_a / GB + 1.0)
+    X[:, na + 1 : na + 1 + nb] = feat_b
+    X[:, na + 1 + nb] = np.log2(size_b / GB + 1.0)
+    X[:, na + nb + 2 :] = knobs
+    return X
+
+
 def _row_block(
     feat_a: np.ndarray,
     size_a: int,
@@ -165,27 +197,36 @@ def _row_block(
     size_b: int,
     f1, b1, m1, f2, b2, m2,
 ) -> np.ndarray:
-    """Assemble model-input rows for arrays of configurations.
+    """Assemble model-input rows for arrays of configurations."""
+    return _rows_for_knobs(
+        feat_a, size_a, feat_b, size_b, _knob_columns(f1, b1, m1, f2, b2, m2)
+    )
 
-    Knobs are expressed in human scale (GHz, log2 MB, mappers) so the
-    learned models see comparable magnitudes.
-    """
-    n = len(np.atleast_1d(f1))
-    fa = np.tile(feat_a, (n, 1))
-    fb = np.tile(feat_b, (n, 1))
-    cols = [
-        fa,
-        np.full((n, 1), np.log2(size_a / GB + 1.0)),
-        fb,
-        np.full((n, 1), np.log2(size_b / GB + 1.0)),
-        (np.asarray(f1, dtype=float) / GHZ)[:, None],
-        np.log2(np.asarray(b1, dtype=float) / MB)[:, None],
-        np.asarray(m1, dtype=float)[:, None],
-        (np.asarray(f2, dtype=float) / GHZ)[:, None],
-        np.log2(np.asarray(b2, dtype=float) / MB)[:, None],
-        np.asarray(m2, dtype=float)[:, None],
-    ]
-    return np.hstack(cols)
+
+@dataclass(frozen=True, eq=False)
+class _PairGrid:
+    """A node's pair grid and what every decision over it reuses."""
+
+    node: NodeSpec
+    #: ``pair_config_grid``'s six arrays (f1, b1, m1, f2, b2, m2).
+    configs: tuple[np.ndarray, ...]
+    #: Their :func:`_knob_columns`, also :func:`basin_select`'s matrix.
+    knobs: np.ndarray
+    #: ``_knob_span(knobs)``.
+    span: np.ndarray
+
+    @classmethod
+    def build(cls, node: NodeSpec) -> "_PairGrid":
+        configs = pair_config_grid(node)
+        knobs = _knob_columns(*configs)
+        return cls(node=node, configs=configs, knobs=knobs, span=_knob_span(knobs))
+
+    def job_configs(self, i: int) -> tuple[JobConfig, JobConfig]:
+        f1, b1, m1, f2, b2, m2 = self.configs
+        return (
+            JobConfig(frequency=float(f1[i]), block_size=int(b1[i]), n_mappers=int(m1[i])),
+            JobConfig(frequency=float(f2[i]), block_size=int(b2[i]), n_mappers=int(m2[i])),
+        )
 
 
 #: Number of model-input columns (2×7 features + 2 sizes + 6 knobs).
@@ -330,11 +371,18 @@ MODEL_FACTORIES: dict[str, ModelFactory] = {
 }
 
 
+def _knob_span(knob_matrix: np.ndarray) -> np.ndarray:
+    """Per-column range of a knob matrix; a constant column counts as 1."""
+    span = knob_matrix.max(axis=0) - knob_matrix.min(axis=0)
+    return np.where(span < 1e-12, 1.0, span)
+
+
 def basin_select(
     pred_log: np.ndarray,
     knob_matrix: np.ndarray,
     *,
     eps: float = 0.05,
+    span: np.ndarray | None = None,
 ) -> int:
     """Robust arg-min over a predicted (log-)EDP surface.
 
@@ -344,13 +392,14 @@ def basin_select(
     prediction lies within ``eps`` (log space ≈ relative) of the
     minimum, reduced to the one nearest the basin\'s knob-median.  On
     piecewise-constant predictors (trees) this avoids arbitrary
-    tie-breaking inside wide leaves.
+    tie-breaking inside wide leaves.  Distances are scaled by
+    ``span``, ``_knob_span(knob_matrix)`` unless the caller has it.
     """
     pred_log = np.asarray(pred_log, dtype=float)
     basin = np.flatnonzero(pred_log <= pred_log.min() + eps)
     med = np.median(knob_matrix[basin], axis=0)
-    span = knob_matrix.max(axis=0) - knob_matrix.min(axis=0)
-    span = np.where(span < 1e-12, 1.0, span)
+    if span is None:
+        span = _knob_span(knob_matrix)
     d = np.linalg.norm((knob_matrix[basin] - med) / span, axis=1)
     return int(basin[np.argmin(d)])
 
@@ -408,6 +457,7 @@ class MLMSTP:
         self.global_model_: Regressor | None = None
         self.train_features_: np.ndarray | None = None
         self.train_sizes_: np.ndarray | None = None
+        self._grid: _PairGrid | None = None
 
     def fit(self, dataset: TrainingDataset) -> "MLMSTP":
         """Train on log-EDP: per class pair and/or the global model."""
@@ -428,6 +478,12 @@ class MLMSTP:
         if self.global_model_ is None:
             raise RuntimeError("MLM-STP is not fitted")
         return self.global_model_
+
+    def _pair_grid(self) -> _PairGrid:
+        """The pair grid of ``self.node``, built on first use."""
+        if self._grid is None or self._grid.node is not self.node:
+            self._grid = _PairGrid.build(self.node)
+        return self._grid
 
     def _project(self, feat: np.ndarray, size: float | None = None) -> np.ndarray:
         """Replace features by the nearest training application\'s.
@@ -460,20 +516,16 @@ class MLMSTP:
             raise RuntimeError("MLM-STP is not fitted; call fit() first")
         swapped = not _canonical_order(a, b)
         ca, cb = (b, a) if swapped else (a, b)
-        f1, b1, m1, f2, b2, m2 = pair_config_grid(self.node)
-        X = _row_block(
+        grid = self._pair_grid()
+        X = _rows_for_knobs(
             self._project(ca.reduced(), ca.data_bytes), ca.data_bytes,
             self._project(cb.reduced(), cb.data_bytes), cb.data_bytes,
-            f1, b1, m1, f2, b2, m2,
+            grid.knobs,
         )
         model = self._model_for(pair_code(ca.app_class, cb.app_class))
         pred = np.asarray(model.predict(X))
-        knobs = np.column_stack(
-            [f1 / GHZ, np.log2(b1 / MB), m1, f2 / GHZ, np.log2(b2 / MB), m2]
-        )
-        i = basin_select(pred, knobs, eps=self.basin_eps)
-        cfg_a = JobConfig(frequency=float(f1[i]), block_size=int(b1[i]), n_mappers=int(m1[i]))
-        cfg_b = JobConfig(frequency=float(f2[i]), block_size=int(b2[i]), n_mappers=int(m2[i]))
+        i = basin_select(pred, grid.knobs, eps=self.basin_eps, span=grid.span)
+        cfg_a, cfg_b = grid.job_configs(i)
         return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
 
     def predict_single_config(self, a: AppDescriptor) -> JobConfig:

@@ -60,7 +60,9 @@ log = logging.getLogger("repro.cache")
 
 #: Bump when the STP pipeline changes in ways the content fingerprint
 #: cannot see (profiles and hardware constants are fingerprinted).
-CACHE_VERSION = "v2"
+#: v3: REPTree keeps flat node arrays instead of a ``_Node`` tree, so a
+#: v2 pickle of a fitted tree cannot predict.
+CACHE_VERSION = "v3"
 
 #: Errors that mean "this pickle cannot be trusted": garbage bytes,
 #: truncation, classes that moved/vanished since it was written, or an

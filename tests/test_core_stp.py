@@ -8,14 +8,25 @@ from repro.core.stp import (
     LkTSTP,
     MLMSTP,
     SoloSTP,
+    _canonical_order,
+    _row_block,
     basin_select,
     describe_instance,
     pair_code,
 )
+from repro.hardware.classes import XEON_E5
 from repro.hardware.node import ATOM_C2758
+from repro.model.config import JobConfig, pair_config_grid
 from repro.model.costmodel import pair_metrics
 from repro.model.sweep import sweep_pair, sweep_solo
-from repro.utils.units import GB
+from repro.online.scenario import (
+    DRIFT_CODES,
+    DRIFT_SIZES,
+    PIPELINE_CODES,
+    PIPELINE_SIZES,
+    pipeline_components,
+)
+from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppClass, AppInstance
 from repro.workloads.registry import get_app
 
@@ -140,6 +151,78 @@ class TestMLM:
         stp = MLMSTP("lr", scope="per-class").fit(small_dataset)
         assert stp.models_
         assert set(stp.models_) == set(small_dataset.class_pairs)
+
+
+def _reference_predict_configs(stp, a, b):
+    """MLM-STP's decision with the grid, rows and knob matrix rebuilt
+    for every call."""
+    swapped = not _canonical_order(a, b)
+    ca, cb = (b, a) if swapped else (a, b)
+    f1, b1, m1, f2, b2, m2 = pair_config_grid(stp.node)
+    X = _row_block(
+        stp._project(ca.reduced(), ca.data_bytes), ca.data_bytes,
+        stp._project(cb.reduced(), cb.data_bytes), cb.data_bytes,
+        f1, b1, m1, f2, b2, m2,
+    )
+    pred = stp._model_for(pair_code(ca.app_class, cb.app_class)).predict(X)
+    knobs = np.column_stack(
+        [f1 / GHZ, np.log2(b1 / MB), m1, f2 / GHZ, np.log2(b2 / MB), m2]
+    )
+    i = basin_select(pred, knobs, eps=stp.basin_eps)
+    cfg_a = JobConfig(frequency=float(f1[i]), block_size=int(b1[i]), n_mappers=int(m1[i]))
+    cfg_b = JobConfig(frequency=float(f2[i]), block_size=int(b2[i]), n_mappers=int(m2[i]))
+    return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
+
+
+class TestPairGridReuse:
+    def test_row_block_column_layout(self):
+        rng = np.random.default_rng(0)
+        fa, fb = rng.normal(size=7), rng.normal(size=7)
+        f1, b1, m1, f2, b2, m2 = pair_config_grid(ATOM_C2758)
+        n = len(f1)
+        expected = np.hstack(
+            [
+                np.tile(fa, (n, 1)),
+                np.full((n, 1), np.log2(5 * GB / GB + 1.0)),
+                np.tile(fb, (n, 1)),
+                np.full((n, 1), np.log2(1 * GB / GB + 1.0)),
+                (f1 / GHZ)[:, None],
+                np.log2(b1 / MB)[:, None],
+                m1[:, None],
+                (f2 / GHZ)[:, None],
+                np.log2(b2 / MB)[:, None],
+                m2[:, None],
+            ]
+        )
+        got = _row_block(fa, 5 * GB, fb, 1 * GB, f1, b1, m1, f2, b2, m2)
+        assert np.array_equal(got, expected)
+
+    def test_same_configs_as_per_decision_reference(self):
+        """Every ordered pair of the drift pipeline's descriptors, so
+        each pair is decided in both orientations."""
+        stp, _classifier, _dataset = pipeline_components("reptree")
+        descs = [
+            describe_instance(AppInstance(get_app(code), size))
+            for codes, sizes in (
+                (PIPELINE_CODES, PIPELINE_SIZES),
+                (DRIFT_CODES, DRIFT_SIZES),
+            )
+            for code in codes
+            for size in sizes
+        ]
+        for a in descs:
+            for b in descs:
+                assert stp.predict_configs(a, b) == _reference_predict_configs(
+                    stp, a, b
+                )
+
+    def test_grid_follows_the_node(self, small_dataset):
+        stp = MLMSTP("lr").fit(small_dataset)
+        a = describe_instance(AppInstance(get_app("wc"), 1 * GB))
+        b = describe_instance(AppInstance(get_app("fp"), 5 * GB))
+        stp.predict_configs(a, b)
+        stp.node = XEON_E5
+        assert stp.predict_configs(a, b) == _reference_predict_configs(stp, a, b)
 
 
 class TestSoloSTP:
