@@ -253,23 +253,23 @@ def _cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
     from repro.service.requests import seeded_requests
 
-    client = ServiceClient(args.host, args.port)
-    if args.stream:
-        acks = client.submit_batch(
-            seeded_requests(args.stream, seed=args.seed)
-        )
-        accepted = sum(1 for a in acks if a.get("accepted"))
-        print(f"submitted {len(acks)} request(s): {accepted} accepted, "
-              f"{len(acks) - accepted} rejected")
-        return 0
     from repro.utils.units import GB
 
-    payload = {"code": args.code, "data_bytes": int(args.size_gb * GB)}
-    if args.tenant is not None:
-        payload["tenant"] = args.tenant
-    if args.time is not None:
-        payload["time"] = args.time
-    print(json.dumps(client.submit(payload), indent=2))
+    with ServiceClient(args.host, args.port) as client:
+        if args.stream:
+            acks = client.submit_batch(
+                seeded_requests(args.stream, seed=args.seed)
+            )
+            accepted = sum(1 for a in acks if a.get("accepted"))
+            print(f"submitted {len(acks)} request(s): {accepted} accepted, "
+                  f"{len(acks) - accepted} rejected")
+            return 0
+        payload = {"code": args.code, "data_bytes": int(args.size_gb * GB)}
+        if args.tenant is not None:
+            payload["tenant"] = args.tenant
+        if args.time is not None:
+            payload["time"] = args.time
+        print(json.dumps(client.submit(payload), indent=2))
     return 0
 
 
@@ -278,8 +278,8 @@ def _cmd_service(args) -> int:
 
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.host, args.port)
-    result = getattr(client, args.action)()
+    with ServiceClient(args.host, args.port) as client:
+        result = getattr(client, args.action)()
     if args.action == "trace" and args.out:
         with open(args.out, "w") as fh:
             json.dump(result, fh)

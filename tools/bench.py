@@ -20,8 +20,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
+import os
 import resource
 import statistics
 import sys
@@ -364,6 +366,67 @@ def _op_service_ingest_10k():
     return run
 
 
+@contextlib.contextmanager
+def _on_one_cpu():
+    """Run the calling thread on the lowest CPU it may use, restoring
+    its affinity afterwards (Linux only; elsewhere a no-op)."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    home = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(home)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, home)
+
+
+def _op_service_http_2k():
+    import asyncio
+    import itertools
+    import threading
+
+    from repro.service import ClusterService, ServiceConfig, seeded_requests
+    from repro.service.client import ServiceClient
+    from repro.service.server import ServiceServer
+
+    # 2000 /submit round trips through one ServiceClient to a server on
+    # a loopback thread (FIFO, virtual clock): the transport's cost on
+    # top of the in-process path bench_service_ingest_10k times.  The
+    # server starts here and lives on a daemon thread until the process
+    # exits; each round continues the stream after the previous one,
+    # at an arrival rate this cluster keeps up with.  Both threads run
+    # on one CPU: waking the other thread on another CPU made a round
+    # trip about twice as slow and far more variable.
+    n = 2000
+    requests = seeded_requests(
+        n, seed=0, tenants=("t0", "t1", "t2"), mean_interarrival_s=30.0
+    )
+    span = requests[-1]["time"] + 30.0
+    loop = asyncio.new_event_loop()
+    server = ServiceServer(ClusterService(ServiceConfig(port=0, n_nodes=16)))
+    loop.run_until_complete(server.start())
+
+    def serve():
+        with _on_one_cpu():
+            loop.run_forever()
+
+    threading.Thread(target=serve, name="bench-service", daemon=True).start()
+    client = ServiceClient(port=server.port)
+    rounds = itertools.count()
+
+    def run():
+        k = next(rounds)
+        with _on_one_cpu():
+            for req in requests:
+                ack = client.submit(
+                    dict(req, time=req["time"] + k * span, job_id=req["job_id"] + k * n)
+                )
+                assert ack["accepted"]
+
+    return run
+
+
 def _op_sharded_sweep():
     from repro.shard import evaluate_scenarios_sharded
 
@@ -415,6 +478,7 @@ OPS: dict[str, tuple] = {
     "bench_reptree_predict": (_op_reptree_predict, False),
     # Scale lane (not in --quick: CI runs these explicitly via --ops).
     "bench_service_ingest_10k": (_op_service_ingest_10k, False),
+    "bench_service_http_2k": (_op_service_http_2k, False),
     "bench_online_relearn": (_op_online_relearn, False),
     "bench_steady_state_256node": (_op_steady_state_256node, False),
     "bench_placement_100k_jobs": (_op_placement_100k_jobs, False),
