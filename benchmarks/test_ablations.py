@@ -25,7 +25,7 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.scenarios import scenario_instances
 from repro.model.costmodel import pair_metrics, serial_pair_edp, standalone_metrics
-from repro.model.costmodel import colocation_context, fluid_stretch
+from repro.model.costmodel import colocation_context_scalar, fluid_stretch
 from repro.model.sweep import sweep_pair
 from repro.utils.tables import render_table
 from repro.utils.units import GB, GHZ, MB
@@ -137,16 +137,14 @@ def test_ablation_colocation_degree(benchmark, save):
         e_pairs = pair_ab.energy + pair_cd.energy
 
         cfgs = [pair_ab.config_a, pair_ab.config_b, pair_cd.config_a, pair_cd.config_b]
-        ctx = colocation_context([i.profile for i in insts], [2.0] * 4)
+        ctx = colocation_context_scalar([i.profile for i in insts], [2.0] * 4)
         jobs = [
             standalone_metrics(
                 insts[i].profile, insts[i].data_bytes,
                 cfgs[i].frequency, cfgs[i].block_size, 2,
-                mpki_scale=float(ctx.mpki_scale[i]),
-                disk_traffic_scale=float(ctx.disk_traffic_scale[i]),
-                extra_streams=float(ctx.extra_streams[i]),
+                mpki_scale=mpki, disk_traffic_scale=disk, extra_streams=extra,
             )
-            for i in range(4)
+            for i, (mpki, disk, extra) in enumerate(ctx)
         ]
         stretch = fluid_stretch(jobs)
         t_four = max(float(j.duration) for j in jobs) * stretch

@@ -23,7 +23,7 @@ Commands
     every oracle-shaped draw).
 ``hetero``
     Run the heterogeneous acceptance matrix: every two-class scenario
-    against its closed-form oracle, plus the scalar/batch backends
+    against its closed-form oracle, plus the batch backend
     differentially against the event engine with zero fallbacks
     required.
 ``clear-cache``
@@ -187,34 +187,20 @@ def _cmd_hetero(args) -> int:
         print(f"  {message}")
 
     reference = [run_scenario(s) for s in scenarios]
-    backend_outcomes: dict[str, list] = {}
-    for backend in ("scalar", "batch"):
-        outcomes = evaluate_scenarios(scenarios, backend=backend)
-        backend_outcomes[backend] = outcomes
-        fallbacks = sum(1 for o in outcomes if o.fallback)
-        worst = max(
-            max(
-                _rel_gap(ref.makespan, out.makespan),
-                _rel_gap(ref.total_energy, out.total_energy),
-            )
-            for ref, out in zip(reference, outcomes)
+    outcomes = evaluate_scenarios(scenarios, backend="batch")
+    fallbacks = sum(1 for o in outcomes if o.fallback)
+    worst = max(
+        max(
+            _rel_gap(ref.makespan, out.makespan),
+            _rel_gap(ref.total_energy, out.total_energy),
         )
-        print(
-            f"{backend:6}: {fallbacks} fallback(s), "
-            f"worst rel err vs event {worst:.2e}"
-        )
-        if fallbacks:
-            failures.append(f"{backend}: {fallbacks} dispatcher fallback(s)")
-        if worst > REL_TOL:
-            failures.append(f"{backend}: rel err {worst:.2e} > {REL_TOL:g}")
-    mismatches = sum(
-        1
-        for a, b in zip(backend_outcomes["scalar"], backend_outcomes["batch"])
-        if (a.makespan, a.total_energy) != (b.makespan, b.total_energy)
+        for ref, out in zip(reference, outcomes)
     )
-    print(f"scalar vs batch: {mismatches} bitwise mismatch(es)")
-    if mismatches:
-        failures.append(f"scalar vs batch: {mismatches} mismatch(es)")
+    print(f"batch: {fallbacks} fallback(s), worst rel err vs event {worst:.2e}")
+    if fallbacks:
+        failures.append(f"batch: {fallbacks} dispatcher fallback(s)")
+    if worst > REL_TOL:
+        failures.append(f"batch: rel err {worst:.2e} > {REL_TOL:g}")
     print(f"hetero: {'FAIL' if failures else 'PASS'}")
     return 1 if failures else 0
 
@@ -380,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument(
         "--backend", action="append", dest="backends",
-        choices=["scalar", "batch"],
+        choices=["batch"],
         help="also differentially check this evaluation backend against "
              "the event engine on every scenario (repeatable)",
     )

@@ -1,29 +1,26 @@
-"""Batched scenario evaluation with selectable backends.
+"""Batched scenario evaluation: the event engine or the vectorised solvers.
 
 :func:`evaluate_scenarios` is the batch layer's front door: it takes a
 list of conformance scenarios and a ``backend`` —
 
 ``"event"``
     one discrete-event engine run per scenario (the reference);
-``"scalar"``
-    per-scenario closed-form solving on the scalar kernel — the same
-    solver structure as the batch path but one float at a time (the
-    baseline ``bench_batch_sweep_4096`` measures speedup against);
 ``"batch"``
     scenarios are classified, grouped by class, packed into
     :class:`~repro.batch.pack.ScenarioBatch` buffers, and each class is
-    solved with *one* vectorised pass over the SoA kernel.
+    solved with *one* vectorised pass over the cost kernel, fed
+    :class:`~repro.batch.kernel.ProfileSoA` lanes.
 
 The batch solvers mirror the engine's fluid semantics exactly — the
-same cost kernel arithmetic (via :mod:`repro.batch.kernel`), the same
-segment composition the PR-5 oracles derive from the model spec — so on
-every oracle-solvable scenario class the batch backend agrees with the
-event engine to well under 1e-9 (``tests/test_batch_equivalence.py``),
-and a batch of one is bit-identical to the scalar backend.  Scenario
-shapes outside the solvable classes (fault plans, general multi-node
-arrival tangles, co-resident sets of 8+ jobs) fall back to the event
-engine per scenario, counted on the telemetry object — a fallback is
-honest work, never a silent wrong answer.
+same cost kernel arithmetic, the same segment composition the
+conformance oracles derive from the model spec — so on every
+oracle-solvable scenario class the batch backend agrees with the event
+engine and the oracles to well under 1e-9
+(``tests/test_batch_equivalence.py``).  Scenario shapes outside the
+solvable classes (fault plans, general multi-node arrival tangles,
+co-resident sets of 8+ jobs) fall back to the event engine per
+scenario, counted on the telemetry object — a fallback is honest work,
+never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.batch.kernel import (
     hetero_total_energy,
     node_state_soa,
     solo_disk_scale,
-    standalone_metrics_soa,
 )
 from repro.batch.pack import ScenarioBatch
 from repro.conformance.scenarios import Scenario
@@ -47,15 +43,10 @@ from repro.faults.injector import FaultInjector
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.engine import ClusterEngine
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
-from repro.model.costmodel import (
-    ScalarJobMetrics,
-    colocation_context_scalar,
-    standalone_metrics_scalar,
-)
-from repro.workloads.registry import get_app
+from repro.model.costmodel import standalone_metrics
 
 #: Backends callers may request.
-BACKENDS = ("event", "scalar", "batch")
+BACKENDS = ("event", "batch")
 
 #: Minimum arrival gap past the predecessor's completion for the chain
 #: solver (mirrors the oracle's ``_CHAIN_MARGIN_S``); closer arrivals
@@ -173,251 +164,10 @@ def _run_event(
     )
 
 
-# -------------------------------------------------------- scalar backend
-def _single_state_scalar(m: ScalarJobMetrics, node: NodeSpec) -> tuple[float, float]:
-    """(stretch, watts) of one job alone — the engine's segment state."""
-    bw = node.membw.achievable_bw
-    s = max(max(max(1.0, m.u_disk), m.u_net), m.mem_demand / bw)
-    pm = node.power
-    return s, (
-        pm.idle_power
-        + m.core_power / s
-        + pm.mem_max_power * min(m.mem_demand / s / bw, 1.0)
-        + pm.disk_max_power * min(m.u_disk / s, 1.0)
-    )
-
-
-def _set_state_scalar(
-    metrics: list[ScalarJobMetrics], node: NodeSpec
-) -> tuple[float, float]:
-    """(stretch, watts) of a co-resident set, slot-order accumulation."""
-    bw = node.membw.achievable_bw
-    sum_disk = 0.0
-    sum_net = 0.0
-    sum_mem = 0.0
-    sum_core = 0.0
-    for m in metrics:
-        sum_disk += m.u_disk
-        sum_net += m.u_net
-        sum_mem += m.mem_demand
-        sum_core += m.core_power
-    s = max(max(max(1.0, sum_disk), sum_net), sum_mem / bw)
-    pm = node.power
-    watts = (
-        pm.idle_power
-        + sum_core / s
-        + pm.mem_max_power * min(sum_mem / s / bw, 1.0)
-        + pm.disk_max_power * min(sum_disk / s, 1.0)
-    )
-    return s, watts
-
-
-def _eval_scalar_set(
-    scenario: Scenario,
-    indices: list[int],
-    node: NodeSpec,
-    constants: SimConstants,
-) -> list[ScalarJobMetrics]:
-    """Context couplings, then each selected job, on the scalar kernel."""
-    jobs = [scenario.jobs[i] for i in indices]
-    profiles = [get_app(j.code).profile for j in jobs]
-    ctx = colocation_context_scalar(
-        profiles, [float(j.n_mappers) for j in jobs], node=node, constants=constants
-    )
-    return [
-        standalone_metrics_scalar(
-            profile,
-            job.data_bytes,
-            job.frequency,
-            job.block_size,
-            job.n_mappers,
-            node=node,
-            constants=constants,
-            mpki_scale=mpki,
-            disk_traffic_scale=disk,
-            extra_streams=extra,
-        )
-        for profile, job, (mpki, disk, extra) in zip(profiles, jobs, ctx)
-    ]
-
-
-def _scalar_outcome(
-    scenario: Scenario,
-    case: str,
-    makespan: float,
-    busy_energy: float,
-    busy_time_all: float,
-    busy_seconds: float,
-    job_energies: dict[int, float],
-    node: NodeSpec,
-    roster: tuple[NodeSpec, ...] | None = None,
-    busy_by_node: dict[int, float] | None = None,
-) -> BatchOutcome:
-    """Fold one scenario's accumulated quantities into cluster totals.
-
-    Identical composition to the batch solvers' final lines, so a batch
-    of one reproduces this bit for bit.  On a heterogeneous roster the
-    idle term accumulates per node (each class draws its own idle
-    power) through the same :func:`hetero_total_energy` helper the
-    batch solvers call.
-    """
-    if roster is not None:
-        total = float(
-            hetero_total_energy(
-                busy_energy,
-                makespan,
-                NodeSoA.from_specs(roster),
-                busy_by_node or {},
-            )
-        )
-    else:
-        idle = node.power.idle_power
-        total = busy_energy + idle * (scenario.n_nodes * makespan - busy_time_all)
-    return BatchOutcome(
-        case=case,
-        backend="scalar",
-        fallback=False,
-        makespan=makespan,
-        total_energy=total,
-        edp=total * makespan,
-        busy_seconds=busy_seconds,
-        job_energies=tuple(
-            job_energies[i] for i in range(len(scenario.jobs))
-        ),
-    )
-
-
-def _solve_scalar(
-    scenario: Scenario,
-    case: str,
-    *,
-    node: NodeSpec,
-    constants: SimConstants,
-    roster: tuple[NodeSpec, ...] | None = None,
-) -> BatchOutcome | None:
-    """Closed-form solve on the scalar kernel; None → use the engine.
-
-    Each case performs the *same floating-point operations* as its
-    vectorised twin in the batch backend, one scenario at a time — the
-    bit-for-bit batch-of-1 property tests rest on that, so changes here
-    and in the ``_solve_*_batch`` functions must stay in lockstep.
-
-    ``roster`` (a genuinely mixed node roster; pass None when all nodes
-    are equal) switches the idle-energy fold to per-node accumulation;
-    all busy work runs on node 0's hardware (= ``node``) except the
-    parallel case, whose second job runs on ``roster[1]``.
-    """
-    jobs = scenario.jobs
-    if case in ("single", "chain"):
-        order = sorted(
-            range(len(jobs)), key=lambda i: (jobs[i].submit_time, i)
-        )
-        clock = 0.0
-        busy = 0.0
-        busy_energy = 0.0
-        makespan = 0.0
-        started = False
-        energies: dict[int, float] = {}
-        for idx in order:
-            job = jobs[idx]
-            if started and job.submit_time < clock + _CHAIN_MARGIN_S:
-                return None  # overlapping arrivals: not a true chain
-            start = max(job.submit_time, clock)
-            [m] = _eval_scalar_set(scenario, [idx], node, constants)
-            s, w = _single_state_scalar(m, node)
-            wall = m.duration * s
-            end = start + wall
-            energies[idx] = w * wall
-            busy = busy + wall
-            busy_energy = busy_energy + w * wall
-            makespan = end
-            clock = end
-            started = True
-        return _scalar_outcome(
-            scenario, case, makespan, busy_energy, busy, busy, energies, node,
-            roster, {0: busy},
-        )
-    if case == "pair":
-        t0 = jobs[0].submit_time
-        pair = _eval_scalar_set(scenario, [0, 1], node, constants)
-        s_pair, w_pair = _set_state_scalar(pair, node)
-        d0, d1 = pair[0].duration, pair[1].duration
-        short_is_0 = d0 <= d1
-        d_short = d0 if short_is_0 else d1
-        d_long = d1 if short_is_0 else d0
-        long_ = 1 if short_is_0 else 0
-        t_overlap = d_short * s_pair
-        first_done = t0 + t_overlap
-        half = w_pair * t_overlap / 2.0
-        [solo] = _eval_scalar_set(scenario, [long_], node, constants)
-        s_solo, w_solo = _single_state_scalar(solo, node)
-        # Unconditional tail, exactly 0.0 for equal durations — the
-        # same branch-free form the batch solver uses.
-        fraction_left = (d_long - d_short) / d_long
-        t_tail = fraction_left * solo.duration * s_solo
-        makespan = first_done + t_tail
-        busy = t_overlap + t_tail
-        busy_energy = w_pair * t_overlap + w_solo * t_tail
-        tail_energy = w_solo * t_tail
-        energies = {long_: half + tail_energy, 1 - long_: half}
-        return _scalar_outcome(
-            scenario, case, makespan, busy_energy, busy, busy, energies, node,
-            roster, {0: busy},
-        )
-    if case == "queued":
-        t0 = jobs[0].submit_time
-        [ma] = _eval_scalar_set(scenario, [0], node, constants)
-        sa, wa = _single_state_scalar(ma, node)
-        [mb] = _eval_scalar_set(scenario, [1], node, constants)
-        sb, wb = _single_state_scalar(mb, node)
-        finish_a = t0 + ma.duration * sa
-        finish_b = finish_a + mb.duration * sb
-        e_a = wa * (finish_a - t0)
-        e_b = wb * (finish_b - finish_a)
-        busy = (finish_a - t0) + (finish_b - finish_a)
-        return _scalar_outcome(
-            scenario, case, finish_b, e_a + e_b, busy, busy,
-            {0: e_a, 1: e_b}, node, roster, {0: busy},
-        )
-    if case == "parallel":
-        t0 = jobs[0].submit_time
-        node1 = roster[1] if roster is not None else node
-        [m0] = _eval_scalar_set(scenario, [0], node, constants)
-        s0, w0 = _single_state_scalar(m0, node)
-        [m1] = _eval_scalar_set(scenario, [1], node1, constants)
-        s1, w1 = _single_state_scalar(m1, node1)
-        wall0 = m0.duration * s0
-        wall1 = m1.duration * s1
-        e0 = w0 * wall0
-        e1 = w1 * wall1
-        makespan = max(t0 + wall0, t0 + wall1)
-        return _scalar_outcome(
-            scenario, case, makespan, e0 + e1, wall0 + wall1, wall0,
-            {0: e0, 1: e1}, node, roster, {0: wall0, 1: wall1},
-        )
-    if case == "symmetric":
-        t0 = jobs[0].submit_time
-        metrics = _eval_scalar_set(scenario, list(range(len(jobs))), node, constants)
-        s, w = _set_state_scalar(metrics, node)
-        wall = metrics[0].duration * s
-        k = float(len(jobs))
-        makespan = t0 + wall
-        per_job = w * wall / k
-        energies = {i: per_job for i in range(len(jobs))}
-        return _scalar_outcome(
-            scenario, case, makespan, w * wall, wall, wall, energies, node,
-            roster, {0: wall},
-        )
-    return None
-
-
 # --------------------------------------------------------- batch backend
-def _gather_soa(base: ProfileSoA, idx: np.ndarray) -> ProfileSoA:
-    return base.take(idx)
-
-
 def _single_state_batch(metrics, node: NodeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vector twin of :func:`_single_state_scalar` over (S,) lanes."""
+    """(stretch, watts) of one job alone over (S,) lanes — the engine's
+    single-job segment state."""
     bw = node.membw.achievable_bw
     s = np.maximum(
         np.maximum(np.maximum(1.0, metrics.u_disk), metrics.u_net),
@@ -442,10 +192,10 @@ def _eval_solo_column(
     constants: SimConstants,
 ):
     """Evaluate job slot ``cols[i]`` of scenario ``rows[i]`` alone."""
-    p = _gather_soa(base, batch.profile_idx[rows, cols])
+    p = base.take(batch.profile_idx[rows, cols])
     m = batch.n_mappers[rows, cols]
     dscale = solo_disk_scale(p, m, node=node, constants=constants)
-    metrics = standalone_metrics_soa(
+    metrics = standalone_metrics(
         p,
         batch.data_bytes[rows, cols],
         batch.frequency[rows, cols],
@@ -537,7 +287,7 @@ def _solve_pair_batch(
     ctx_mpki, ctx_disk, ctx_extra = colocation_context_soa(
         p, batch.n_mappers, mask, node=node, constants=constants
     )
-    pair = standalone_metrics_soa(
+    pair = standalone_metrics(
         p,
         batch.data_bytes,
         batch.frequency,
@@ -692,7 +442,7 @@ def _solve_symmetric_batch(
     ctx_mpki, ctx_disk, ctx_extra = colocation_context_soa(
         p, batch.n_mappers, mask, node=node, constants=constants
     )
-    metrics = standalone_metrics_soa(
+    metrics = standalone_metrics(
         p,
         batch.data_bytes,
         batch.frequency,
@@ -812,24 +562,6 @@ def evaluate_scenarios(
         if roster is None:
             return node, None
         return roster[0], (roster if len(set(roster)) > 1 else None)
-
-    if backend == "scalar":
-        for i, s in enumerate(scenarios):
-            case = classify(s, node=node)
-            node_s, mixed = roster_args(s)
-            solved = (
-                _solve_scalar(
-                    s, case, node=node_s, constants=constants, roster=mixed
-                )
-                if case in SOLVABLE_CASES
-                else None
-            )
-            if solved is None:
-                solved = _run_event(
-                    s, node=node, constants=constants, case=case, fallback=True
-                )
-            outcomes[i] = note(solved)
-        return outcomes  # type: ignore[return-value]
 
     # backend == "batch": group by (class, roster) — every scenario of a
     # group shares one node-class tuple, so the whole group still solves

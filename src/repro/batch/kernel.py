@@ -1,24 +1,32 @@
-"""Structure-of-arrays cost kernel: whole scenario batches per call.
+"""Structure-of-arrays inputs and co-location helpers for the batch layer.
 
-The scalar kernel (:func:`repro.model.costmodel.standalone_metrics_scalar`)
-made *one* evaluation cheap; this module makes *thousands* cheap by
-evaluating them together.  Every per-application constant that the
-scalar path reads off an :class:`~repro.workloads.base.AppProfile`
-becomes a lane of a :class:`ProfileSoA` — contiguous float64 arrays, one
-slot per evaluated job — so a whole batch of (job, pair, frequency,
-placement) scenarios flows through the same broadcastable NumPy
-expressions the grid sweeps already use, with *per-lane* profiles
-instead of one shared profile object.
+There is one array cost kernel,
+:func:`repro.model.costmodel.standalone_metrics` /
+:func:`~repro.model.costmodel.pair_metrics`.  It reads every profile
+constant by attribute, so it takes either one
+:class:`~repro.workloads.base.AppProfile` or a :class:`ProfileSoA` —
+one contiguous float64 array per profile field, one lane per evaluated
+job — and with SoA lanes a whole batch of (job, pair, frequency,
+placement) scenarios flows through one call with *per-lane* profiles.
+
+This module holds what the batch solvers need around that kernel:
+
+* :class:`ProfileSoA` / :class:`NodeSoA`, the transposed profile and
+  node-class constants;
+* :func:`colocation_context_soa`, the batched twin of the engine's
+  :func:`~repro.model.costmodel.colocation_context_scalar`;
+* :func:`node_state_soa` and :func:`solo_disk_scale`, the engine's
+  segment state and single-job context over ``(scenario, slot)`` lanes;
+* :func:`hetero_total_energy`, the per-node idle fold of a mixed roster.
 
 Numerical contract
 ------------------
-Every function here mirrors its scalar/broadcast twin in
-:mod:`repro.model.costmodel` operation for operation.  IEEE-754
-elementwise array arithmetic is identical to the same scalar arithmetic
-per lane, so a batch of one is **bit-identical** to the scalar path
-(``tests/test_batch_property.py`` asserts exact equality), and any
-batch agrees with the discrete-event engine to well below the 1e-9
-conformance bound.  Two details matter:
+Each helper mirrors its engine twin operation for operation.  IEEE-754
+elementwise array arithmetic is identical to the same scalar
+arithmetic per lane, so a one-row batch is **bit-identical** to the
+engine's scalar path (``tests/test_costmodel_scalar.py`` asserts exact
+equality of the contexts), and any batch agrees with the discrete-event
+engine to well below the 1e-9 conformance bound.  Two details matter:
 
 * sums over co-resident job slots accumulate **sequentially in slot
   order** — the same order :func:`~repro.model.costmodel._npsum` and
@@ -42,7 +50,7 @@ import numpy as np
 
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
-from repro.model.costmodel import _CACHE_LINE, JobMetrics, _dyn_scale_lookup
+from repro.model.costmodel import JobMetrics
 from repro.workloads.base import AppProfile
 
 #: Per-profile constants the kernel consumes, in ProfileSoA field order.
@@ -192,132 +200,14 @@ def hetero_total_energy(busy_energy, makespan, nodes: NodeSoA, busy_by_node):
     ``busy_by_node`` maps node id -> busy seconds on that node (float or
     per-scenario array); omitted nodes are fully idle.  The accumulation
     runs node-by-node in roster order with identical operations for
-    float and array operands, so the scalar backend and a batch of one
-    stay bit-identical on heterogeneous scenarios exactly as they do on
-    the homogeneous fold.
+    float and array operands, so a float fold and a one-row batch stay
+    bit-identical.
     """
     total = busy_energy
     for node_id in range(len(nodes)):
         busy_here = busy_by_node.get(node_id, 0.0)
         total = total + nodes.idle_power[node_id] * (makespan - busy_here)
     return total
-
-
-def standalone_metrics_soa(
-    p: ProfileSoA,
-    data_bytes,
-    frequency,
-    block_size,
-    n_mappers,
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    mpki_scale=1.0,
-    disk_traffic_scale=1.0,
-    extra_streams=0.0,
-    remote_fraction: float | None = None,
-) -> JobMetrics:
-    """SoA twin of :func:`repro.model.costmodel.standalone_metrics`.
-
-    Identical operation order, but every profile constant is an array
-    lane of ``p`` instead of a Python attribute — so one call evaluates
-    jobs of *different* applications together.  All inputs broadcast;
-    the result is an ordinary (array-backed) :class:`JobMetrics`.
-    """
-    D = np.asarray(data_bytes, dtype=float)
-    f = np.asarray(frequency, dtype=float)
-    b = np.asarray(block_size, dtype=float)
-    m = np.asarray(n_mappers, dtype=float)
-    if np.any(D <= 0):
-        raise ValueError("data_bytes must be positive")
-    if np.any(m < 1):
-        raise ValueError("n_mappers must be >= 1")
-    if remote_fraction is None:
-        remote_fraction = constants.remote_shuffle_fraction
-
-    n_tasks = np.ceil(D / b)
-    m_eff = np.minimum(m, n_tasks)
-    waves = np.ceil(n_tasks / m_eff)
-    imbalance = waves * m_eff / n_tasks
-
-    mpki_eff = p.llc_mpki0 * np.asarray(mpki_scale, dtype=float)
-    spi = node.core.seconds_per_instruction(f, p.cpi0, mpki_eff)
-    instr = D * (p.instructions_per_byte + p.shuffle_factor * p.reduce_instr_per_byte)
-    t_cpu = instr * spi * imbalance / m_eff
-
-    disk_bytes = (
-        D
-        * (
-            p.read_factor
-            + p.spill_factor
-            + (1.0 + constants.shuffle_reread_fraction) * p.shuffle_factor
-            + p.output_factor
-        )
-        * np.asarray(disk_traffic_scale, dtype=float)
-    )
-    streams = m_eff + np.asarray(extra_streams, dtype=float)
-    agg_bw = node.disk.aggregate_bw(streams, b)
-    t_disk = disk_bytes / agg_bw
-
-    net_bytes = D * p.shuffle_factor * remote_fraction
-    t_net = net_bytes / node.nic_bw
-
-    t_overhead = waves * constants.task_overhead_s
-
-    ov = p.io_overlap
-
-    def compose(t_cpu_):
-        t_bound = np.maximum(np.maximum(t_cpu_, t_disk), t_net)
-        t_sum = t_cpu_ + t_disk + t_net
-        return t_overhead + ov * t_bound + (1.0 - ov) * t_sum
-
-    mem_traffic = instr * (mpki_eff / 1000.0) * _CACHE_LINE * p.mem_stream_factor
-    duration0 = compose(t_cpu)
-    over = np.maximum((mem_traffic / duration0) / node.membw.achievable_bw, 1.0)
-    t_cpu = t_cpu * over
-    duration = compose(t_cpu)
-
-    u_cpu = t_cpu / duration
-    u_disk = t_disk / duration
-    u_net = t_net / duration
-    stall = node.core.stall_fraction(f, p.cpi0, mpki_eff)
-
-    mem_demand = mem_traffic / duration
-    u_mem = np.minimum(mem_demand / node.membw.achievable_bw, 1.0)
-
-    pm = node.power
-    activity = u_cpu * (1.0 - stall * (1.0 - pm.stall_power_fraction))
-    core_power = m_eff * pm.core_max_power * _dyn_scale_lookup(node, f) * activity
-    power = (
-        pm.idle_power
-        + core_power
-        + pm.mem_max_power * u_mem
-        + pm.disk_max_power * np.minimum(u_disk, 1.0)
-    )
-    energy = power * duration
-    edp = energy * duration
-
-    as_arr = np.asarray
-    return JobMetrics(
-        duration=as_arr(duration),
-        t_cpu=as_arr(t_cpu),
-        t_disk=as_arr(t_disk),
-        t_net=as_arr(t_net),
-        t_overhead=as_arr(t_overhead),
-        u_cpu=as_arr(u_cpu),
-        u_disk=as_arr(u_disk),
-        u_net=as_arr(u_net),
-        mem_demand=as_arr(mem_demand),
-        stall_fraction=as_arr(stall),
-        m_eff=as_arr(m_eff),
-        n_tasks=as_arr(n_tasks),
-        waves=as_arr(waves),
-        mpki_eff=as_arr(mpki_eff),
-        core_power=as_arr(core_power),
-        power=as_arr(power),
-        energy=as_arr(energy),
-        edp=as_arr(edp),
-    )
 
 
 def colocation_context_soa(
@@ -453,138 +343,3 @@ def solo_disk_scale(
     footprint = footprint + m * p.footprint_per_task
     over = np.maximum(footprint / node.available_memory_bytes - 1.0, 0.0)
     return 1.0 + constants.swap_penalty * over
-
-
-# ----------------------------------------------------- pair sweep kernel
-def _cache_coupling_soa(
-    pa: ProfileSoA, ma, pb: ProfileSoA, mb, node: NodeSpec, constants: SimConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """SoA twin of ``costmodel._cache_coupling`` (per-lane profiles)."""
-    ma = np.asarray(ma, dtype=float)
-    mb = np.asarray(mb, dtype=float)
-    cores_per_module = 2.0
-    n_modules = node.n_cores / cores_per_module
-    mods_a = np.ceil(ma / cores_per_module)
-    mods_b = np.ceil(mb / cores_per_module)
-    shared = np.maximum(mods_a + mods_b - n_modules, 0.0)
-    frac_a = shared / mods_a
-    frac_b = shared / mods_b
-
-    pres_a = pa.cache_pressure * ma
-    pres_b = pb.cache_pressure * mb
-    floor = constants.cache_share_floor
-    share_a = np.clip(pres_a / (pres_a + pres_b), floor, 1.0 - floor)
-    share_b = 1.0 - share_a
-    infl_a = node.cache.mpki_inflation(share_a, pa.cache_alpha)
-    infl_b = node.cache.mpki_inflation(share_b, pb.cache_alpha)
-    scale_a = 1.0 + frac_a * (infl_a - 1.0)
-    scale_b = 1.0 + frac_b * (infl_b - 1.0)
-    return scale_a, scale_b
-
-
-def _footprint_coupling_soa(
-    pa: ProfileSoA, ma, pb: ProfileSoA, mb, node: NodeSpec, constants: SimConstants
-) -> np.ndarray:
-    """SoA twin of ``costmodel._footprint_coupling``."""
-    footprint = np.asarray(ma, dtype=float) * pa.footprint_per_task + np.asarray(
-        mb, dtype=float
-    ) * pb.footprint_per_task
-    over = np.maximum(footprint / node.available_memory_bytes - 1.0, 0.0)
-    return 1.0 + constants.swap_penalty * over
-
-
-def pair_metrics_soa(
-    pa: ProfileSoA,
-    data_a,
-    freq_a,
-    block_a,
-    mappers_a,
-    pb: ProfileSoA,
-    data_b,
-    freq_b,
-    block_b,
-    mappers_b,
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    remote_fraction: float | None = None,
-):
-    """SoA twin of :func:`repro.model.costmodel.pair_metrics`.
-
-    Accepts per-lane profile arrays so one call sweeps *many pairs* at
-    once; mirrors the closed-form pair composition operation for
-    operation and returns the same :class:`PairMetrics` record.
-    """
-    from repro.model.costmodel import PairMetrics
-
-    ma = np.asarray(mappers_a, dtype=float)
-    mb = np.asarray(mappers_b, dtype=float)
-    if np.any(ma + mb > node.n_cores):
-        raise ValueError("core partition exceeds the node's core count")
-
-    mpki_scale_a, mpki_scale_b = _cache_coupling_soa(pa, ma, pb, mb, node, constants)
-    disk_scale = _footprint_coupling_soa(pa, ma, pb, mb, node, constants)
-
-    job_a = standalone_metrics_soa(
-        pa, data_a, freq_a, block_a, ma,
-        node=node, constants=constants,
-        mpki_scale=mpki_scale_a, disk_traffic_scale=disk_scale,
-        extra_streams=mb, remote_fraction=remote_fraction,
-    )
-    job_b = standalone_metrics_soa(
-        pb, data_b, freq_b, block_b, mb,
-        node=node, constants=constants,
-        mpki_scale=mpki_scale_b, disk_traffic_scale=disk_scale,
-        extra_streams=ma, remote_fraction=remote_fraction,
-    )
-
-    cap = node.membw.achievable_bw
-    u_mem_pair = (job_a.mem_demand + job_b.mem_demand) / cap
-    u_disk_pair = job_a.u_disk + job_b.u_disk
-    u_net_pair = job_a.u_net + job_b.u_net
-    stretch = np.maximum(
-        1.0, np.maximum(u_disk_pair, np.maximum(u_net_pair, u_mem_pair))
-    )
-
-    t_short = np.minimum(job_a.duration, job_b.duration)
-    t_long = np.maximum(job_a.duration, job_b.duration)
-    t_first_done = stretch * t_short
-    makespan = t_first_done + (t_long - t_short)
-    duration_a = np.where(job_a.duration <= job_b.duration, t_first_done, makespan)
-    duration_b = np.where(job_b.duration <= job_a.duration, t_first_done, makespan)
-
-    pm = node.power
-    p_overlap = (
-        pm.idle_power
-        + (job_a.core_power + job_b.core_power) / stretch
-        + pm.mem_max_power * np.minimum(u_mem_pair / stretch, 1.0)
-        + pm.disk_max_power * np.minimum(u_disk_pair / stretch, 1.0)
-    )
-    a_is_long = job_a.duration > job_b.duration
-    tail_core = np.where(a_is_long, job_a.core_power, job_b.core_power)
-    tail_mem = np.where(
-        a_is_long,
-        np.minimum(job_a.mem_demand / cap, 1.0),
-        np.minimum(job_b.mem_demand / cap, 1.0),
-    )
-    tail_disk = np.where(a_is_long, job_a.u_disk, job_b.u_disk)
-    p_tail = (
-        pm.idle_power
-        + tail_core
-        + pm.mem_max_power * tail_mem
-        + pm.disk_max_power * np.minimum(tail_disk, 1.0)
-    )
-    energy = p_overlap * t_first_done + p_tail * (t_long - t_short)
-    edp = energy * makespan
-
-    return PairMetrics(
-        makespan=np.asarray(makespan),
-        energy=np.asarray(energy),
-        edp=np.asarray(edp),
-        stretch=np.asarray(stretch),
-        t_first_done=np.asarray(t_first_done),
-        duration_a=np.asarray(duration_a),
-        duration_b=np.asarray(duration_b),
-        job_a=job_a,
-        job_b=job_b,
-    )

@@ -210,7 +210,7 @@ def _check_backends(
 ) -> list[Failure]:
     """Differential check: alternate backends vs the event engine.
 
-    For each requested backend (``"scalar"``/``"batch"``), evaluate the
+    For each requested non-event backend (``"batch"``), evaluate the
     scenario through :func:`repro.batch.engine.evaluate_scenarios` and
     compare makespan, total energy, EDP, node-0 busy time and every
     per-job energy against the reference event run at the conformance

@@ -129,58 +129,6 @@ def _build_hdfs(
     return hdfs, job_files
 
 
-def _healthy_row_via_backend(
-    specs: list[JobSpec],
-    *,
-    backend: str,
-    policy: str,
-    rate: float,
-    n_nodes: int,
-    node: NodeSpec,
-    constants: SimConstants,
-) -> FaultRunMetrics:
-    """The rate-0 (fault-free) row through the batch evaluation layer.
-
-    A healthy run has no recovery semantics, so it is exactly the kind
-    of scenario :func:`repro.batch.engine.evaluate_scenarios` covers;
-    large Poisson streams still classify as engine-only shapes and fall
-    back honestly, but the selector stays uniform for callers.  All
-    fault counters are structurally zero on this path.
-    """
-    from repro.batch.engine import evaluate_scenarios
-    from repro.conformance.scenarios import Scenario, ScenarioJob
-
-    scenario = Scenario(
-        n_nodes=n_nodes,
-        jobs=tuple(
-            ScenarioJob(
-                code=s.instance.app.code,
-                data_bytes=s.instance.data_bytes,
-                frequency=s.config.frequency,
-                block_size=s.config.block_size,
-                n_mappers=s.config.n_mappers,
-                submit_time=s.submit_time,
-            )
-            for s in specs
-        ),
-        recorder="off",
-    )
-    [outcome] = evaluate_scenarios(
-        [scenario], backend=backend, node=node, constants=constants
-    )
-    return FaultRunMetrics(
-        policy=policy,
-        rate_per_1ks=rate,
-        n_jobs=len(specs),
-        n_faults=0,
-        tasks_retried=0,
-        speculative_wasted=0,
-        blocks_rereplicated=0,
-        makespan=outcome.makespan,
-        edp=outcome.edp,
-    )
-
-
 def run_fault_tolerance(
     *,
     rates: tuple[float, ...] = DEFAULT_RATES,
@@ -191,7 +139,6 @@ def run_fault_tolerance(
     constants: SimConstants = DEFAULT_CONSTANTS,
     seed: SeedLike = 0,
     fault_seed: SeedLike = 7,
-    backend: str = "event",
 ) -> FaultToleranceReport:
     """Sweep injection rates over tuned and untuned steady-state streams.
 
@@ -199,20 +146,9 @@ def run_fault_tolerance(
     fresh cluster and a plan drawn from ``fault_seed`` — rates differ
     but the workload does not, so every delta in the table is caused by
     faults and recovery, not by workload noise.
-
-    ``backend`` selects the evaluation path for the *healthy* rate-0
-    rows (``"event"``/``"scalar"``/``"batch"``); faulted rows always
-    run the event engine, whose recovery semantics the closed forms do
-    not model.  The default leaves every byte of the golden-pinned
-    output unchanged.  Non-event rate-0 rows carry empty recovery
-    traces (there is no injector on that path).
     """
     if not rates:
         raise ValueError("rates must be non-empty")
-    if backend not in ("event", "scalar", "batch"):
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: event, scalar, batch"
-        )
     runs: list[FaultRunMetrics] = []
     traces: dict[tuple[str, float], tuple[str, ...]] = {}
     for policy, tuned in (("tuned", True), ("untuned", False)):
@@ -226,20 +162,6 @@ def run_fault_tolerance(
                     job_ids_from=1,
                 )
             )
-            if rate == 0 and backend != "event":
-                runs.append(
-                    _healthy_row_via_backend(
-                        specs,
-                        backend=backend,
-                        policy=policy,
-                        rate=rate,
-                        n_nodes=n_nodes,
-                        node=node,
-                        constants=constants,
-                    )
-                )
-                traces[(policy, rate)] = ()
-                continue
             cluster = ClusterEngine(
                 n_nodes, node, constants=constants, recorder="off"
             )

@@ -1,14 +1,20 @@
 """Analytic cost model and vectorised configuration sweeps.
 
-One cost kernel (:mod:`repro.model.costmodel`) serves two consumers:
+One array cost kernel (:mod:`repro.model.costmodel`) serves every
+array caller:
 
 * :mod:`repro.model.sweep` evaluates it over whole NumPy grids of
   configurations — this is what makes the paper's 84,480-run
   brute-force oracle (COLAO) tractable in seconds;
-* :mod:`repro.mapreduce.engine` replays the same per-task quantities
-  event by event, producing traces for telemetry.
+* :mod:`repro.batch` feeds it per-lane profiles
+  (:class:`~repro.batch.kernel.ProfileSoA`) to solve thousands of
+  scenarios in one pass.
 
-Tests assert the two stay consistent.
+:mod:`repro.mapreduce.engine` replays the same per-job quantities event
+by event through the kernel's scalar twin
+(:func:`~repro.model.costmodel.standalone_metrics_scalar`), which is
+over 10x cheaper per single-job call; tests hold the twin
+bit-identical to the array kernel.
 """
 
 from repro.model.calibration import SimConstants, DEFAULT_CONSTANTS

@@ -35,6 +35,15 @@ inflation), memory-footprint overcommit (extra disk traffic), and disk
 stream interleaving; then a fluid *stretch* slows both jobs when their
 aggregate disk/NIC/DRAM demand oversubscribes a resource, and a
 two-segment schedule yields makespan and energy.
+
+One array kernel, :func:`standalone_metrics` / :func:`pair_metrics`,
+serves every array caller: grid sweeps with one
+:class:`~repro.workloads.base.AppProfile`, and the batch solvers with
+per-lane :class:`~repro.batch.kernel.ProfileSoA` profiles.  The
+discrete-event engine calls the kernel one job at a time, where array
+overhead dominates, so it runs the scalar twin
+:func:`standalone_metrics_scalar` / :func:`colocation_context_scalar`,
+which tests hold bit-identical to the array code.
 """
 
 from __future__ import annotations
@@ -104,7 +113,7 @@ class ScalarJobMetrics:
     running job per membership change, always with scalar knobs; going
     through the broadcastable NumPy path costs ~50 array allocations
     per call.  :func:`standalone_metrics_scalar` produces this record
-    instead, mirroring the array path operation-for-operation so the
+    instead, mirroring the array kernel operation-for-operation so the
     two are bit-identical (``tests/test_costmodel_scalar.py`` asserts
     exact equality over the full configuration grid).
     """
@@ -209,6 +218,12 @@ def standalone_metrics(
     broadcast together.  The three ``*_scale``/``extra_streams`` hooks
     are how :func:`pair_metrics` injects co-location couplings while
     reusing this single kernel.
+
+    ``profile`` is an :class:`~repro.workloads.base.AppProfile` or a
+    :class:`~repro.batch.kernel.ProfileSoA`: the kernel only reads the
+    profile fields by attribute, so SoA lanes (one float64 array per
+    field) broadcast with the knobs and one call evaluates jobs of
+    *different* applications together — the batch solvers' path.
     """
     D = np.asarray(data_bytes, dtype=float)
     f = np.asarray(frequency, dtype=float)
@@ -327,10 +342,13 @@ def standalone_metrics_scalar(
 ) -> ScalarJobMetrics:
     """Scalar-in/scalar-out twin of :func:`standalone_metrics`.
 
-    Every expression mirrors the array path in the same operation
-    order, so results are bit-identical to evaluating the NumPy kernel
-    on 0-d inputs — both are IEEE-754 double arithmetic.  No array is
-    allocated anywhere on this path.
+    Every expression mirrors the array kernel in the same operation
+    order, so results are bit-identical to evaluating it on 0-d inputs
+    — both are IEEE-754 double arithmetic.  No array is allocated
+    anywhere on this path: one call costs 13-15 µs, against 150-190 µs
+    through the array kernel on 0-d inputs, which is why the engine
+    keeps this twin (``tests/test_costmodel_scalar.py`` pins it to the
+    array kernel).
     """
     D = float(data_bytes)
     f = float(frequency)
@@ -477,75 +495,14 @@ def _footprint_coupling(
     return 1.0 + constants.swap_penalty * over
 
 
-@dataclass(frozen=True)
-class ColocationContext:
-    """Per-job coupling parameters for a set of co-resident jobs."""
-
-    mpki_scale: np.ndarray  # one per job
-    disk_traffic_scale: np.ndarray  # shared, broadcast per job
-    extra_streams: np.ndarray  # co-runners' stream counts, per job
-
-
-def colocation_context(
-    profiles: list[AppProfile],
-    mappers: list[float],
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-) -> ColocationContext:
-    """Coupling parameters for ``k`` co-located jobs on one node.
-
-    Generalises the pairwise couplings (module-aware LLC inflation,
-    footprint overcommit, disk stream interleaving) to any number of
-    co-runners; with ``k = 1`` everything degenerates to the neutral
-    standalone context.  Used by the discrete-event engine, whose
-    running set changes over time.
-    """
-    if len(profiles) != len(mappers):
-        raise ValueError("profiles and mappers must have equal length")
-    if not profiles:
-        raise ValueError("need at least one job")
-    m = np.asarray(mappers, dtype=float)
-    if np.any(m < 1):
-        raise ValueError("mapper counts must be >= 1")
-    k = len(profiles)
-
-    cores_per_module = 2.0
-    n_modules = node.n_cores / cores_per_module
-    mods = np.ceil(m / cores_per_module)
-    shared = max(float(mods.sum() - n_modules), 0.0)
-    frac = np.minimum(shared / mods, 1.0)
-
-    pres = np.array([p.cache_pressure for p in profiles]) * m
-    floor = constants.cache_share_floor
-    share = np.clip(pres / pres.sum(), floor, 1.0 - floor) if k > 1 else np.ones(1)
-    alphas = np.array([p.cache_alpha for p in profiles])
-    infl = np.array(
-        [float(node.cache.mpki_inflation(share[i], alphas[i])) for i in range(k)]
-    )
-    mpki_scale = 1.0 + (frac * (infl - 1.0) if k > 1 else np.zeros(k))
-
-    footprint = float(
-        sum(m[i] * profiles[i].footprint_per_task for i in range(k))
-    )
-    over = max(footprint / node.available_memory_bytes - 1.0, 0.0)
-    disk_scale = np.full(k, 1.0 + constants.swap_penalty * over)
-
-    extra = m.sum() - m
-    return ColocationContext(
-        mpki_scale=np.asarray(mpki_scale),
-        disk_traffic_scale=disk_scale,
-        extra_streams=np.asarray(extra),
-    )
-
-
 def _npsum(vals: list[float]) -> float:
     """Sum a small float list exactly like ``np.ndarray.sum`` would.
 
     NumPy's reduction is sequential below 8 elements but switches to an
-    8-accumulator pairwise scheme at length >= 8; the scalar context
-    path must match the array path bit-for-bit, so lengths >= 8 defer
-    to NumPy itself (one tiny allocation on a rare path).
+    8-accumulator pairwise scheme at length >= 8.  Every seeded engine
+    result (the goldens included) depends on the engine's context
+    summing that way, so lengths >= 8 defer to NumPy itself (one tiny
+    allocation on a rare path).
     """
     if len(vals) < 8:
         total = 0.0
@@ -562,12 +519,19 @@ def colocation_context_scalar(
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
 ) -> list[tuple[float, float, float]]:
-    """Scalar twin of :func:`colocation_context` for the event engine.
+    """Coupling parameters for ``k`` co-located jobs on one node.
+
+    Generalises the pairwise couplings (module-aware LLC inflation,
+    footprint overcommit, disk stream interleaving) to any number of
+    co-runners; with ``k = 1`` everything degenerates to the neutral
+    standalone context.  Used by the discrete-event engine, whose
+    running set changes over time.
 
     Returns one ``(mpki_scale, disk_traffic_scale, extra_streams)``
-    tuple per job, bit-identical to the array path (which the
-    consistency tests assert), without allocating any arrays for the
-    common small running sets.
+    tuple per job without allocating arrays for the common small
+    running sets.  For fewer than 8 jobs the result is bit-identical to
+    :func:`repro.batch.kernel.colocation_context_soa` on a one-row
+    batch (``tests/test_costmodel_scalar.py`` asserts it).
     """
     if len(profiles) != len(mappers):
         raise ValueError("profiles and mappers must have equal length")
@@ -601,7 +565,7 @@ def colocation_context_scalar(
     for i in range(k):
         share = min(max(pres[i] / pres_total, floor), 1.0 - floor)
         # np.power, not **: NumPy's pow differs from libm by ULPs, and
-        # the array path evaluates mpki_inflation per job on 0-d inputs.
+        # the array code (pair_metrics, colocation_context_soa) uses it.
         infl = min(
             max(float(np.power(min(share, 1.0), -profiles[i].cache_alpha)), 1.0),
             cache.max_inflation,

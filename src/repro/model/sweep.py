@@ -117,48 +117,19 @@ class PairSweepResult:
         return int(idx[local]), float(self.metrics.edp[idx[local]])
 
 
-_SWEEP_BACKENDS = ("numpy", "batch")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in _SWEEP_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: {', '.join(_SWEEP_BACKENDS)}"
-        )
-
-
 def sweep_solo(
     instance: AppInstance,
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     remote_fraction: float | None = None,
-    backend: str = "numpy",
 ) -> SoloSweepResult:
-    """Evaluate all 160 standalone configurations for one instance.
-
-    ``backend="batch"`` routes through the SoA kernel of
-    :mod:`repro.batch.kernel` (profile constants as per-lane arrays) —
-    bit-identical results, and the path :func:`sweep_solo_batch` uses
-    to fuse many instances into a single kernel call.
-    """
-    _check_backend(backend)
+    """Evaluate all 160 standalone configurations for one instance."""
     f, b, m = config_grid(node)
-    if backend == "batch":
-        from repro.batch.kernel import ProfileSoA, standalone_metrics_soa
-
-        soa = ProfileSoA.from_profiles([instance.profile]).take(
-            np.zeros(len(f), dtype=np.intp)
-        )
-        metrics = standalone_metrics_soa(
-            soa, instance.data_bytes, f, b, m,
-            node=node, constants=constants, remote_fraction=remote_fraction,
-        )
-    else:
-        metrics = standalone_metrics(
-            instance.profile, instance.data_bytes, f, b, m,
-            node=node, constants=constants, remote_fraction=remote_fraction,
-        )
+    metrics = standalone_metrics(
+        instance.profile, instance.data_bytes, f, b, m,
+        node=node, constants=constants, remote_fraction=remote_fraction,
+    )
     return SoloSweepResult(instance=instance, freq=f, block=b, mappers=m, metrics=metrics)
 
 
@@ -171,7 +142,6 @@ def sweep_pair(
     partitions: list[tuple[int, int]] | None = None,
     remote_fraction: float | None = None,
     freqs_a: Sequence[float] | None = None,
-    backend: str = "numpy",
 ) -> PairSweepResult:
     """Evaluate the full pair grid (knobs × core partitions) for a pair.
 
@@ -179,130 +149,21 @@ def sweep_pair(
     2,800 co-located configurations per pair.  ``freqs_a`` restricts
     the first application's frequency axis — a *chunk* of the full
     sweep that :func:`merge_pair_sweeps` can stitch back together.
-    ``backend="batch"`` evaluates through the SoA pair kernel
-    (bit-identical; see :func:`sweep_pair_batch` for the fused
-    multi-pair form).
     """
-    _check_backend(backend)
     f1, b1, m1, f2, b2, m2 = pair_config_grid(
         node, partitions=partitions, freqs_a=freqs_a
     )
-    if backend == "batch":
-        from repro.batch.kernel import ProfileSoA, pair_metrics_soa
-
-        zeros = np.zeros(len(f1), dtype=np.intp)
-        pa = ProfileSoA.from_profiles([instance_a.profile]).take(zeros)
-        pb = ProfileSoA.from_profiles([instance_b.profile]).take(zeros)
-        metrics = pair_metrics_soa(
-            pa, instance_a.data_bytes, f1, b1, m1,
-            pb, instance_b.data_bytes, f2, b2, m2,
-            node=node, constants=constants, remote_fraction=remote_fraction,
-        )
-    else:
-        metrics = pair_metrics(
-            instance_a.profile, instance_a.data_bytes, f1, b1, m1,
-            instance_b.profile, instance_b.data_bytes, f2, b2, m2,
-            node=node, constants=constants, remote_fraction=remote_fraction,
-        )
+    metrics = pair_metrics(
+        instance_a.profile, instance_a.data_bytes, f1, b1, m1,
+        instance_b.profile, instance_b.data_bytes, f2, b2, m2,
+        node=node, constants=constants, remote_fraction=remote_fraction,
+    )
     return PairSweepResult(
         instance_a=instance_a, instance_b=instance_b,
         freq_a=f1, block_a=b1, mappers_a=m1,
         freq_b=f2, block_b=b2, mappers_b=m2,
         metrics=metrics,
     )
-
-
-# --------------------------------------------------- fused batch sweeps
-def _slice_metrics(cls, metrics, start: int, stop: int):
-    """Row-slice every array field of a metrics dataclass (recursive)."""
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        val = getattr(metrics, field.name)
-        if dataclasses.is_dataclass(val):
-            kwargs[field.name] = _slice_metrics(type(val), val, start, stop)
-        else:
-            kwargs[field.name] = np.asarray(val)[start:stop]
-    return cls(**kwargs)
-
-
-def sweep_solo_batch(
-    instances: Sequence[AppInstance],
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    remote_fraction: float | None = None,
-) -> list[SoloSweepResult]:
-    """All instances' solo sweeps fused into ONE SoA kernel call.
-
-    ``len(instances) × 160`` lanes evaluate together — per-lane profile
-    constants make mixed applications free — and the flat result is
-    sliced back into per-instance :class:`SoloSweepResult` records,
-    each bit-identical to its own :func:`sweep_solo` call.
-    """
-    from repro.batch.kernel import ProfileSoA, standalone_metrics_soa
-
-    if not instances:
-        raise ValueError("need at least one instance")
-    f, b, m = config_grid(node)
-    G = len(f)
-    N = len(instances)
-    soa = ProfileSoA.from_profiles([i.profile for i in instances]).take(
-        np.repeat(np.arange(N, dtype=np.intp), G)
-    )
-    data = np.repeat(np.array([float(i.data_bytes) for i in instances]), G)
-    metrics = standalone_metrics_soa(
-        soa, data, np.tile(f, N), np.tile(b, N), np.tile(m, N),
-        node=node, constants=constants, remote_fraction=remote_fraction,
-    )
-    return [
-        SoloSweepResult(
-            instance=inst, freq=f, block=b, mappers=m,
-            metrics=_slice_metrics(type(metrics), metrics, i * G, (i + 1) * G),
-        )
-        for i, inst in enumerate(instances)
-    ]
-
-
-def sweep_pair_batch(
-    pairs: Sequence[tuple[AppInstance, AppInstance]],
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    partitions: list[tuple[int, int]] | None = None,
-    remote_fraction: float | None = None,
-) -> list[PairSweepResult]:
-    """All pairs' co-location sweeps fused into ONE SoA kernel call.
-
-    ``len(pairs) × 2800`` lanes in a single :func:`pair_metrics_soa`
-    evaluation, sliced back into per-pair :class:`PairSweepResult`
-    records bit-identical to individual :func:`sweep_pair` calls.
-    """
-    from repro.batch.kernel import ProfileSoA, pair_metrics_soa
-
-    if not pairs:
-        raise ValueError("need at least one pair")
-    f1, b1, m1, f2, b2, m2 = pair_config_grid(node, partitions=partitions)
-    G = len(f1)
-    N = len(pairs)
-    lanes = np.repeat(np.arange(N, dtype=np.intp), G)
-    pa = ProfileSoA.from_profiles([a.profile for a, _b in pairs]).take(lanes)
-    pb = ProfileSoA.from_profiles([b.profile for _a, b in pairs]).take(lanes)
-    data_a = np.repeat(np.array([float(a.data_bytes) for a, _b in pairs]), G)
-    data_b = np.repeat(np.array([float(b.data_bytes) for _a, b in pairs]), G)
-    metrics = pair_metrics_soa(
-        pa, data_a, np.tile(f1, N), np.tile(b1, N), np.tile(m1, N),
-        pb, data_b, np.tile(f2, N), np.tile(b2, N), np.tile(m2, N),
-        node=node, constants=constants, remote_fraction=remote_fraction,
-    )
-    return [
-        PairSweepResult(
-            instance_a=a, instance_b=b,
-            freq_a=f1, block_a=b1, mappers_a=m1,
-            freq_b=f2, block_b=b2, mappers_b=m2,
-            metrics=_slice_metrics(type(metrics), metrics, i * G, (i + 1) * G),
-        )
-        for i, (a, b) in enumerate(pairs)
-    ]
 
 
 # ------------------------------------------------------- chunk merging

@@ -23,6 +23,7 @@ sequence (:func:`requests_to_specs` rebuilds the offline job list).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +34,17 @@ from repro.utils.rng import SeedLike, derive_rng
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 from repro.workloads.streams import TUNED_CLASS_CONFIGS, poisson_job_stream
+
+
+#: Latest arrival time a request may carry, in seconds (about 136
+#: years of virtual time).  The engine checks completions to an
+#: absolute 1e-6 s, and near a 2**35 s clock the float resolution
+#: alone trips that check, so arrivals stay well below it.
+MAX_TIME_S = 2**32
+#: Largest input a request may carry: 1 TiB, a hundred times the
+#: paper's largest per-node input.  Such a job runs about 1e5 s, so
+#: even queues of them keep the clock in range.
+MAX_DATA_BYTES = 2**40
 
 
 class RequestError(ValueError):
@@ -81,7 +93,15 @@ def _number(payload: dict, key: str, *, required: bool = True):
             raise RequestError(f"missing required field {key!r}")
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(f"field {key!r} must be a number, got {value!r}")
+        raise RequestError(
+            f"field {key!r} must be a number, got {type(value).__name__}"
+        )
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
+        raise RequestError(f"field {key!r} must be a finite number")
     return value
 
 
@@ -97,7 +117,9 @@ def parse_request(
     ``default_time`` is the service clock's now — used when the payload
     carries no explicit ``time`` (wall-clock mode always overrides with
     its own now; the virtual-clock service requires one of the two).
-    Raises :class:`RequestError` with a client-presentable message.
+    Raises :class:`RequestError` with a client-presentable message, and
+    nothing else: a payload that passes builds a job the engine accepts,
+    so a refused request never reaches admission.
     """
     if not isinstance(payload, dict):
         raise RequestError("request body must be a JSON object")
@@ -109,8 +131,8 @@ def parse_request(
         if default_time is None:
             raise RequestError("missing required field 'time'")
         t = default_time
-    if t < 0:
-        raise RequestError(f"field 'time' must be >= 0, got {t}")
+    if not 0 <= t <= MAX_TIME_S:
+        raise RequestError(f"field 'time' must be in [0, 2**32], got {t}")
     code = payload.get("code")
     if not isinstance(code, str):
         raise RequestError("missing required field 'code'")
@@ -119,24 +141,27 @@ def parse_request(
     except KeyError as exc:
         raise RequestError(str(exc.args[0])) from None
     data_bytes = _number(payload, "data_bytes")
-    if data_bytes <= 0:
-        raise RequestError(f"field 'data_bytes' must be > 0, got {data_bytes}")
+    if not 1 <= data_bytes <= MAX_DATA_BYTES:  # int() truncates 0.5 to 0
+        raise RequestError(
+            f"field 'data_bytes' must be in [1, 2**40], got {data_bytes}"
+        )
     tuned = TUNED_CLASS_CONFIGS[app.app_class.value]
     frequency = _number(payload, "frequency", required=False)
     block_size = _number(payload, "block_size", required=False)
     n_mappers = _number(payload, "n_mappers", required=False)
-    config = JobConfig(
-        frequency=float(frequency if frequency is not None else tuned.frequency),
-        block_size=int(block_size if block_size is not None else tuned.block_size),
-        n_mappers=int(n_mappers if n_mappers is not None else tuned.n_mappers),
-    )
     try:
-        config.validate_for(node)
+        config = JobConfig(
+            frequency=float(frequency if frequency is not None else tuned.frequency),
+            block_size=int(block_size if block_size is not None else tuned.block_size),
+            n_mappers=int(n_mappers if n_mappers is not None else tuned.n_mappers),
+        ).validate_for(node)
     except ValueError as exc:
         raise RequestError(str(exc.args[0])) from None
     job_id = payload.get("job_id")
     if job_id is not None and (isinstance(job_id, bool) or not isinstance(job_id, int)):
-        raise RequestError(f"field 'job_id' must be an integer, got {job_id!r}")
+        raise RequestError(
+            f"field 'job_id' must be an integer, got {type(job_id).__name__}"
+        )
     return JobRequest(
         tenant=tenant,
         time=float(t),

@@ -153,7 +153,6 @@ def fault_mc_sharded(
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     seed: int = 0,
-    backend: str = "event",
     workers: int | None = None,
     executor: SweepExecutor | None = None,
 ) -> FaultMonteCarloReport:
@@ -180,7 +179,6 @@ def fault_mc_sharded(
             ("constants", constants),
             ("seed", seed),
             ("fault_seed", fault_seed),
-            ("backend", backend),
         )
         for fault_seed in seeds
     ]

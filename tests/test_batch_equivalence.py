@@ -1,17 +1,15 @@
 """Differential testing of the SoA batch backend, to 1e-9.
 
-Three independent implementations answer every solvable scenario: the
-discrete-event engine (reference), the scalar closed forms, and the
-vectorised batch solvers.  This file drives all three over the full
-PR-5 oracle matrix and a seeded fuzzer corpus and requires:
+Three independent answers exist for every solvable scenario: the
+discrete-event engine (reference), the closed-form conformance
+oracles, and the vectorised batch solvers.  This file drives the batch
+backend over the full oracle matrix and a seeded fuzzer corpus and
+requires:
 
 * batch vs event engine within ``REL_TOL`` (1e-9) on makespan, total
   energy, EDP, node-0 busy seconds, and every per-job energy;
 * batch vs oracle expectation within the same tolerance wherever the
   oracle dispatcher covers the scenario;
-* scalar vs batch *bit-for-bit* — the two backends are required to
-  perform the same floating-point operations (see
-  ``repro.batch.engine._solve_scalar``);
 * zero fallbacks on the matrix (every matrix scenario is a solvable
   shape) and an honest, bounded fallback count on the fuzz corpus.
 """
@@ -92,18 +90,6 @@ def test_matrix_batch_agrees_with_oracles():
         assert _rel(b.edp, expected.edp) < REL_TOL
 
 
-def test_matrix_scalar_is_bit_identical_to_batch():
-    batch = evaluate_scenarios(_MATRIX, backend="batch")
-    scal = evaluate_scenarios(_MATRIX, backend="scalar")
-    for scenario, b, s in zip(_MATRIX, batch, scal):
-        assert s.backend == "scalar" and not s.fallback
-        for q in _QUANTITIES:
-            assert getattr(b, q) == getattr(s, q), (
-                f"scalar/batch bit divergence in {q}: {scenario.to_source()}"
-            )
-        assert b.job_energies == s.job_energies
-
-
 def test_matrix_pack_unpack_round_trip():
     batch = ScenarioBatch.from_scenarios(list(_MATRIX))
     assert len(batch) == len(_MATRIX)
@@ -134,26 +120,11 @@ def test_fuzz_corpus_batch_agrees_with_event_engine():
     assert supported >= _FUZZ_N // 3
 
 
-def test_fuzz_corpus_scalar_is_bit_identical_to_batch():
-    corpus = _fuzz_corpus()
-    batch = evaluate_scenarios(corpus, backend="batch")
-    scal = evaluate_scenarios(corpus, backend="scalar")
-    for scenario, b, s in zip(corpus, batch, scal):
-        assert b.fallback == s.fallback
-        if b.fallback:
-            continue
-        for q in _QUANTITIES:
-            assert getattr(b, q) == getattr(s, q), (
-                f"scalar/batch bit divergence in {q}: {scenario.to_source()}"
-            )
-        assert b.job_energies == s.job_energies
-
-
 # ------------------------------------------------------------ plumbing
 def test_backend_validation():
     with pytest.raises(ValueError, match="unknown backend"):
         evaluate_scenarios(list(_MATRIX[:1]), backend="gpu")
-    assert BACKENDS == ("event", "scalar", "batch")
+    assert BACKENDS == ("event", "batch")
 
 
 def test_classify_routes_wide_sets_to_event():

@@ -1,16 +1,14 @@
 """Property-based guarantees of the SoA batch layer.
 
-Three properties, each over many generated cases (hypothesis when
+Two properties, each over many generated cases (hypothesis when
 available, seeded ``parametrize`` fallback otherwise, matching
 ``test_invariants_property.py``):
 
 * ``ScenarioBatch`` pack → unpack is the identity on any scenario mix
   the fuzzer can generate (including fault plans and recorder modes);
-* a batch of one lane through the SoA cost kernel is *bit-identical*
-  to the scalar kernel — same floats, not just close ones;
-* the ``backend="batch"`` sweep path reproduces the numpy sweep path's
-  values exactly, and the scalar/batch scenario backends agree
-  bit-for-bit wherever the closed forms apply.
+* one :class:`ProfileSoA` lane through the cost kernel is
+  *bit-identical* to the engine's scalar twin — same floats, not just
+  close ones.
 """
 
 from __future__ import annotations
@@ -21,18 +19,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch import (
-    ProfileSoA,
-    ScenarioBatch,
-    evaluate_scenarios,
-    standalone_metrics_soa,
-)
+from repro.batch import ProfileSoA, ScenarioBatch
 from repro.conformance.fuzzer import generate_scenario
 from repro.hardware.node import ATOM_C2758
-from repro.model.costmodel import standalone_metrics_scalar
-from repro.model.sweep import sweep_solo
+from repro.model.costmodel import standalone_metrics, standalone_metrics_scalar
 from repro.utils.units import GHZ, MB
-from repro.workloads.base import AppInstance
 from repro.workloads.registry import ALL_APPS, get_app
 
 try:
@@ -112,7 +103,7 @@ def test_soa_kernel_batch_of_one_is_bit_identical_to_scalar(case_seed):
         mpki_scale=mpki_scale, disk_traffic_scale=disk_scale,
         extra_streams=extra,
     )
-    got = standalone_metrics_soa(
+    got = standalone_metrics(
         ProfileSoA.from_profiles([profile]),
         np.array([data]), np.array([freq]), np.array([block]),
         np.array([mappers]),
@@ -124,43 +115,3 @@ def test_soa_kernel_batch_of_one_is_bit_identical_to_scalar(case_seed):
         assert _lane(getattr(got, f.name)) == getattr(want, f.name), (
             f"kernel field {f.name} not bit-identical"
         )
-
-
-# -------------------------------------------------- backend agreement
-@seeded_cases(15)
-def test_sweep_backend_batch_matches_numpy_values(case_seed):
-    rng = random.Random(f"sweep:{case_seed}")
-    inst = AppInstance(
-        get_app(rng.choice(ALL_APPS)),
-        float(rng.randint(1, 8)) * 1024 * MB,
-    )
-    a = sweep_solo(inst)
-    b = sweep_solo(inst, backend="batch")
-    assert bool(np.all(a.edp == b.edp))
-
-    def walk(x, y, path=""):
-        for f in dataclasses.fields(x):
-            xa, ya = getattr(x, f.name), getattr(y, f.name)
-            if dataclasses.is_dataclass(xa):
-                walk(xa, ya, path + f.name + ".")
-            else:
-                assert bool(np.all(np.asarray(xa) == np.asarray(ya))), (
-                    f"sweep field {path + f.name} diverged"
-                )
-
-    walk(a.metrics, b.metrics)
-
-
-@seeded_cases(30)
-def test_scalar_and_batch_backends_bit_identical(case_seed):
-    scenario = generate_scenario(random.Random(f"backend:{case_seed}"))
-    [b] = evaluate_scenarios([scenario], backend="batch")
-    [s] = evaluate_scenarios([scenario], backend="scalar")
-    assert b.fallback == s.fallback
-    if b.fallback:
-        return
-    assert b.makespan == s.makespan
-    assert b.total_energy == s.total_energy
-    assert b.edp == s.edp
-    assert b.busy_seconds == s.busy_seconds
-    assert b.job_energies == s.job_energies

@@ -1,11 +1,13 @@
-"""Bit-identity of the scalar cost-kernel fast path vs the array path.
+"""Bit-identity of the engine's scalar twin vs the array code.
 
 The discrete-event engine runs on :func:`standalone_metrics_scalar` /
 :func:`colocation_context_scalar`; every seeded experiment output is
-therefore only reproducible if the scalar mirrors are *exactly* (not
-approximately) equal to the broadcastable NumPy originals.  These
-tests assert ``==`` on every field over randomized draws of the full
-knob/coupling space.
+therefore only reproducible if the scalar twin is *exactly* (not
+approximately) equal to the array code it mirrors: the kernel
+:func:`standalone_metrics` and the batch layer's
+:func:`~repro.batch.kernel.colocation_context_soa`.  These tests assert
+``==`` on every field over randomized draws of the full knob/coupling
+space.
 """
 
 import math
@@ -13,10 +15,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.batch.kernel import ProfileSoA, colocation_context_soa
+from repro.hardware.classes import XEON_E5
+from repro.hardware.node import ATOM_C2758
 from repro.model.costmodel import (
     ScalarJobMetrics,
     _dyn_scale_scalar,
-    colocation_context,
     colocation_context_scalar,
     standalone_metrics,
     standalone_metrics_scalar,
@@ -113,36 +117,46 @@ class TestDynScaleScalar:
             _dyn_scale_scalar(ATOM_C2758, 3.1 * GHZ)
 
 
+def _soa_context(profiles, mappers, node):
+    """:func:`colocation_context_soa` on a one-row batch, per-job tuples."""
+    k = len(profiles)
+    lanes = ProfileSoA.from_profiles(profiles).take(np.arange(k)[None, :])
+    mpki, disk, extra = colocation_context_soa(
+        lanes, np.array([mappers], dtype=float), np.ones((1, k), dtype=bool),
+        node=node,
+    )
+    return [
+        (float(mpki[0, i]), float(disk[0, i]), float(extra[0, i]))
+        for i in range(k)
+    ]
+
+
 class TestColocationContextScalar:
     def test_solo_neutral(self):
         p = get_app("wc").profile
         ctx = colocation_context_scalar([p], [4.0])
-        arr = colocation_context([p], [4.0])
         assert len(ctx) == 1
-        mpki, disk, extra = ctx[0]
-        assert mpki == float(np.asarray(arr.mpki_scale).reshape(-1)[0])
-        assert disk == float(np.asarray(arr.disk_traffic_scale).reshape(-1)[0])
-        assert extra == float(np.asarray(arr.extra_streams).reshape(-1)[0])
+        mpki, _disk, extra = ctx[0]
+        assert (mpki, extra) == (1.0, 0.0)
+        assert ctx == _soa_context([p], [4.0], ATOM_C2758)
 
     def test_randomized_sets_bit_identity(self):
+        """1-7 co-resident jobs that fit the node, on atom and on xeon."""
         rng = np.random.default_rng(11)
-        for _ in range(500):
-            k = int(rng.integers(1, 5))
-            profiles, mappers = [], []
-            for _ in range(k):
-                profiles.append(
+        for node in (ATOM_C2758, XEON_E5):
+            for _ in range(3000):
+                k = int(rng.integers(1, 8))
+                profiles = [
                     get_app(ALL_APPS[int(rng.integers(len(ALL_APPS)))]).profile
+                    for _ in range(k)
+                ]
+                mappers = [
+                    float(rng.integers(1, node.n_cores // k + 1)) for _ in range(k)
+                ]
+                scalar = colocation_context_scalar(profiles, mappers, node=node)
+                assert scalar == _soa_context(profiles, mappers, node), (
+                    f"{node.name}: {mappers}"
                 )
-                mappers.append(float(rng.integers(1, 5)))
-            ctx = colocation_context_scalar(profiles, mappers)
-            arr = colocation_context(profiles, mappers)
-            mpki_a = np.broadcast_to(np.asarray(arr.mpki_scale, dtype=float), (k,))
-            disk_a = np.broadcast_to(np.asarray(arr.disk_traffic_scale, dtype=float), (k,))
-            extra_a = np.broadcast_to(np.asarray(arr.extra_streams, dtype=float), (k,))
-            for i, (mpki, disk, extra) in enumerate(ctx):
-                assert mpki == float(mpki_a[i])
-                assert disk == float(disk_a[i])
-                assert extra == float(extra_a[i])
 
     def test_validation_mirrors_array_path(self):
         p = get_app("wc").profile

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hdfs.blocks import HDFS_BLOCK_SIZES
 from repro.model.costmodel import (
-    colocation_context,
+    colocation_context_scalar,
     distributed_metrics,
     fluid_stretch,
     pair_metrics,
@@ -170,36 +170,38 @@ class TestPair:
 
 
 class TestColocationContext:
+    """Invariants of the engine's k-job context (one tuple per job)."""
+
     def test_single_job_is_neutral(self):
-        ctx = colocation_context([WC], [4.0])
-        assert float(ctx.mpki_scale[0]) == pytest.approx(1.0)
-        assert float(ctx.extra_streams[0]) == 0.0
+        [(mpki, _disk, extra)] = colocation_context_scalar([WC], [4.0])
+        assert mpki == pytest.approx(1.0)
+        assert extra == 0.0
 
     def test_even_split_shares_no_module(self):
-        ctx = colocation_context([FP, FP], [4.0, 4.0])
-        assert np.allclose(ctx.mpki_scale, 1.0)
+        ctx = colocation_context_scalar([FP, FP], [4.0, 4.0])
+        assert np.allclose([mpki for mpki, _d, _e in ctx], 1.0)
 
     def test_odd_split_inflates_mpki(self):
-        ctx = colocation_context([FP, FP], [5.0, 3.0])
-        assert np.all(ctx.mpki_scale >= 1.0)
-        assert np.any(ctx.mpki_scale > 1.0)
+        mpki = [m for m, _d, _e in colocation_context_scalar([FP, FP], [5.0, 3.0])]
+        assert all(m >= 1.0 for m in mpki)
+        assert any(m > 1.0 for m in mpki)
 
     def test_footprint_overcommit_raises_disk_traffic(self):
-        small = colocation_context([WC, WC], [2.0, 2.0])
-        big = colocation_context([FP, FP], [4.0, 4.0])
-        assert float(big.disk_traffic_scale[0]) > float(small.disk_traffic_scale[0])
+        small = colocation_context_scalar([WC, WC], [2.0, 2.0])
+        big = colocation_context_scalar([FP, FP], [4.0, 4.0])
+        assert big[0][1] > small[0][1]
 
     def test_extra_streams_are_corunners(self):
-        ctx = colocation_context([WC, ST, FP], [2.0, 3.0, 3.0])
-        assert list(ctx.extra_streams) == [6.0, 5.0, 5.0]
+        ctx = colocation_context_scalar([WC, ST, FP], [2.0, 3.0, 3.0])
+        assert [extra for _m, _d, extra in ctx] == [6.0, 5.0, 5.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            colocation_context([], [])
+            colocation_context_scalar([], [])
         with pytest.raises(ValueError):
-            colocation_context([WC], [0.5])
+            colocation_context_scalar([WC], [0.5])
         with pytest.raises(ValueError):
-            colocation_context([WC, ST], [1.0])
+            colocation_context_scalar([WC, ST], [1.0])
 
 
 class TestFluidStretchAndDistributed:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
 import random
 import socket
 import threading
@@ -117,6 +118,21 @@ def test_trace_endpoint_shape(server):
 def test_malformed_submission_is_a_clean_ack(server):
     ack = server.client.submit({"code": "nope", "data_bytes": 1, "time": 0.0})
     assert ack["ok"] is False and "nope" in ack["error"]
+
+
+@pytest.mark.parametrize("data_bytes", [0.5, 1e308])
+def test_hostile_sizes_are_named_refusals(server, data_bytes):
+    """A fraction of a byte and a size far past any disk are refused by
+    name before admission; the run still drains to finite numbers."""
+    client = server.client
+    ack = client.submit({"tenant": "h", "code": "wc", "data_bytes": data_bytes, "time": 0.0})
+    assert ack["ok"] is False and "'data_bytes'" in ack["error"]
+    status = client.status()
+    assert (status["requests"], status["malformed"]) == (1, 1)
+    assert "h" not in status["tenants"]  # admission never saw it
+    summary = client.drain()
+    assert summary["completed"] == 0
+    assert math.isfinite(summary["energy_joules"]) and math.isfinite(summary["makespan"])
 
 
 def test_error_mapping(server):

@@ -18,13 +18,23 @@ hold under any seeded multi-tenant request stream:
   engine results;
 * **admission isolation (fairness)** — a tenant's decisions are a
   function of its own traffic only: mixing in a greedy second tenant
-  does not change the first tenant's accept/reject pattern.
+  does not change the first tenant's accept/reject pattern;
+* **hostile request schema** — any value in any request field (NaN,
+  infinities, integers beyond the double range, fractions, negatives,
+  bools, strings, None) gets an ack or a named refusal, never an
+  exception; refusals count as malformed and never reach admission, and
+  the run still drains to a finite energy and makespan.
 """
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
+from repro.hardware.node import ATOM_C2758
+from repro.hdfs.blocks import HDFS_BLOCK_SIZES
 from repro.service import ClusterService, ServiceConfig, seeded_requests
 from repro.service.admission import (
     REJECT_CAPACITY,
@@ -32,7 +42,9 @@ from repro.service.admission import (
     REJECT_RATE_LIMIT,
     TokenBucket,
 )
+from repro.service.requests import MAX_DATA_BYTES, MAX_TIME_S
 from repro.utils.rng import rng_from
+from repro.utils.units import GB
 
 try:
     from hypothesis import given
@@ -245,3 +257,105 @@ def test_token_bucket_burst_cap_after_long_idle(case_seed):
         assert bucket.try_take(t)
         assert bucket.tokens <= burst
     assert not bucket.try_take(t)
+
+
+# ------------------------------------------------ hostile request schema
+_FIELDS = (
+    "tenant", "time", "code", "data_bytes",
+    "frequency", "block_size", "n_mappers", "job_id",
+)
+#: One generator per value kind the schema must survive in any field.
+_HOSTILE_KINDS = {
+    "finite": lambda rng: rng.choice(
+        [0.0, 1.0, 7.0, 1e9, 1e308, MAX_TIME_S, MAX_DATA_BYTES, MAX_DATA_BYTES + 1]
+    ),
+    "nan": lambda rng: float("nan"),
+    "inf": lambda rng: rng.choice([float("inf"), float("-inf")]),
+    "huge_int": lambda rng: rng.choice([2**64, 10**400, -(10**400)]),
+    "fractional": lambda rng: rng.choice([0.5, 1.5, rng.random()]),
+    "negative": lambda rng: rng.choice([-1, -0.5, -1e308]),
+    "bool": lambda rng: rng.choice([True, False]),
+    "str": lambda rng: rng.choice(["", "wc", "1e9", "nan"]),
+    "none": lambda rng: None,
+}
+
+
+def _hostile_case(case_seed: int):
+    """A service config and a request stream with hostile fields.
+
+    Each request starts valid (monotone time, known app, sometimes
+    explicit knobs, sometimes ``MAX_DATA_BYTES`` of input) and then has
+    up to three fields replaced by a hostile value.
+    """
+    rng = random.Random(f"hostile:{case_seed}")
+    config = ServiceConfig(
+        n_nodes=rng.randint(1, 3),
+        rate_per_s=rng.choice([0.1, 1.0, float("inf")]),
+        burst=rng.choice([1.0, 4.0]),
+        max_inflight=rng.choice([1, 4, 1_000_000]),
+    )
+    t = 0.0
+    requests = []
+    for _ in range(rng.randint(1, 16)):
+        t += rng.expovariate(0.2)
+        req = {
+            "tenant": rng.choice(["a", "b"]),
+            "time": t,
+            "code": rng.choice(["wc", "st", "fp", "ts", "km"]),
+            "data_bytes": rng.choice([rng.randint(1, 8 * GB), MAX_DATA_BYTES]),
+        }
+        if rng.random() < 0.5:
+            req["frequency"] = rng.choice(ATOM_C2758.frequencies)
+            req["block_size"] = rng.choice(HDFS_BLOCK_SIZES)
+            req["n_mappers"] = rng.randint(1, ATOM_C2758.n_cores)
+        for key in rng.sample(_FIELDS, rng.randint(0, 3)):
+            req[key] = _HOSTILE_KINDS[rng.choice(list(_HOSTILE_KINDS))](rng)
+        requests.append(req)
+    return config, requests
+
+
+def _assert_drains_clean(service: ClusterService, acks: list) -> None:
+    for ack in acks:
+        if ack["ok"] is False:
+            assert isinstance(ack["error"], str) and ack["error"]
+        else:
+            assert ack["ok"] is True and isinstance(ack["accepted"], bool)
+    status = service.status()
+    assert status["requests"] == len(acks)
+    assert status["requests"] == (
+        status["accepted"] + status["rejected"] + status["malformed"]
+    )
+    assert status["malformed"] == sum(1 for a in acks if a["ok"] is False)
+    assert status["accepted"] == sum(1 for a in acks if a.get("accepted"))
+    # Refused payloads never reach admission: no tenant counts them.
+    for tenant in service.tenants:
+        assert tenant.submitted == tenant.accepted + tenant.rejected
+    summary = service.drain()
+    assert summary["completed"] == status["accepted"]
+    assert math.isfinite(summary["energy_joules"])
+    assert math.isfinite(summary["makespan"])
+
+
+@seeded_cases(60)
+def test_any_request_field_value_gets_an_ack_or_a_named_refusal(case_seed):
+    config, requests = _hostile_case(case_seed)
+    service = ClusterService(config)
+    acks = [service.submit_request(req) for req in requests]
+    _assert_drains_clean(service, acks)
+
+
+def test_requests_at_the_bounds_drain_finite():
+    service = ClusterService(ServiceConfig(n_nodes=2))
+    at_bounds = [
+        {"code": "wc", "data_bytes": MAX_DATA_BYTES, "time": 0.0},
+        {"code": "st", "data_bytes": MAX_DATA_BYTES, "time": MAX_TIME_S},
+        {"code": "fp", "data_bytes": 1, "time": MAX_TIME_S},
+    ]
+    beyond = [
+        {"code": "wc", "data_bytes": MAX_DATA_BYTES + 1, "time": MAX_TIME_S},
+        {"code": "wc", "data_bytes": 1, "time": MAX_TIME_S + 1},
+    ]
+    acks = [service.submit_request(req) for req in at_bounds + beyond]
+    assert [a.get("accepted") for a in acks[:3]] == [True, True, True]
+    assert [a["ok"] for a in acks[3:]] == [False, False]
+    _assert_drains_clean(service, acks)

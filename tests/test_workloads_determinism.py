@@ -219,15 +219,10 @@ class TestCrossBackendSeedMatrix:
                 for s in specs
             ]
             event = evaluate_scenarios(scenarios, backend="event")
-            scalar = evaluate_scenarios(scenarios, backend="scalar")
             batch = evaluate_scenarios(scenarios, backend="batch")
-            assert not any(o.fallback for o in scalar)
             assert not any(o.fallback for o in batch)
-            for e, s, b in zip(event, scalar, batch):
-                assert (s.makespan, s.total_energy) == (
-                    b.makespan, b.total_energy
-                )
+            for e, b in zip(event, batch):
                 scale = max(abs(e.makespan), 1.0)
-                assert abs(e.makespan - s.makespan) <= REL_TOL * scale
+                assert abs(e.makespan - b.makespan) <= REL_TOL * scale
                 scale = max(abs(e.total_energy), 1.0)
-                assert abs(e.total_energy - s.total_energy) <= REL_TOL * scale
+                assert abs(e.total_energy - b.total_energy) <= REL_TOL * scale

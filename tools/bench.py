@@ -283,20 +283,6 @@ def _op_batch_sweep_4096():
     return run
 
 
-def _op_scalar_sweep_4096():
-    # The per-scenario baseline bench_batch_sweep_4096 is measured
-    # against: identical closed forms, one float at a time.
-    from repro.batch import evaluate_scenarios
-
-    scenarios = _batch_sweep_scenarios()
-
-    def run():
-        outcomes = evaluate_scenarios(scenarios, backend="scalar")
-        assert len(outcomes) == 4096
-
-    return run
-
-
 def _op_steady_state_256node():
     from repro.mapreduce.engine import ClusterEngine
     from repro.workloads.streams import poisson_job_stream
@@ -473,7 +459,6 @@ OPS: dict[str, tuple] = {
     "bench_hetero_steady_state_1k": (_op_hetero_steady_state_1k, True),
     "bench_faulty_steady_state": (_op_faulty_steady_state, True),
     "bench_batch_sweep_4096": (_op_batch_sweep_4096, True),
-    "bench_scalar_sweep_4096": (_op_scalar_sweep_4096, False),
     "bench_functional_wordcount": (_op_functional_wordcount, False),
     "bench_reptree_predict": (_op_reptree_predict, False),
     # Scale lane (not in --quick: CI runs these explicitly via --ops).
