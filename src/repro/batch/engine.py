@@ -527,7 +527,7 @@ def evaluate_scenarios(
 
     Results come back in input order whatever the internal grouping.
     ``telemetry``, when given, is a
-    :class:`repro.telemetry.profiling.BatchTelemetry` and is updated in
+    :class:`repro.telemetry.counters.BatchTelemetry` and is updated in
     place.
     """
     if backend not in BACKENDS:

@@ -23,7 +23,7 @@ from repro.core.stp import SelfTuningPredictor
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.engine import ClusterEngine
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
-from repro.telemetry.profiling import EngineTelemetry
+from repro.telemetry.counters import EngineTelemetry
 from repro.utils.rng import SeedLike, rng_from
 from repro.utils.tables import render_table
 from repro.utils.units import GB

@@ -34,7 +34,7 @@ Three structures keep the per-event cost flat (see
 * the **recontext cache** (:class:`RecontextCache`) — identical
   ``(profile, config, co-runner context)`` running sets share one
   memoized metric evaluation, with hit/miss counters surfaced through
-  :class:`repro.telemetry.profiling.EngineTelemetry`;
+  :class:`repro.telemetry.counters.EngineTelemetry`;
 * the **indexed event core** — nodes advance lazily (only when their
   own membership changes), and the cluster keeps at most one live
   completion entry per node in its event heap, invalidated by a
@@ -63,14 +63,8 @@ from repro.model.costmodel import (
     fluid_stretch,
     standalone_metrics_scalar,
 )
+from repro.telemetry.counters import EngineTelemetry
 from repro.telemetry.tracing import NULL_TRACER
-
-def _new_telemetry():
-    # Imported lazily: repro.telemetry.dstat consumes IntervalRecord
-    # from this module, so a module-level import would be circular.
-    from repro.telemetry.profiling import EngineTelemetry
-
-    return EngineTelemetry()
 
 
 @dataclass(frozen=True)
@@ -494,7 +488,7 @@ class RecontextCache:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self.telemetry = telemetry if telemetry is not None else _new_telemetry()
+        self.telemetry = telemetry if telemetry is not None else EngineTelemetry()
         self._data: OrderedDict[RecontextKey, tuple[RecontextKey, object]] = (
             OrderedDict()
         )
@@ -593,7 +587,6 @@ class NodeEngine:
         self.cache = cache if cache is not None else RecontextCache()
         self.telemetry = self.cache.telemetry
         self._recorder = make_recorder(recorder)
-        self.telemetry.record_recorder(node_id, self._recorder.mode)
         self.generation = 0
         self.alive = True
         #: Called with this engine after every free-core change; the
@@ -1410,30 +1403,15 @@ def fifo_first_fit(cluster: ClusterEngine, t: float) -> None:
     cores until the head fits nowhere — the first blocked job blocks
     the queue (head-of-line blocking is intentional: FIFO order).
     Candidate lookup is O(log nodes) through the cluster's free-core
-    index, so a scheduler invocation costs O(placements · log nodes)
-    instead of the O(pending · nodes) scan it replaced — with
-    placements and the chosen nodes identical.
+    index (:meth:`ClusterEngine.first_fit_node`), so a scheduler
+    invocation costs O(placements · log nodes).  The O(pending · nodes)
+    scan it replaced lives on as the reference model in
+    ``tests/test_engine_fastpath.py`` and ``tests/test_scale_property.py``.
     """
-    index = getattr(cluster, "first_fit_node", None)
-    if index is None:
-        # Duck-typed cluster without the free-core index: legacy scan.
-        nodes = cluster.nodes
-        n = len(nodes)
-        cursor = 0  # nodes[:cursor] have zero free cores
-        for spec in list(cluster.pending):
-            while cursor < n and nodes[cursor].free_cores == 0:
-                cursor += 1
-            for i in range(cursor, n):
-                if nodes[i].can_fit(spec):
-                    cluster.place(spec, nodes[i].node_id)
-                    break
-            else:
-                return
-        return
     pending = cluster.pending
     while pending:
         spec = pending[0]
-        node_id = index(spec.config.n_mappers)
+        node_id = cluster.first_fit_node(spec.config.n_mappers)
         if node_id is None:
             return
         cluster.place(spec, node_id)

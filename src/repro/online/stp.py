@@ -49,7 +49,7 @@ from repro.model.config import JobConfig
 from repro.model.sweep import sweep_pair
 from repro.online.drift import PageHinkley
 from repro.online.updates import OnlineRidge, SlidingWindow
-from repro.telemetry.profiling import OnlineTelemetry
+from repro.telemetry.counters import OnlineTelemetry
 from repro.utils.rng import SeedLike, rng_from
 from repro.workloads.base import AppInstance
 

@@ -49,7 +49,7 @@ from repro.model.sweep import (
     sweep_pair,
     sweep_solo,
 )
-from repro.telemetry.profiling import SweepTelemetry
+from repro.telemetry.counters import SweepTelemetry
 from repro.telemetry.tracing import NULL_TRACER, SWEEP_PID
 from repro.workloads.base import AppInstance
 

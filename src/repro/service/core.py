@@ -48,7 +48,7 @@ from repro.service.clock import make_clock
 from repro.service.config import ServiceConfig
 from repro.service.requests import JobRequest, RequestError, parse_request
 from repro.service.tenants import TenantRegistry
-from repro.telemetry.profiling import ServiceTelemetry
+from repro.telemetry.counters import ServiceTelemetry
 from repro.telemetry.registry import MetricsRegistry, service_registry
 from repro.telemetry.tracing import NULL_TRACER
 
@@ -145,14 +145,21 @@ class ClusterService:
                     f"arrival time {req.time} precedes the stream's last "
                     f"arrival {self._last_arrival} (virtual time is monotone)"
                 )
+            if self._auto_advance and req.time < self.cluster.now - 1e-9:
+                # A drain or an advance ran the engine past this time.
+                raise RequestError(
+                    f"arrival time {req.time} precedes the engine clock "
+                    f"{self.cluster.now} (virtual time is monotone)"
+                )
         except RequestError as exc:
             self.telemetry.record_malformed()
             return {"ok": False, "error": str(exc)}
         if not self._auto_advance:
-            # Wall mode: the service stamps arrivals itself.
+            # Wall mode: the service stamps arrivals itself, never
+            # behind an engine a drain has run ahead of the wall clock.
             req = JobRequest(
                 tenant=req.tenant,
-                time=max(self.clock.now(), self._last_arrival),
+                time=max(self.clock.now(), self._last_arrival, self.cluster.now),
                 code=req.code,
                 data_bytes=req.data_bytes,
                 frequency=req.frequency,

@@ -8,11 +8,7 @@ serial path.  See :mod:`repro.shard.runner` for the drivers and
 :mod:`repro.shard.merge` for the merge contract.
 """
 
-from repro.shard.merge import (
-    merge_batch_telemetry,
-    merge_chrome_traces,
-    merge_registry_snapshots,
-)
+from repro.shard.merge import merge_chrome_traces, merge_registry_snapshots
 from repro.shard.runner import (
     SCENARIO_SHARD_SIZE,
     FaultMonteCarloReport,
@@ -31,7 +27,6 @@ __all__ = [
     "RackSweepRow",
     "evaluate_scenarios_sharded",
     "fault_mc_sharded",
-    "merge_batch_telemetry",
     "merge_chrome_traces",
     "merge_registry_snapshots",
     "rack_sweep_sharded",

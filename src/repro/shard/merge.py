@@ -11,7 +11,6 @@ bit-identical across ``REPRO_WORKERS`` settings and to the serial run.
 
 from __future__ import annotations
 
-from repro.telemetry.profiling import BatchTelemetry
 from repro.telemetry.registry import Snapshot
 
 
@@ -29,14 +28,6 @@ def merge_registry_snapshots(snapshots: list[Snapshot]) -> Snapshot:
             for k, v in metrics.items():
                 dst[k] = dst.get(k, 0) + v
     return {ns: dict(sorted(m.items())) for ns, m in sorted(out.items())}
-
-
-def merge_batch_telemetry(parts: list[BatchTelemetry]) -> BatchTelemetry:
-    """Fold per-shard batch telemetry in shard order."""
-    merged = BatchTelemetry()
-    for part in parts:
-        merged.merge(part)
-    return merged
 
 
 def merge_chrome_traces(payloads: list[dict]) -> dict:

@@ -32,8 +32,8 @@ from repro.experiments.fault_tolerance import (
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.parallel.executor import SweepExecutor
-from repro.shard.merge import merge_batch_telemetry, merge_registry_snapshots
-from repro.telemetry.profiling import BatchTelemetry
+from repro.shard.merge import merge_registry_snapshots
+from repro.telemetry.counters import BatchTelemetry
 from repro.telemetry.registry import Snapshot
 
 #: Scenarios per shard.  Fixed (never derived from the worker count):
@@ -94,10 +94,10 @@ def evaluate_scenarios_sharded(
     ]
     parts = executor.map(_eval_chunk_task, tasks)
     outcomes: list[BatchOutcome] = []
-    for shard_outcomes, _ in parts:
+    for shard_outcomes, shard_telemetry in parts:
         outcomes.extend(shard_outcomes)
-    if telemetry is not None:
-        telemetry.merge(merge_batch_telemetry([t for _, t in parts]))
+        if telemetry is not None:
+            telemetry.merge(shard_telemetry)
     return outcomes
 
 

@@ -28,7 +28,7 @@ _EXPORT_TO_SUBMODULE = {
     "PowerTrace": "wattsup",
     "FEATURE_NAMES": "profiling",
     "profile_features": "profiling",
-    "ServiceTelemetry": "profiling",
+    "ServiceTelemetry": "counters",
     "MetricsRegistry": "registry",
     "cluster_registry": "registry",
     "service_registry": "registry",

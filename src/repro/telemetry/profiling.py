@@ -109,631 +109,3 @@ def reduced_vector(features: dict[str, float]) -> np.ndarray:
     if missing:
         raise KeyError(f"missing features: {missing}")
     return np.array([features[n] for n in REDUCED_FEATURE_NAMES], dtype=float)
-
-
-# ----------------------------------------------------- engine telemetry
-class EngineTelemetry:
-    """Hot-path accounting for the discrete-event engine.
-
-    Mirrors :class:`SweepTelemetry`'s shape for the event core: how
-    many events the cluster processed (and how many were stale entries
-    the generation counters discarded), how often the memoized
-    recontext cache short-circuited a cost-kernel evaluation, and how
-    many raw kernel evaluations were ultimately paid.  A steady-state
-    run with a recurring application mix should report a high
-    recontext hit rate — that cache is what makes per-decision model
-    evaluation cheap enough for online self-tuning.
-    """
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.stale_events = 0
-        self.recontext_hits = 0
-        self.recontext_misses = 0
-        self.recontext_rejects = 0  # poisoned entries detected by key echo
-        self.kernel_evals = 0
-        # Fault-injection / recovery counters (repro.faults).
-        self.faults_injected = 0
-        self.task_failures = 0
-        self.node_crashes = 0
-        self.node_recoveries = 0
-        self.stragglers = 0
-        self.tasks_retried = 0
-        self.speculative_launched = 0
-        self.speculative_wasted = 0
-        self.blocks_rereplicated = 0
-        self.blocks_lost = 0
-        self.nodes_blacklisted = 0
-        # Recorder memory accounting: who is holding interval segments,
-        # per node, under which recorder mode — so a peak_rss movement
-        # in a bench payload is attributable to a specific recorder.
-        self.segments_by_node: dict[int, int] = {}
-        self.segments_dropped_by_node: dict[int, int] = {}
-        self.recorder_modes: dict[int, str] = {}
-
-    # -- recording -----------------------------------------------------
-    def record_event(self, *, stale: bool = False) -> None:
-        self.events += 1
-        if stale:
-            self.stale_events += 1
-
-    def record_fault(self, kind: str) -> None:
-        """One injected fault event that actually took effect."""
-        self.faults_injected += 1
-        if kind == "task_fail":
-            self.task_failures += 1
-        elif kind == "node_crash":
-            self.node_crashes += 1
-        elif kind == "node_recover":
-            self.node_recoveries += 1
-        elif kind == "straggler":
-            self.stragglers += 1
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
-
-    def record_retry(self) -> None:
-        """A killed attempt re-executed from scratch."""
-        self.tasks_retried += 1
-
-    def record_speculative(self, *, wasted: bool = False) -> None:
-        """A speculative duplicate launched, or a losing attempt killed."""
-        if wasted:
-            self.speculative_wasted += 1
-        else:
-            self.speculative_launched += 1
-
-    def record_rereplication(self, rereplicated: int, lost: int) -> None:
-        """Block recovery outcome after a datanode loss."""
-        self.blocks_rereplicated += rereplicated
-        self.blocks_lost += lost
-
-    def record_blacklist(self) -> None:
-        """A flapping node removed from scheduling consideration."""
-        self.nodes_blacklisted += 1
-
-    def record_recontext(self, *, hit: bool, jobs: int = 1) -> None:
-        """``jobs`` per-job metric requests served (hit) or paid (miss)."""
-        if hit:
-            self.recontext_hits += jobs
-        else:
-            self.recontext_misses += jobs
-            self.kernel_evals += jobs
-
-    def record_reject(self) -> None:
-        """A cache entry whose echoed key disagreed with its slot."""
-        self.recontext_rejects += 1
-
-    def record_recorder(self, node_id: int, mode: str) -> None:
-        """Which interval-recorder mode a node's engine runs with."""
-        self.recorder_modes[node_id] = mode
-
-    def record_segment(self, node_id: int) -> None:
-        """One interval segment recorded on ``node_id``."""
-        by_node = self.segments_by_node
-        by_node[node_id] = by_node.get(node_id, 0) + 1
-
-    def record_segments_dropped(self, node_id: int, n: int = 1) -> None:
-        """Segments evicted by a bounded (streaming) recorder."""
-        by_node = self.segments_dropped_by_node
-        by_node[node_id] = by_node.get(node_id, 0) + n
-
-    # -- derived -------------------------------------------------------
-    @property
-    def recontext_hit_rate(self) -> float | None:
-        """Hits / lookups, or ``None`` before any recontext ran."""
-        total = self.recontext_hits + self.recontext_misses
-        if total == 0:
-            return None
-        return self.recontext_hits / total
-
-    @property
-    def live_events(self) -> int:
-        return self.events - self.stale_events
-
-    @property
-    def segments_recorded(self) -> int:
-        return sum(self.segments_by_node.values())
-
-    @property
-    def segments_dropped(self) -> int:
-        return sum(self.segments_dropped_by_node.values())
-
-    @property
-    def segments_retained(self) -> int:
-        """Segments still held in recorder memory across all nodes."""
-        return self.segments_recorded - self.segments_dropped
-
-    def as_dict(self) -> dict[str, float]:
-        """Counter snapshot for :class:`repro.telemetry.registry.
-        MetricsRegistry` (derived rates included when defined)."""
-        out = {
-            "events": self.events,
-            "stale_events": self.stale_events,
-            "live_events": self.live_events,
-            "recontext_hits": self.recontext_hits,
-            "recontext_misses": self.recontext_misses,
-            "recontext_rejects": self.recontext_rejects,
-            "kernel_evals": self.kernel_evals,
-            "faults_injected": self.faults_injected,
-            "task_failures": self.task_failures,
-            "node_crashes": self.node_crashes,
-            "node_recoveries": self.node_recoveries,
-            "stragglers": self.stragglers,
-            "tasks_retried": self.tasks_retried,
-            "speculative_launched": self.speculative_launched,
-            "speculative_wasted": self.speculative_wasted,
-            "blocks_rereplicated": self.blocks_rereplicated,
-            "blocks_lost": self.blocks_lost,
-            "nodes_blacklisted": self.nodes_blacklisted,
-            "segments_recorded": self.segments_recorded,
-            "segments_dropped": self.segments_dropped,
-            "segments_retained": self.segments_retained,
-        }
-        if self.segments_by_node:
-            out["max_node_segments"] = max(self.segments_by_node.values())
-            # Non-numeric entries are visible to as_dict consumers but
-            # intentionally dropped by MetricsRegistry.snapshot.
-            out["segments_by_node"] = dict(sorted(self.segments_by_node.items()))
-        if self.recorder_modes:
-            modes: dict[str, int] = {}
-            for mode in self.recorder_modes.values():
-                modes[mode] = modes.get(mode, 0) + 1
-            out["recorder_modes"] = modes
-        rate = self.recontext_hit_rate
-        if rate is not None:
-            out["recontext_hit_rate"] = rate
-        return out
-
-    def merge(self, other: "EngineTelemetry") -> "EngineTelemetry":
-        """Fold another telemetry object into this one (returns self)."""
-        self.events += other.events
-        self.stale_events += other.stale_events
-        self.recontext_hits += other.recontext_hits
-        self.recontext_misses += other.recontext_misses
-        self.recontext_rejects += other.recontext_rejects
-        self.kernel_evals += other.kernel_evals
-        self.faults_injected += other.faults_injected
-        self.task_failures += other.task_failures
-        self.node_crashes += other.node_crashes
-        self.node_recoveries += other.node_recoveries
-        self.stragglers += other.stragglers
-        self.tasks_retried += other.tasks_retried
-        self.speculative_launched += other.speculative_launched
-        self.speculative_wasted += other.speculative_wasted
-        self.blocks_rereplicated += other.blocks_rereplicated
-        self.blocks_lost += other.blocks_lost
-        self.nodes_blacklisted += other.nodes_blacklisted
-        for node_id, n in other.segments_by_node.items():
-            self.segments_by_node[node_id] = (
-                self.segments_by_node.get(node_id, 0) + n
-            )
-        for node_id, n in other.segments_dropped_by_node.items():
-            self.segments_dropped_by_node[node_id] = (
-                self.segments_dropped_by_node.get(node_id, 0) + n
-            )
-        self.recorder_modes.update(other.recorder_modes)
-        return self
-
-    def render(self) -> str:
-        """Human-readable engine summary."""
-        lines = [
-            f"engine telemetry: {self.events} event(s), "
-            f"{self.stale_events} stale"
-        ]
-        rate = self.recontext_hit_rate
-        if rate is not None:
-            lines.append(
-                f"  recontext cache: {self.recontext_hits} hit(s) / "
-                f"{self.recontext_misses} miss(es) ({rate:.0%} hit rate), "
-                f"{self.kernel_evals} kernel eval(s)"
-            )
-        if self.recontext_rejects:
-            lines.append(
-                f"  poisoned entries rejected: {self.recontext_rejects}"
-            )
-        if self.segments_by_node:
-            modes = ", ".join(
-                sorted({m for m in self.recorder_modes.values()})
-            )
-            lines.append(
-                f"  recorders ({modes}): {self.segments_recorded} segment(s) "
-                f"recorded, {self.segments_dropped} dropped, "
-                f"max {max(self.segments_by_node.values())} on one node"
-            )
-        if self.faults_injected:
-            lines.append(
-                f"  faults: {self.faults_injected} injected "
-                f"({self.task_failures} task, {self.node_crashes} crash, "
-                f"{self.node_recoveries} recover, {self.stragglers} straggler), "
-                f"{self.tasks_retried} retried, "
-                f"{self.speculative_launched} speculative "
-                f"({self.speculative_wasted} wasted), "
-                f"{self.blocks_rereplicated} block(s) re-replicated, "
-                f"{self.blocks_lost} lost, "
-                f"{self.nodes_blacklisted} node(s) blacklisted"
-            )
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------- service telemetry
-class ServiceTelemetry:
-    """Ingestion-path accounting for the streaming cluster service.
-
-    Counts what happened at the service edge (requests, admission
-    outcomes, malformed payloads) and behind it (dispatches into the
-    engine, harvested completions), mirroring the counter/as_dict shape
-    of :class:`EngineTelemetry` so a :class:`repro.telemetry.registry.
-    MetricsRegistry` can expose both side by side under separate
-    namespaces.
-    """
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.malformed = 0
-        self.rejections_by_reason: dict[str, int] = {}
-        self.dispatched = 0
-        self.completed = 0
-        self.advances = 0  # engine advance calls (virtual ticks / pumps)
-
-    # -- recording -----------------------------------------------------
-    def record_request(self) -> None:
-        self.requests += 1
-
-    def record_accept(self) -> None:
-        self.accepted += 1
-
-    def record_reject(self, reason: str) -> None:
-        self.rejected += 1
-        self.rejections_by_reason[reason] = (
-            self.rejections_by_reason.get(reason, 0) + 1
-        )
-
-    def record_malformed(self) -> None:
-        self.malformed += 1
-
-    def record_dispatch(self, n: int = 1) -> None:
-        self.dispatched += n
-
-    def record_complete(self, n: int = 1) -> None:
-        self.completed += n
-
-    def record_advance(self) -> None:
-        self.advances += 1
-
-    # -- derived -------------------------------------------------------
-    @property
-    def accept_rate(self) -> float | None:
-        """accepted / (accepted + rejected), None before any decision."""
-        decided = self.accepted + self.rejected
-        if decided == 0:
-            return None
-        return self.accepted / decided
-
-    @property
-    def inflight(self) -> int:
-        """Accepted jobs not yet harvested as completions."""
-        return self.accepted - self.completed
-
-    def as_dict(self) -> dict[str, float]:
-        """Counter snapshot for :class:`repro.telemetry.registry.
-        MetricsRegistry` (derived rates included when defined)."""
-        out = {
-            "requests": self.requests,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "malformed": self.malformed,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "inflight": self.inflight,
-            "advances": self.advances,
-        }
-        for reason, n in sorted(self.rejections_by_reason.items()):
-            out[f"rejected_{reason}"] = n
-        rate = self.accept_rate
-        if rate is not None:
-            out["accept_rate"] = rate
-        return out
-
-    def render(self) -> str:
-        """Human-readable ingestion summary."""
-        lines = [
-            f"service telemetry: {self.requests} request(s), "
-            f"{self.accepted} accepted, {self.rejected} rejected, "
-            f"{self.malformed} malformed"
-        ]
-        if self.rejections_by_reason:
-            detail = ", ".join(
-                f"{n} {reason}"
-                for reason, n in sorted(self.rejections_by_reason.items())
-            )
-            lines.append(f"  rejections: {detail}")
-        lines.append(
-            f"  engine: {self.dispatched} dispatched, "
-            f"{self.completed} completed, {self.inflight} in flight, "
-            f"{self.advances} advance(s)"
-        )
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------- online telemetry
-class OnlineTelemetry:
-    """Counters for the online self-tuning layer (``repro.online``).
-
-    One object is shared between an :class:`repro.online.stp.OnlineSTP`
-    (updates, refits, drift alarms, learning-period re-sweeps) and the
-    :class:`repro.online.shadow.ShadowSTP` wrapped around it (scored
-    decisions, cumulative EDP regret per contender, promotion), so the
-    ``online`` registry namespace exposes the whole layer at once.
-    """
-
-    def __init__(self) -> None:
-        self.updates = 0  # telemetry rows folded into the model
-        self.refits = 0  # full window refits (drift / cluster change)
-        self.drift_alarms = 0
-        self.relearn_sweeps = 0  # learning-period pair re-sweeps
-        self.tuned_hits = 0  # predictions served from swept-pair entries
-        self.skipped_rows = 0  # non-positive / non-finite observed EDP
-        self.noisy_rows = 0  # unsynchronized pairings: detector-only
-        self.window_rows = 0
-        self.decisions = 0  # pairing decisions scored in shadow mode
-        self.promotions = 0
-        self.promoted_at = -1  # decision index; -1 while unpromoted
-        self.champion_regret = 0.0  # cumulative EDP regret (J·s)
-        self.challenger_regret = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Counter snapshot for :class:`repro.telemetry.registry.
-        MetricsRegistry`."""
-        return {
-            "updates": self.updates,
-            "refits": self.refits,
-            "drift_alarms": self.drift_alarms,
-            "relearn_sweeps": self.relearn_sweeps,
-            "tuned_hits": self.tuned_hits,
-            "skipped_rows": self.skipped_rows,
-            "noisy_rows": self.noisy_rows,
-            "window_rows": self.window_rows,
-            "decisions": self.decisions,
-            "promotions": self.promotions,
-            "promoted_at": self.promoted_at,
-            "champion_regret": self.champion_regret,
-            "challenger_regret": self.challenger_regret,
-        }
-
-    def render(self) -> str:
-        """Human-readable online-tuning summary."""
-        lines = [
-            f"online telemetry: {self.updates} update(s), "
-            f"{self.refits} refit(s), {self.drift_alarms} drift alarm(s), "
-            f"{self.relearn_sweeps} learning sweep(s)"
-        ]
-        if self.decisions:
-            state = (
-                f"promoted at decision {self.promoted_at}"
-                if self.promoted_at >= 0
-                else "champion active"
-            )
-            lines.append(
-                f"  shadow: {self.decisions} decision(s), {state}; "
-                f"cumulative regret champion={self.champion_regret:.3g} "
-                f"challenger={self.challenger_regret:.3g}"
-            )
-        return "\n".join(lines)
-
-
-# ------------------------------------------------------ sweep telemetry
-class SweepTelemetry:
-    """Wall-time and cache accounting for fanned-out sweeps.
-
-    The parallel sweep executor records one sample per task — which
-    worker ran it and how long it took — plus the artifact-cache
-    hit/miss delta observed around each batch, so a sweep can report
-    per-worker wall time and its cache hit rate without any global
-    state of its own.
-    """
-
-    def __init__(self) -> None:
-        self.worker_wall_s: dict[str, float] = {}
-        self.worker_tasks: dict[str, int] = {}
-        self.n_batches = 0
-        self.batch_wall_s = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    # -- recording -----------------------------------------------------
-    def record_task(self, worker: str, wall_s: float) -> None:
-        """One executed task: ``worker`` id (pid) and its wall time."""
-        self.worker_wall_s[worker] = self.worker_wall_s.get(worker, 0.0) + wall_s
-        self.worker_tasks[worker] = self.worker_tasks.get(worker, 0) + 1
-
-    def record_batch(self, wall_s: float) -> None:
-        """End-to-end wall time of one fan-out batch."""
-        self.n_batches += 1
-        self.batch_wall_s += wall_s
-
-    def record_cache(self, hits: int, misses: int) -> None:
-        """Artifact-cache activity observed while a batch ran."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-
-    # -- derived -------------------------------------------------------
-    @property
-    def n_tasks(self) -> int:
-        return sum(self.worker_tasks.values())
-
-    @property
-    def task_wall_s(self) -> float:
-        """Total task compute time across all workers."""
-        return sum(self.worker_wall_s.values())
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """Hits / (hits + misses), or ``None`` with no cache activity."""
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return None
-        return self.cache_hits / total
-
-    @property
-    def parallel_speedup(self) -> float | None:
-        """Aggregate task time over batch wall time (≈ effective workers)."""
-        if self.batch_wall_s <= 0.0:
-            return None
-        return self.task_wall_s / self.batch_wall_s
-
-    def as_dict(self) -> dict[str, float]:
-        """Counter snapshot for :class:`repro.telemetry.registry.
-        MetricsRegistry` (per-worker detail collapses to totals)."""
-        out = {
-            "n_tasks": self.n_tasks,
-            "n_workers": len(self.worker_wall_s),
-            "n_batches": self.n_batches,
-            "batch_wall_s": self.batch_wall_s,
-            "task_wall_s": self.task_wall_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-        rate = self.cache_hit_rate
-        if rate is not None:
-            out["cache_hit_rate"] = rate
-        speedup = self.parallel_speedup
-        if speedup is not None:
-            out["parallel_speedup"] = speedup
-        return out
-
-    def merge(self, other: "SweepTelemetry") -> "SweepTelemetry":
-        """Fold another telemetry object into this one (returns self)."""
-        for w, s in other.worker_wall_s.items():
-            self.worker_wall_s[w] = self.worker_wall_s.get(w, 0.0) + s
-        for w, n in other.worker_tasks.items():
-            self.worker_tasks[w] = self.worker_tasks.get(w, 0) + n
-        self.n_batches += other.n_batches
-        self.batch_wall_s += other.batch_wall_s
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        return self
-
-    def render(self) -> str:
-        """Human-readable per-worker summary."""
-        lines = [
-            f"sweep telemetry: {self.n_tasks} task(s) in {self.n_batches} "
-            f"batch(es), {self.batch_wall_s:.3f}s wall"
-        ]
-        for worker in sorted(self.worker_wall_s):
-            lines.append(
-                f"  worker {worker}: {self.worker_tasks[worker]} task(s), "
-                f"{self.worker_wall_s[worker]:.3f}s"
-            )
-        rate = self.cache_hit_rate
-        if rate is not None:
-            lines.append(
-                f"  cache: {self.cache_hits} hit(s) / "
-                f"{self.cache_misses} miss(es) ({rate:.0%} hit rate)"
-            )
-        speedup = self.parallel_speedup
-        if speedup is not None:
-            lines.append(f"  effective parallelism: {speedup:.2f}x")
-        return "\n".join(lines)
-
-
-# ------------------------------------------------------ batch telemetry
-class BatchTelemetry:
-    """Accounting for :func:`repro.batch.engine.evaluate_scenarios`.
-
-    Tracks how many scenarios each backend actually served, how many of
-    those were honest fallbacks to the event engine, and the shape of
-    the vectorised work (kernel passes and total SoA lanes).  A healthy
-    batch run over solvable scenario classes should report a batched
-    rate near 1.0; a low rate means the workload's shapes are outside
-    the closed forms and the batch layer is mostly delegating.
-    """
-
-    def __init__(self) -> None:
-        self.scenarios = 0
-        self.batched = 0
-        self.fallbacks = 0
-        self.kernel_calls = 0
-        self.kernel_lanes = 0
-        self.by_case: dict[str, int] = {}
-
-    # -- recording -----------------------------------------------------
-    def record_scenario(self, case: str, backend: str, fallback: bool) -> None:
-        """One scenario's final outcome: class, serving backend, fallback."""
-        self.scenarios += 1
-        self.by_case[case] = self.by_case.get(case, 0) + 1
-        if fallback:
-            self.fallbacks += 1
-        elif backend != "event":
-            self.batched += 1
-
-    def record_kernel(self, lanes: int) -> None:
-        """One vectorised solver pass over ``lanes`` scenario lanes."""
-        self.kernel_calls += 1
-        self.kernel_lanes += lanes
-
-    # -- derived -------------------------------------------------------
-    @property
-    def batched_rate(self) -> float | None:
-        """Closed-form share of scenarios, or ``None`` before any ran."""
-        if self.scenarios == 0:
-            return None
-        return self.batched / self.scenarios
-
-    @property
-    def mean_lanes_per_call(self) -> float | None:
-        """Average SoA width per kernel pass (the amortisation factor)."""
-        if self.kernel_calls == 0:
-            return None
-        return self.kernel_lanes / self.kernel_calls
-
-    def as_dict(self) -> dict[str, float]:
-        """Counter snapshot for :class:`repro.telemetry.registry.
-        MetricsRegistry` (per-case detail flattens to keyed counters)."""
-        out = {
-            "scenarios": self.scenarios,
-            "batched": self.batched,
-            "fallbacks": self.fallbacks,
-            "kernel_calls": self.kernel_calls,
-            "kernel_lanes": self.kernel_lanes,
-        }
-        for case, n in sorted(self.by_case.items()):
-            out[f"case_{case}"] = n
-        rate = self.batched_rate
-        if rate is not None:
-            out["batched_rate"] = rate
-        lanes = self.mean_lanes_per_call
-        if lanes is not None:
-            out["mean_lanes_per_call"] = lanes
-        return out
-
-    def merge(self, other: "BatchTelemetry") -> "BatchTelemetry":
-        """Fold another telemetry object into this one (returns self)."""
-        self.scenarios += other.scenarios
-        self.batched += other.batched
-        self.fallbacks += other.fallbacks
-        self.kernel_calls += other.kernel_calls
-        self.kernel_lanes += other.kernel_lanes
-        for case, n in other.by_case.items():
-            self.by_case[case] = self.by_case.get(case, 0) + n
-        return self
-
-    def render(self) -> str:
-        """Human-readable batch-evaluation summary."""
-        lines = [
-            f"batch telemetry: {self.scenarios} scenario(s), "
-            f"{self.batched} closed-form, {self.fallbacks} fallback(s)"
-        ]
-        if self.by_case:
-            detail = ", ".join(
-                f"{case}={n}" for case, n in sorted(self.by_case.items())
-            )
-            lines.append(f"  by class: {detail}")
-        lanes = self.mean_lanes_per_call
-        if lanes is not None:
-            lines.append(
-                f"  kernel: {self.kernel_calls} pass(es) over "
-                f"{self.kernel_lanes} lane(s) ({lanes:.1f} lanes/pass)"
-            )
-        return "\n".join(lines)

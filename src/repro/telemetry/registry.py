@@ -1,24 +1,24 @@
 """One snapshot/delta API over every counter family in the repository.
 
-`EngineTelemetry` (event core, recontext cache, fault counters),
-`SweepTelemetry` (parallel sweep wall times), and the artifact-cache
-:class:`~repro.experiments.artifacts.CacheStats` each grew organically
-next to the subsystem they observe; post-mortem analysis had to know
-all three shapes.  The :class:`MetricsRegistry` unifies them: sources
-register under a namespace, :meth:`snapshot` returns one nested
-``{namespace: {metric: number}}`` dict, :meth:`delta` diffs two
-snapshots (what did *this* run cost?), and :meth:`to_json` writes the
-flat file ``tools/bench.py`` embeds in its benchmark payloads.
+The counter families of :mod:`repro.telemetry.counters` (engine,
+service, online, sweep, batch) and the artifact-cache
+:class:`~repro.experiments.artifacts.CacheStats` sit behind one
+:class:`MetricsRegistry`: sources register under a namespace,
+:meth:`snapshot` returns one nested ``{namespace: {metric: number}}``
+dict, :meth:`delta` diffs two snapshots (what did *this* run cost?),
+and :meth:`to_json` writes the flat file ``tools/bench.py`` embeds in
+its benchmark payloads.
 
 A *source* is either a zero-argument callable returning a mapping of
-numbers, or an object exposing ``as_dict()`` (which the telemetry
-classes in :mod:`repro.telemetry.profiling` provide).  Sources are
+numbers, or an object exposing ``as_dict()`` (which the counter
+families in :mod:`repro.telemetry.counters` provide).  Sources are
 re-polled on every snapshot, so registering live telemetry objects is
 the intended use — the registry itself stores no counters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -134,13 +134,7 @@ def cluster_registry(cluster, *, cache: bool = True) -> MetricsRegistry:
         from repro.experiments.artifacts import cache_stats
 
         registry.register(
-            "artifact_cache",
-            lambda: {
-                "hits": cache_stats().hits,
-                "misses": cache_stats().misses,
-                "corrupt": cache_stats().corrupt,
-                "stale": cache_stats().stale,
-            },
+            "artifact_cache", lambda: dataclasses.asdict(cache_stats())
         )
     return registry
 
@@ -148,7 +142,7 @@ def cluster_registry(cluster, *, cache: bool = True) -> MetricsRegistry:
 def service_registry(service, *, cache: bool = False) -> MetricsRegistry:
     """A registry pre-wired for one streaming service.
 
-    The service's :class:`~repro.telemetry.profiling.ServiceTelemetry`
+    The service's :class:`~repro.telemetry.counters.ServiceTelemetry`
     lands under ``service``, its engine's counters under ``engine``,
     and per-tenant accounting under ``tenants`` (flattened to
     ``<tenant>_<metric>`` numbers — nested dicts are dropped by

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry.profiling import EngineTelemetry, SweepTelemetry
+from repro.telemetry.counters import EngineTelemetry, SweepTelemetry
 from repro.telemetry.registry import MetricsRegistry, cluster_registry
 
 

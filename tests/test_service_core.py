@@ -295,6 +295,33 @@ class TestClusterService:
         assert ack["ok"] is False and "monotone" in ack["error"]
         service.drain()
 
+    @pytest.mark.parametrize("catch_up", ["drain", "advance_to"])
+    def test_arrival_behind_the_engine_clock_is_refused(self, catch_up):
+        # Both leave the engine clock past t=5 (the job ends near 99 s)
+        # while the stream's last arrival stays at 0.
+        service = ClusterService(ServiceConfig(n_nodes=2))
+        service.submit_request({"code": "wc", "data_bytes": 10**9, "time": 0.0})
+        if catch_up == "drain":
+            service.drain()
+        else:
+            service.advance_to(50_000.0)
+        tenant = service.tenants.get("default")
+        ack = service.submit_request({"code": "wc", "data_bytes": 10**9, "time": 5.0})
+        assert ack["ok"] is False and "engine clock" in ack["error"]
+        assert tenant.submitted == 1  # refused before admission: no token
+        assert service.telemetry.malformed == 1
+        assert service.drain()["completed"] == 1
+
+    def test_wall_mode_arrival_after_a_drain_completes(self):
+        # The drain runs the engine far past the scaled wall clock; the
+        # next arrival is stamped at the engine clock, not behind it.
+        service = ClusterService(ServiceConfig(clock="wall"))
+        assert service.submit_request({"code": "wc", "data_bytes": 10**9})["accepted"]
+        service.drain()
+        ack = service.submit_request({"code": "wc", "data_bytes": 10**9})
+        assert ack["accepted"] and ack["time"] == service.cluster.now
+        assert service.drain()["completed"] == 2
+
     def test_virtual_mode_requires_explicit_time(self):
         service = ClusterService(ServiceConfig())
         ack = service.submit_request({"code": "wc", "data_bytes": 10**9})

@@ -110,6 +110,15 @@ def test_advance_moves_the_engine(server):
     client.drain()
 
 
+def test_arrival_behind_a_drained_engine_is_a_named_refusal(server):
+    client = server.client
+    client.submit({"code": "wc", "data_bytes": 10**9, "time": 0.0})
+    client.drain()
+    ack = client.submit({"code": "wc", "data_bytes": 10**9, "time": 50.0})
+    assert ack["ok"] is False and "engine clock" in ack["error"]
+    assert client.drain()["completed"] == 1  # a 200, not a 500
+
+
 def test_trace_endpoint_shape(server):
     trace = server.client.trace()
     assert trace["traceEvents"] == []  # tracer off by default

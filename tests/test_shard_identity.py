@@ -24,7 +24,7 @@ from repro.shard import (
     rack_sweep_sharded,
     shard_slices,
 )
-from repro.telemetry.profiling import BatchTelemetry
+from repro.telemetry.counters import BatchTelemetry
 
 WORKER_COUNTS = (1, 2, 4)
 

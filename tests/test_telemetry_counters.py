@@ -26,7 +26,7 @@ from repro.faults import FaultInjector, InjectionPlan
 from repro.mapreduce.engine import ClusterEngine
 from repro.service import ClusterService, ServiceConfig, seeded_requests
 from repro.shard import evaluate_scenarios_sharded
-from repro.telemetry.profiling import (
+from repro.telemetry.counters import (
     BatchTelemetry,
     EngineTelemetry,
     OnlineTelemetry,

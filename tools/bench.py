@@ -5,15 +5,14 @@ Runs the hot-path operations of ``benchmarks/test_microbench.py``
 (without pytest) plus the heavy ``bench_steady_state_1k`` streaming
 benchmark, and writes ``BENCH_<date>.json`` mapping each op to
 ``{mean_s, p50, p95, peak_rss}``.  Committing the JSON per PR gives
-the repository a performance trajectory; CI replays the suite with
-``--quick`` and fails on a >25% ``bench_steady_state_1k`` regression
-against the committed baseline (``--compare``).
+the repository a performance trajectory; CI times its gated ops and
+``tools/bench_compare.py --gate`` fails on a >25% mean regression
+against the newest committed baseline.
 
 Usage::
 
     PYTHONPATH=src python tools/bench.py                 # full suite
     PYTHONPATH=src python tools/bench.py --quick         # fast ops, 3 rounds
-    PYTHONPATH=src python tools/bench.py --quick --compare BENCH_2026-08-07.json
     PYTHONPATH=src python tools/bench.py --ops bench_steady_state_1k
 """
 
@@ -32,11 +31,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-#: bench_steady_state_1k must stay within this factor of the baseline.
-REGRESSION_THRESHOLD = 1.25
-#: The op the CI regression gate watches.
-GATED_OP = "bench_steady_state_1k"
 
 
 def _peak_rss_bytes() -> int:
@@ -490,29 +484,6 @@ def run_op(name: str, rounds: int) -> dict:
     }
 
 
-def compare(results: dict, baseline_path: Path) -> int:
-    """Gate: fail if the watched op regressed beyond the threshold."""
-    baseline = json.loads(baseline_path.read_text())
-    base_ops = baseline.get("ops", baseline)
-    if GATED_OP not in base_ops or GATED_OP not in results:
-        print(f"compare: {GATED_OP} missing from baseline or this run; skipping")
-        return 0
-    base = base_ops[GATED_OP]["mean_s"]
-    now = results[GATED_OP]["mean_s"]
-    ratio = now / base
-    print(
-        f"compare: {GATED_OP} {now * 1e3:.1f} ms vs baseline "
-        f"{base * 1e3:.1f} ms ({ratio:.2f}x)"
-    )
-    if ratio > REGRESSION_THRESHOLD:
-        print(
-            f"FAIL: {GATED_OP} regressed {ratio:.2f}x > "
-            f"{REGRESSION_THRESHOLD}x threshold"
-        )
-        return 1
-    return 0
-
-
 def reference_metrics() -> dict[str, float]:
     """Flat MetricsRegistry snapshot of one small seeded steady run.
 
@@ -548,10 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out", type=Path, default=None,
         help="output JSON path (default: BENCH_<date>.json in the repo root)",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None, metavar="BASELINE_JSON",
-        help=f"fail if {GATED_OP} regressed >25%% vs this baseline",
     )
     parser.add_argument(
         "--note", default=None,
@@ -591,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         payload["note"] = args.note
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-
-    if args.compare is not None:
-        return compare(results, args.compare)
     return 0
 
 

@@ -9,8 +9,7 @@ per-op table of mean/p50/peak-RSS deltas, and exits nonzero when any
     ... --gate bench_steady_state_1k bench_steady_state_256node --threshold 1.25
     ... --gate-all    # gate every op present in both payloads
 
-Ops present in only one payload are listed but never gated.  The
-default gate and threshold match ``tools/bench.py --compare``.
+Ops present in only one payload are listed but never gated.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import json
 from pathlib import Path
 
-#: Keep in sync with tools/bench.py.
 DEFAULT_GATE = ("bench_steady_state_1k",)
 DEFAULT_THRESHOLD = 1.25
 
