@@ -13,7 +13,8 @@ finishes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+import itertools
 from typing import Sequence
 
 from repro.analysis.classify import AppClassifier, NearestCentroidClassifier
@@ -36,15 +37,8 @@ from repro.model.costmodel import standalone_metrics_scalar
 from repro.telemetry.profiling import profile_features
 from repro.telemetry.tracing import NULL_TRACER
 from repro.utils.rng import SeedLike
-from repro.workloads.base import AppInstance
+from repro.workloads.base import AppClass, AppInstance
 from repro.workloads.registry import TRAINING_APPS, instances_for
-
-
-@dataclass
-class _Arrival:
-    time: float
-    instance: AppInstance
-    queued: bool = False
 
 
 class ECoSTController:
@@ -69,8 +63,13 @@ class ECoSTController:
         self.constants = constants
         self.profiling_seed = profiling_seed
         self.queue = WaitQueue()
-        self._arrivals: list[_Arrival] = []
+        #: Submitted applications not yet queued, as a
+        #: ``(time, submission seq, instance)`` heap.
+        self._arrivals: list[tuple[float, int, AppInstance]] = []
+        self._arrival_seq = itertools.count()
         self._features_memo: dict[AppInstance, dict[str, float]] = {}
+        #: Each profiled application's class, cleared with the features.
+        self._class_memo: dict[AppInstance, AppClass] = {}
         #: Memoized per-(node spec, application) solo-EDP scores used to
         #: rank empty nodes on heterogeneous rosters.
         self._class_edp_memo: dict[tuple[int, AppInstance], float] = {}
@@ -105,9 +104,11 @@ class ECoSTController:
         themselves via :meth:`ClusterEngine.wake_now` use it to keep
         the event order identical to a batch run's.
         """
-        if arrival_time < 0:
-            raise ValueError("arrival_time must be >= 0")
-        self._arrivals.append(_Arrival(time=arrival_time, instance=instance))
+        if not arrival_time >= 0:  # also refuses NaN, which no heap orders
+            raise ValueError(f"arrival_time must be >= 0, got {arrival_time!r}")
+        heapq.heappush(
+            self._arrivals, (arrival_time, next(self._arrival_seq), instance)
+        )
         if notify:
             self.cluster.notify_at(arrival_time)
 
@@ -130,11 +131,19 @@ class ECoSTController:
             self._features_memo[instance] = feats
         return feats
 
+    def _class_of(self, instance: AppInstance) -> AppClass:
+        """The application's class, classified once per profile."""
+        cls = self._class_memo.get(instance)
+        if cls is None:
+            cls = self.classifier.classify(self._features(instance))
+            self._class_memo[instance] = cls
+        return cls
+
     def _classify(self, instance: AppInstance) -> QueuedApp:
         """Step 1: learning-period profiling + classification."""
         newly_profiled = instance not in self._features_memo
         feats = self._features(instance)
-        cls = self.classifier.classify(feats)
+        cls = self._class_of(instance)
         if self.tracer.enabled:
             self.tracer.instant(
                 "classify",
@@ -170,12 +179,11 @@ class ECoSTController:
         """
         if not engine.running:
             return None
-        running = engine.running[0]
-        feats = self._features(running.spec.instance)
+        instance = engine.running[0].spec.instance
         return AppDescriptor(
-            features=feats,
-            app_class=self.classifier.classify(feats),
-            data_bytes=running.spec.instance.data_bytes,
+            features=self._features(instance),
+            app_class=self._class_of(instance),
+            data_bytes=instance.data_bytes,
         )
 
     # ------------------------------------------------------- degradation
@@ -205,6 +213,7 @@ class ECoSTController:
         while the model silently stayed stale.
         """
         self._features_memo.clear()
+        self._class_memo.clear()
         self.relearn_count += 1
         refit = getattr(self.stp, "refit", None)
         refitted = callable(refit) and bool(refit(t=t, reason="cluster-change"))
@@ -333,11 +342,13 @@ class ECoSTController:
         # is as current as possible before new pairing decisions.
         if self._online is not None:
             self.notify_completions()
-        # Move due arrivals through classification into the wait queue.
-        for arr in self._arrivals:
-            if not arr.queued and arr.time <= t + 1e-9:
-                arr.queued = True
-                self.queue.push(self._classify(arr.instance))
+        # Move due arrivals through classification into the wait queue,
+        # in submission order.
+        due = []
+        while self._arrivals and self._arrivals[0][0] <= t + 1e-9:
+            due.append(heapq.heappop(self._arrivals))
+        for _time, _seq, instance in sorted(due, key=lambda arr: arr[1]):
+            self.queue.push(self._classify(instance))
 
         progress = True
         while progress and len(self.queue):
@@ -443,7 +454,7 @@ class ECoSTController:
     def run(self) -> list[JobResult]:
         """Run the cluster until every submitted application finishes."""
         results = self.cluster.run()
-        if len(self.queue) or any(not a.queued for a in self._arrivals):
+        if len(self.queue) or self._arrivals:
             raise RuntimeError("ECoST finished with applications still queued")
         # Trailing completions (after the last scheduler wake-up) still
         # count as telemetry for the online tuner.

@@ -19,6 +19,7 @@ their input sizes, the six knobs → EDP.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -212,14 +213,14 @@ class _PairGrid:
     configs: tuple[np.ndarray, ...]
     #: Their :func:`_knob_columns`, also :func:`basin_select`'s matrix.
     knobs: np.ndarray
-    #: ``_knob_span(knobs)``.
+    #: ``_column_span(knobs)``.
     span: np.ndarray
 
     @classmethod
     def build(cls, node: NodeSpec) -> "_PairGrid":
         configs = pair_config_grid(node)
         knobs = _knob_columns(*configs)
-        return cls(node=node, configs=configs, knobs=knobs, span=_knob_span(knobs))
+        return cls(node=node, configs=configs, knobs=knobs, span=_column_span(knobs))
 
     def job_configs(self, i: int) -> tuple[JobConfig, JobConfig]:
         f1, b1, m1, f2, b2, m2 = self.configs
@@ -371,10 +372,53 @@ MODEL_FACTORIES: dict[str, ModelFactory] = {
 }
 
 
-def _knob_span(knob_matrix: np.ndarray) -> np.ndarray:
-    """Per-column range of a knob matrix; a constant column counts as 1."""
-    span = knob_matrix.max(axis=0) - knob_matrix.min(axis=0)
+def _column_span(matrix: np.ndarray) -> np.ndarray:
+    """Per-column range of a matrix; a constant column counts as 1."""
+    span = matrix.max(axis=0) - matrix.min(axis=0)
     return np.where(span < 1e-12, 1.0, span)
+
+
+def _nearest_row(
+    train: np.ndarray,
+    sizes: np.ndarray | None,
+    span: np.ndarray,
+    feat: np.ndarray,
+    size: float | None,
+) -> np.ndarray:
+    """The row of ``train`` nearest ``feat`` in ``span``-scaled distance.
+
+    When ``size`` is given, candidates are restricted to rows of the
+    same input size (if any exist) so the projected (features, size)
+    point lies exactly on the training manifold.
+    """
+    cand = train
+    if size is not None and sizes is not None:
+        # np.isclose(sizes, size, rtol=1e-6) on finite sizes, without
+        # its call overhead (about 25 µs, over half a projection).
+        same = np.flatnonzero(np.abs(sizes - size) <= 1e-8 + 1e-6 * abs(size))
+        if same.size:
+            cand = train[same]
+    d = np.linalg.norm((cand - feat) / span, axis=1)
+    return cand[int(np.argmin(d))]
+
+
+def _finite_features(desc: AppDescriptor) -> np.ndarray:
+    """``desc.reduced()``, refusing a non-finite feature by name.
+
+    A NaN distance makes the manifold projection's ``argmin`` return
+    training row 0, so such a descriptor would silently get row 0's
+    configuration.
+    """
+    feat = desc.reduced()
+    bad = np.flatnonzero(~np.isfinite(feat))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"MLMSTP.predict_configs: descriptor feature "
+            f"{REDUCED_FEATURE_NAMES[i]!r} is {float(feat[i])!r}; "
+            f"features must be finite"
+        )
+    return feat
 
 
 def basin_select(
@@ -393,15 +437,22 @@ def basin_select(
     minimum, reduced to the one nearest the basin\'s knob-median.  On
     piecewise-constant predictors (trees) this avoids arbitrary
     tie-breaking inside wide leaves.  Distances are scaled by
-    ``span``, ``_knob_span(knob_matrix)`` unless the caller has it.
+    ``span``, ``_column_span(knob_matrix)`` unless the caller has it.
     """
     pred_log = np.asarray(pred_log, dtype=float)
     basin = np.flatnonzero(pred_log <= pred_log.min() + eps)
     med = np.median(knob_matrix[basin], axis=0)
     if span is None:
-        span = _knob_span(knob_matrix)
+        span = _column_span(knob_matrix)
     d = np.linalg.norm((knob_matrix[basin] - med) / span, axis=1)
     return int(basin[np.argmin(d)])
+
+
+#: Most pair decisions one :class:`MLMSTP` remembers.  A workload's
+#: decisions project onto a few dozen distinct model inputs (32 on a
+#: 288-job stream of eleven applications at two sizes); a full memo
+#: holds about 0.4 MB.
+DECISION_MEMO_CAP = 1024
 
 
 class MLMSTP:
@@ -424,6 +475,12 @@ class MLMSTP:
     ``scope`` chooses between one global model (default — lets the
     model interpolate across class boundaries) and the paper\'s
     per-class-pair models (``scope="per-class"``).
+
+    Projection maps every descriptor onto one of a few training rows,
+    so decisions repeat.  :meth:`predict_configs` memoises the chosen
+    grid index per model input (LRU, :data:`DECISION_MEMO_CAP`
+    entries); :meth:`fit`, a node change and :meth:`revise` drop the
+    memo.
     """
 
     def __init__(
@@ -458,6 +515,12 @@ class MLMSTP:
         self.train_features_: np.ndarray | None = None
         self.train_sizes_: np.ndarray | None = None
         self._grid: _PairGrid | None = None
+        #: ``(train_features_, its _column_span)``: the manifold the
+        #: span was computed for, so it is computed once per manifold.
+        self._span: tuple[np.ndarray, np.ndarray] | None = None
+        #: (model, basin_eps, canonical projected rows and sizes) ->
+        #: chosen grid index, least recently used first.
+        self._memo: OrderedDict[tuple, int] = OrderedDict()
 
     def fit(self, dataset: TrainingDataset) -> "MLMSTP":
         """Train on log-EDP: per class pair and/or the global model."""
@@ -470,7 +533,38 @@ class MLMSTP:
         self.global_model_ = self._factory().fit(dataset.X, y_log)
         self.train_features_ = dataset.train_features
         self.train_sizes_ = dataset.train_sizes
+        self.clear_memo()
         return self
+
+    def revise(
+        self,
+        *,
+        model: Regressor | None = None,
+        train_features: np.ndarray | None = None,
+        train_sizes: np.ndarray | None = None,
+    ) -> None:
+        """Change a fitted STP's global model or projection manifold.
+
+        Each argument given replaces ``global_model_``,
+        ``train_features_`` or ``train_sizes_``, and the decision memo
+        is dropped.  A model updated in place (recursive least squares)
+        is passed again, so no decision of the old model survives.
+        """
+        if model is not None:
+            self.global_model_ = model
+        if train_features is not None:
+            self.train_features_ = train_features
+        if train_sizes is not None:
+            self.train_sizes_ = train_sizes
+        self.clear_memo()
+
+    def clear_memo(self) -> None:
+        """Forget every memoised pair decision.
+
+        The next decision on each pair evaluates the model over the
+        whole grid again, which is what Fig. 8 times.
+        """
+        self._memo.clear()
 
     def _model_for(self, code: str) -> Regressor:
         if self.scope == "per-class" and code in self.models_:
@@ -480,9 +574,14 @@ class MLMSTP:
         return self.global_model_
 
     def _pair_grid(self) -> _PairGrid:
-        """The pair grid of ``self.node``, built on first use."""
+        """The pair grid of ``self.node``, built on first use.
+
+        A rebuild drops the decision memo: its grid indices name points
+        of the old node's grid.
+        """
         if self._grid is None or self._grid.node is not self.node:
             self._grid = _PairGrid.build(self.node)
+            self.clear_memo()
         return self._grid
 
     def _project(self, feat: np.ndarray, size: float | None = None) -> np.ndarray:
@@ -493,38 +592,44 @@ class MLMSTP:
         (features, size) point lies exactly on the training manifold —
         trees route such points like the lookup table would.
         """
-        if not self.project_features or self.train_features_ is None:
-            return feat
         train = self.train_features_
-        sizes = self.train_sizes_
-        idx = np.arange(len(train))
-        if size is not None and sizes is not None:
-            same = np.flatnonzero(np.isclose(sizes, size, rtol=1e-6))
-            if same.size:
-                idx = same
-        cand = train[idx]
-        span = train.max(axis=0) - train.min(axis=0)
-        span = np.where(span < 1e-12, 1.0, span)
-        d = np.linalg.norm((cand - feat) / span, axis=1)
-        return cand[int(np.argmin(d))]
+        if not self.project_features or train is None:
+            return feat
+        if self._span is None or self._span[0] is not train:
+            self._span = (train, _column_span(train))
+        return _nearest_row(train, self.train_sizes_, self._span[1], feat, size)
 
     def predict_configs(
         self, a: AppDescriptor, b: AppDescriptor
     ) -> tuple[JobConfig, JobConfig]:
-        """Step 3-4 of Fig. 7: pick the model, arg-min over the grid."""
+        """Step 3-4 of Fig. 7: pick the model, arg-min over the grid.
+
+        The decision depends only on the model and on the canonical
+        pair's projected features and sizes, so it is memoised on
+        those: a repeat costs two projections and a lookup.
+        """
         if self.global_model_ is None:
             raise RuntimeError("MLM-STP is not fitted; call fit() first")
         swapped = not _canonical_order(a, b)
         ca, cb = (b, a) if swapped else (a, b)
         grid = self._pair_grid()
-        X = _rows_for_knobs(
-            self._project(ca.reduced(), ca.data_bytes), ca.data_bytes,
-            self._project(cb.reduced(), cb.data_bytes), cb.data_bytes,
-            grid.knobs,
-        )
+        feat_a = self._project(_finite_features(ca), ca.data_bytes)
+        feat_b = self._project(_finite_features(cb), cb.data_bytes)
         model = self._model_for(pair_code(ca.app_class, cb.app_class))
-        pred = np.asarray(model.predict(X))
-        i = basin_select(pred, grid.knobs, eps=self.basin_eps, span=grid.span)
+        key = (
+            model, self.basin_eps,
+            feat_a.tobytes(), ca.data_bytes, feat_b.tobytes(), cb.data_bytes,
+        )
+        i = self._memo.get(key)
+        if i is None:
+            X = _rows_for_knobs(feat_a, ca.data_bytes, feat_b, cb.data_bytes, grid.knobs)
+            pred = np.asarray(model.predict(X))
+            i = basin_select(pred, grid.knobs, eps=self.basin_eps, span=grid.span)
+            self._memo[key] = i
+            if len(self._memo) > DECISION_MEMO_CAP:
+                self._memo.popitem(last=False)
+        else:
+            self._memo.move_to_end(key)
         cfg_a, cfg_b = grid.job_configs(i)
         return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
 
@@ -612,19 +717,14 @@ class SoloSTP:
         self.model_ = self._factory().fit(np.vstack(X_rows), np.log(y_all))
         self._train_features = np.vstack(feats)
         self._train_sizes = np.asarray(sizes)
+        self._span = _column_span(self._train_features)
         return self
 
     def _project(self, feat: np.ndarray, size: float) -> np.ndarray:
         """Same-size manifold projection, as in :class:`MLMSTP`."""
-        train, sizes = self._train_features, self._train_sizes
-        idx = np.flatnonzero(np.isclose(sizes, size, rtol=1e-6))
-        if idx.size == 0:
-            idx = np.arange(len(train))
-        cand = train[idx]
-        span = train.max(axis=0) - train.min(axis=0)
-        span = np.where(span < 1e-12, 1.0, span)
-        d = np.linalg.norm((cand - feat) / span, axis=1)
-        return cand[int(np.argmin(d))]
+        return _nearest_row(
+            self._train_features, self._train_sizes, self._span, feat, size
+        )
 
     def predict_config(self, a: AppDescriptor) -> JobConfig:
         if self.model_ is None:

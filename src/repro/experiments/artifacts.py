@@ -62,7 +62,9 @@ log = logging.getLogger("repro.cache")
 #: cannot see (profiles and hardware constants are fingerprinted).
 #: v3: REPTree keeps flat node arrays instead of a ``_Node`` tree, so a
 #: v2 pickle of a fitted tree cannot predict.
-CACHE_VERSION = "v3"
+#: v4: a fitted ``MLMSTP`` carries its decision memo and manifold span,
+#: and a fitted ``SoloSTP`` its span, which v3 pickles lack.
+CACHE_VERSION = "v4"
 
 #: Errors that mean "this pickle cannot be trusted": garbage bytes,
 #: truncation, classes that moved/vanished since it was written, or an

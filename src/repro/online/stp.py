@@ -273,7 +273,7 @@ class OnlineSTP:
                 )
             X, y = self._window.arrays()
             self._ridge = OnlineRidge(lam=self.ridge_lam).fit(X, y)
-            self.stp.global_model_ = self._ridge
+            self.stp.revise(model=self._ridge)
 
     # ------------------------------------------------------- prediction
     @staticmethod
@@ -381,14 +381,15 @@ class OnlineSTP:
         """Fold one observed pairing into the live model.
 
         Returns False (and counts ``skipped_rows``) for observations a
-        log-space model cannot ingest — non-positive or non-finite EDP.
+        log-space model cannot ingest — a non-positive or non-finite
+        EDP, or a non-finite descriptor feature.
         """
         obs = _canonicalize(obs)
         edp = float(obs.edp)
-        if not np.isfinite(edp) or edp <= 0.0:
+        row = self._observation_row(obs)
+        if not (np.isfinite(edp) and edp > 0.0 and np.isfinite(row).all()):
             self.telemetry.skipped_rows += 1
             return False
-        row = self._observation_row(obs)
         y = float(np.log(edp))
         pred = float(
             np.asarray(self.stp.global_model_.predict(row[None, :])).reshape(-1)[0]
@@ -414,6 +415,7 @@ class OnlineSTP:
             if self.mode == "rls":
                 assert self._ridge is not None
                 self._ridge.partial_fit(row, y)
+                self.stp.revise(model=self._ridge)
             else:
                 self._since_refresh += 1
                 if self._since_refresh >= self.refresh_every:
@@ -496,11 +498,13 @@ class OnlineSTP:
             if key in self._manifold_keys:
                 continue
             self._manifold_keys.add(key)
-            self.stp.train_features_ = np.vstack(
-                [self.stp.train_features_, desc.reduced()[None, :]]
-            )
-            self.stp.train_sizes_ = np.append(
-                self.stp.train_sizes_, float(inst.data_bytes)
+            self.stp.revise(
+                train_features=np.vstack(
+                    [self.stp.train_features_, desc.reduced()[None, :]]
+                ),
+                train_sizes=np.append(
+                    self.stp.train_sizes_, float(inst.data_bytes)
+                ),
             )
 
     def _refresh(self) -> None:
@@ -510,7 +514,7 @@ class OnlineSTP:
         X, y = self._window.arrays()
         if self.mode == "rls":
             self._ridge = OnlineRidge(lam=self.ridge_lam).fit(X, y)
-            self.stp.global_model_ = self._ridge
+            self.stp.revise(model=self._ridge)
         else:
-            self.stp.global_model_ = self._factory().fit(X, y)
+            self.stp.revise(model=self._factory().fit(X, y))
         self._since_refresh = 0

@@ -128,3 +128,59 @@ def test_hetero_roster_runs_all_jobs_to_completion(pipeline):
     assert len(results) == 4
     assert cluster.makespan > 0
     assert not ctrl.queue
+
+
+def test_due_arrivals_queue_in_submission_order(pipeline):
+    """Arrivals submitted out of time order enter the wait queue in
+    submission order once a wake-up finds them due."""
+    _, ctrl, cluster = _controller(pipeline, n_nodes=1)
+    late, early = AppInstance(get_app("wc"), 1 * GB), AppInstance(get_app("st"), 1 * GB)
+    ctrl.submit(late, arrival_time=5.0, notify=False)
+    ctrl.submit(early, arrival_time=3.0, notify=False)
+    ctrl.blacklisted.add(0)  # keep both in the queue
+    cluster.notify_at(6.0)
+    with pytest.raises(RuntimeError, match="still queued"):
+        ctrl.run()
+    assert [qa.instance for qa in ctrl.queue] == [late, early]
+
+
+def test_run_raises_on_arrivals_never_woken(pipeline):
+    _, ctrl, cluster = _controller(pipeline, n_nodes=1)
+    ctrl.submit(AppInstance(get_app("wc"), 1 * GB), arrival_time=0.0)
+    ctrl.submit(AppInstance(get_app("st"), 1 * GB), arrival_time=1e9, notify=False)
+    with pytest.raises(RuntimeError, match="still queued"):
+        ctrl.run()
+    assert len(cluster.results) == 1 and not ctrl.queue
+
+
+def test_nan_arrival_time_refused(pipeline):
+    _, ctrl, _cluster = _controller(pipeline)
+    with pytest.raises(ValueError, match="arrival_time"):
+        ctrl.submit(AppInstance(get_app("wc"), 1 * GB), arrival_time=float("nan"))
+
+
+def test_each_application_classified_once(pipeline):
+    """A running job's class is remembered with its profile, not
+    re-derived in every partner-fill round; a cluster change forgets
+    both."""
+    _, ctrl, cluster = _controller(pipeline, n_nodes=2)
+    calls = []
+    classify = ctrl.classifier.classify
+
+    def counting(features):
+        calls.append(features)
+        return classify(features)
+
+    ctrl.classifier = type("Counting", (), {"classify": staticmethod(counting)})()
+    instances = [
+        AppInstance(get_app(code), size)
+        for code in ("svm", "st", "wc", "nb")
+        for size in (1 * GB, 5 * GB)
+    ]
+    for i, inst in enumerate(instances * 3):
+        ctrl.submit(inst, arrival_time=20.0 * i)
+    ctrl.run()
+    assert len(cluster.results) == 24
+    assert len(calls) == len(instances)
+    ctrl.on_cluster_change(1e6, [0, 1])
+    assert not ctrl._features_memo and not ctrl._class_memo

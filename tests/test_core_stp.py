@@ -1,13 +1,17 @@
 """Self-tuning prediction tests (on the small fixture pipeline)."""
 
+import copy
+
 import numpy as np
 import pytest
 
+import repro.core.stp as stp_module
 from repro.core.stp import (
     AppDescriptor,
     LkTSTP,
     MLMSTP,
     SoloSTP,
+    TrainingDataset,
     _canonical_order,
     _row_block,
     basin_select,
@@ -19,6 +23,7 @@ from repro.hardware.node import ATOM_C2758
 from repro.model.config import JobConfig, pair_config_grid
 from repro.model.costmodel import pair_metrics
 from repro.model.sweep import sweep_pair, sweep_solo
+from repro.online.drift import PageHinkley
 from repro.online.scenario import (
     DRIFT_CODES,
     DRIFT_SIZES,
@@ -26,6 +31,8 @@ from repro.online.scenario import (
     PIPELINE_SIZES,
     pipeline_components,
 )
+from repro.online.stp import OnlineSTP, PairObservation
+from repro.online.updates import OnlineRidge
 from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppClass, AppInstance
 from repro.workloads.registry import get_app
@@ -245,3 +252,258 @@ class TestSoloSTP:
             SoloSTP("lr").predict_config(
                 describe_instance(AppInstance(get_app("wc"), 1 * GB))
             )
+
+
+def _reference_project(stp, feat, size):
+    """Nearest same-size training row, the span recomputed per call."""
+    train, sizes = stp.train_features_, stp.train_sizes_
+    idx = np.flatnonzero(np.isclose(sizes, size, rtol=1e-6))
+    if idx.size == 0:
+        idx = np.arange(len(train))
+    span = train.max(axis=0) - train.min(axis=0)
+    span = np.where(span < 1e-12, 1.0, span)
+    d = np.linalg.norm((train[idx] - feat) / span, axis=1)
+    return train[idx][int(np.argmin(d))]
+
+
+def _drift_descriptors():
+    return [
+        describe_instance(AppInstance(get_app(code), size))
+        for codes, sizes in (
+            (PIPELINE_CODES, PIPELINE_SIZES),
+            (DRIFT_CODES, DRIFT_SIZES),
+        )
+        for code in codes
+        for size in sizes
+    ]
+
+
+def _decisions(stp, descs):
+    """Every ordered pair's decision, checked against the references."""
+    for d in descs:
+        assert np.array_equal(
+            stp._project(d.reduced(), d.data_bytes),
+            _reference_project(stp, d.reduced(), d.data_bytes),
+        )
+    out = {}
+    for i, a in enumerate(descs):
+        for j, b in enumerate(descs):
+            got = stp.predict_configs(a, b)
+            assert got == _reference_predict_configs(stp, a, b)
+            out[i, j] = got
+    return out
+
+
+class _CountingModel:
+    """Wraps a regressor and counts the rows it is asked to predict."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = 0
+
+    def predict(self, X):
+        self.rows += len(X)
+        return self.model.predict(X)
+
+
+class TestDecisionMemo:
+    @pytest.fixture(scope="class")
+    def descs(self):
+        return _drift_descriptors()
+
+    def test_hit_evaluates_no_model(self, small_dataset, descs):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        counting = _CountingModel(stp.global_model_)
+        stp.revise(model=counting)
+        a, b = descs[0], descs[-1]
+        first = stp.predict_configs(a, b)
+        assert counting.rows == len(stp._pair_grid().knobs)
+        # Both orientations of the pair share one canonical entry.
+        assert stp.predict_configs(b, a) == (first[1], first[0])
+        assert stp.predict_configs(a, b) == first
+        assert counting.rows == len(stp._pair_grid().knobs)
+        stp.clear_memo()
+        assert stp.predict_configs(a, b) == first
+        assert counting.rows == 2 * len(stp._pair_grid().knobs)
+
+    def test_key_is_the_projected_pair(self, small_dataset):
+        """Descriptors profiled with different noise project onto the
+        same training rows, so they share one decision."""
+        stp = MLMSTP("reptree").fit(small_dataset)
+        counting = _CountingModel(stp.global_model_)
+        stp.revise(model=counting)
+        descs = [
+            describe_instance(AppInstance(get_app(code), size), seed=seed)
+            for code, size in (("wc", 1 * GB), ("st", 5 * GB))
+            for seed in range(4)
+        ]
+        assert len({d.reduced().tobytes() for d in descs}) == 8
+        got = {(i, j): stp.predict_configs(a, b)
+               for i, a in enumerate(descs) for j, b in enumerate(descs)}
+        # wc-wc, wc-st and st-st: three model inputs in 64 decisions.
+        assert len(stp._memo) == 3
+        assert counting.rows == 3 * len(stp._pair_grid().knobs)
+        for (i, j), configs in got.items():
+            assert configs == _reference_predict_configs(stp, descs[i], descs[j])
+
+    def test_exact_across_fit(self, small_dataset, descs):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        before = _decisions(stp, descs)
+        half = TrainingDataset(
+            X=small_dataset.X[::2],
+            y=small_dataset.y[::2],
+            pair_codes=small_dataset.pair_codes[::2],
+            train_features=small_dataset.train_features,
+            train_sizes=small_dataset.train_sizes,
+        )
+        stp.fit(half)
+        assert len(stp._memo) == 0
+        after = _decisions(stp, descs)
+        assert after != before
+
+    def test_exact_across_node_change(self, small_dataset, descs):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        before = _decisions(stp, descs[:6])
+        stp.node = XEON_E5
+        after = _decisions(stp, descs[:6])
+        assert after != before
+
+    def test_span_follows_the_manifold(self):
+        """The projection span is computed once per manifold, and a new
+        manifold gets a new span."""
+        stp = MLMSTP("lr")
+        feat = np.array([0.5, 0.9])
+        stp.revise(train_features=np.array([[0.0, 0.0], [10.0, 1.0]]))
+        assert stp._project(feat).tolist() == [0.0, 0.0]
+        # A wide first column leaves the second to decide.
+        stp.revise(
+            train_features=np.array([[0.0, 0.0], [10.0, 1.0], [1000.0, 0.0]])
+        )
+        assert stp._project(feat).tolist() == [10.0, 1.0]
+        stp.train_features_ = np.array([[0.0, 0.0], [10.0, 1.0]])
+        assert stp._project(feat).tolist() == [0.0, 0.0]
+
+    def test_exact_across_online_window_refresh(self, descs):
+        base, _classifier, dataset = pipeline_components("reptree")
+        online = OnlineSTP(base, dataset=dataset, window=512)
+        before = _decisions(online.stp, descs)
+        model = online.stp.global_model_
+        online._refresh()
+        assert online.stp.global_model_ is not model
+        assert len(online.stp._memo) == 0
+        after = _decisions(online.stp, descs)
+        assert after != before
+        # The base (champion) keeps its own memo and its decisions.
+        assert _decisions(base, descs) == before
+
+    def test_exact_across_in_place_rls_update(self, small_dataset, descs):
+        """``lr`` mode updates the live ``OnlineRidge`` in place, so the
+        model object stays the same while its decisions move."""
+        online = OnlineSTP(
+            MLMSTP("lr").fit(small_dataset),
+            dataset=small_dataset,
+            detector=PageHinkley(threshold=1e300),
+        )
+        stp = online.stp
+        model = stp.global_model_
+        a_inst = AppInstance(get_app("wc"), 1 * GB)
+        b_inst = AppInstance(get_app("st"), 5 * GB)
+        a, b = describe_instance(a_inst), describe_instance(b_inst)
+        first = stp.predict_configs(a, b)
+        changed = False
+        for _ in range(40):
+            cfg_a, cfg_b = stp.predict_configs(a, b)
+            # Report the chosen configuration as very expensive.
+            online.partial_fit(
+                PairObservation(
+                    t=0.0, desc_a=a, desc_b=b, inst_a=a_inst, inst_b=b_inst,
+                    cfg_a=cfg_a, cfg_b=cfg_b, edp=1e30,
+                )
+            )
+            assert stp.global_model_ is model
+            got = stp.predict_configs(a, b)
+            assert got == _reference_predict_configs(stp, a, b)
+            if got != first:
+                changed = True
+                break
+        assert changed
+        _decisions(stp, descs[:6])
+
+    def test_exact_across_manifold_extension(self, descs):
+        base, _classifier, dataset = pipeline_components("reptree")
+        online = OnlineSTP(base, dataset=dataset, window=512)
+        stp = online.stp
+        _decisions(stp, descs)
+        rows = len(stp.train_features_)
+        online.refit(reason="test")
+        drift = [
+            AppInstance(get_app(code), size)
+            for code in DRIFT_CODES
+            for size in DRIFT_SIZES
+        ]
+        for inst_a, inst_b in zip(drift, drift[1:]):
+            online.observe_pair(
+                t=0.0,
+                desc_a=describe_instance(inst_a),
+                desc_b=describe_instance(inst_b),
+                inst_a=inst_a,
+                inst_b=inst_b,
+            )
+        assert len(stp.train_features_) > rows
+        _decisions(stp, descs)
+
+    def test_deep_copy_after_the_original_changes(self, small_dataset, descs):
+        stp = MLMSTP("lr").fit(small_dataset)
+        _decisions(stp, descs[:6])
+        ridge = OnlineRidge(lam=1e-6).fit(
+            small_dataset.X[::3], np.log(small_dataset.y[::3])
+        )
+        stp.revise(model=ridge)
+        original = _decisions(stp, descs[:6])
+        clone = copy.deepcopy(stp)
+        assert _decisions(clone, descs[:6]) == original
+        # The copy's memo is its own: an in-place change of the copy's
+        # model leaves the original's decisions alone.
+        clone.global_model_.partial_fit(small_dataset.X[0], 50.0)
+        clone.revise(model=clone.global_model_)
+        _decisions(clone, descs[:6])
+        assert _decisions(stp, descs[:6]) == original
+
+    def test_memo_never_exceeds_its_cap(self, small_dataset, descs, monkeypatch):
+        assert stp_module.DECISION_MEMO_CAP >= 1024
+        monkeypatch.setattr(stp_module, "DECISION_MEMO_CAP", 3)
+        stp = MLMSTP("reptree").fit(small_dataset)
+        sizes = []
+        for a in descs:
+            for b in descs:
+                assert stp.predict_configs(a, b) == _reference_predict_configs(
+                    stp, a, b
+                )
+                sizes.append(len(stp._memo))
+        assert max(sizes) == 3
+        # Least recently used goes first: a pair just decided stays.
+        counting = _CountingModel(stp.global_model_)
+        stp.revise(model=counting)
+        a, b = descs[0], descs[-1]
+        stp.predict_configs(a, b)
+        for other in descs[1:4]:
+            stp.predict_configs(other, other)
+            stp.predict_configs(a, b)
+        assert counting.rows == 4 * len(stp._pair_grid().knobs)
+
+    def test_non_finite_feature_refused_before_projection(
+        self, small_dataset, descs
+    ):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        good = descs[0]
+        feats = dict(good.features)
+        feats["ipc"] = float("nan")
+        bad = AppDescriptor(
+            features=feats, app_class=good.app_class, data_bytes=good.data_bytes
+        )
+        stp.predict_configs(good, good)
+        with pytest.raises(ValueError, match="'ipc' is nan"):
+            stp.predict_configs(bad, good)
+        with pytest.raises(ValueError, match="must be finite"):
+            stp.predict_configs(good, bad)
+        assert len(stp._memo) == 1

@@ -106,6 +106,26 @@ class TestOnlineSTPBasics:
         assert online.telemetry.skipped_rows == 1
         assert online.telemetry.updates == 0
 
+    @pytest.mark.parametrize("mode", ["window", "rls"])
+    def test_partial_fit_skips_non_finite_features(
+        self, fitted_stp, small_dataset, mode
+    ):
+        """A non-finite descriptor feature in completion telemetry is a
+        counted skip, not a ValueError out of the model's input check."""
+        from dataclasses import replace
+
+        base = fitted_stp if mode == "window" else MLMSTP("lr").fit(small_dataset)
+        online = OnlineSTP(base, dataset=small_dataset)
+        obs = _observation("wc", 1 * GB, "st", 1 * GB, fitted_stp)
+        feats = dict(obs.desc_b.features, io_read_mbps=float("inf"))
+        bad = replace(obs, desc_b=replace(obs.desc_b, features=feats))
+        rows_before = len(online._window)
+        assert online.partial_fit(bad) is False
+        assert online.telemetry.skipped_rows == 1
+        assert online.telemetry.updates == 0
+        assert len(online._window) == rows_before
+        assert online.partial_fit(obs) is True
+
     def test_unsynchronized_rows_feed_detector_only(
         self, fitted_stp, small_dataset
     ):

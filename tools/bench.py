@@ -443,6 +443,46 @@ def _op_online_relearn():
     return run
 
 
+def _op_ecost_steady_1k():
+    import numpy as np
+
+    from repro.core.controller import ECoSTController
+    from repro.mapreduce.engine import ClusterEngine
+    from repro.online.scenario import pipeline_components
+    from repro.utils.units import GB
+    from repro.workloads.base import AppInstance
+    from repro.workloads.registry import ALL_APPS, get_app
+
+    # The ECoST decision path (classify, pair, STP predict, place) with
+    # no service in front: 1000 jobs of the 11 applications at 1 and
+    # 5 GB, stratified (shuffled blocks of one of each) in seeded
+    # order, on 8 Atom nodes at a 32 s mean gap, about 88% of their
+    # ECoST drain rate.  Setup warms the artifact-cached reptree
+    # pipeline; each round starts from an empty decision memo.
+    stp, classifier, _dataset = pipeline_components("reptree")
+    kinds = [
+        AppInstance(get_app(code), size)
+        for code in ALL_APPS
+        for size in (1 * GB, 5 * GB)
+    ]
+    n = 1000
+    rng = np.random.default_rng(0)
+    blocks = [rng.permutation(len(kinds)) for _ in range(-(-n // len(kinds)))]
+    order = np.concatenate(blocks)[:n]
+    times = np.sort(rng.uniform(0.0, n * 32.0, n))
+
+    def run():
+        stp.clear_memo()
+        cluster = ClusterEngine(n_nodes=8, recorder="off")
+        controller = ECoSTController(cluster, stp, classifier)
+        for k, t in zip(order, times):
+            controller.submit(kinds[k], arrival_time=float(t))
+        results = controller.run()
+        assert len(results) == n
+
+    return run
+
+
 #: op name -> (setup factory, in the quick subset?)
 OPS: dict[str, tuple] = {
     "bench_solo_sweep": (_op_solo_sweep, True),
@@ -459,6 +499,7 @@ OPS: dict[str, tuple] = {
     "bench_service_ingest_10k": (_op_service_ingest_10k, False),
     "bench_service_http_2k": (_op_service_http_2k, False),
     "bench_online_relearn": (_op_online_relearn, False),
+    "bench_ecost_steady_1k": (_op_ecost_steady_1k, False),
     "bench_steady_state_256node": (_op_steady_state_256node, False),
     "bench_placement_100k_jobs": (_op_placement_100k_jobs, False),
     "bench_sharded_sweep": (_op_sharded_sweep, False),
