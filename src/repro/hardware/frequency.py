@@ -74,10 +74,6 @@ class DvfsTable:
         return tuple(p.frequency for p in self._levels)
 
     @property
-    def min_point(self) -> OperatingPoint:
-        return self._levels[0]
-
-    @property
     def max_point(self) -> OperatingPoint:
         return self._levels[-1]
 

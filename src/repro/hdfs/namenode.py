@@ -47,9 +47,6 @@ class NameNode:
     def n_live_nodes(self) -> int:
         return self.n_nodes - len(self._dead)
 
-    def is_dead(self, node_id: int) -> bool:
-        return node_id in self._dead
-
     def effective_replication(self) -> int:
         return min(self.replication, self.n_live_nodes)
 
@@ -82,17 +79,6 @@ class NameNode:
     def is_local(self, block_id: str, node_id: int) -> bool:
         """Whether a block has a replica on ``node_id`` (task locality)."""
         return node_id in self.locate(block_id)
-
-    def blocks_on(self, node_id: int) -> list[str]:
-        """Block ids replicated on ``node_id`` (the inverse of locate).
-
-        Answered by the datanode's own store in O(replicas held), so a
-        scheduler can build per-node candidate sets without scanning the
-        whole placement map.
-        """
-        if not 0 <= node_id < self.n_nodes:
-            raise ValueError(f"node_id {node_id} out of range")
-        return self.datanodes[node_id].block_ids()
 
     def delete_block(self, block_id: str) -> None:
         """Drop every replica of a block."""

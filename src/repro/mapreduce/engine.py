@@ -773,11 +773,6 @@ class NodeEngine:
             r.metrics = m
             r.remaining = frac_left * m.duration
 
-    def _segment_power(self) -> tuple[float, float, float, float]:
-        """(node watts, u_disk, u_net, u_mem) for the current segment."""
-        _s, watts, u_disk, u_net, u_mem = self._segment_state()
-        return watts, u_disk, u_net, u_mem
-
     def advance_to(self, t: float) -> None:
         """Progress all running jobs to absolute time ``t``.
 

@@ -9,29 +9,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    payload: Any = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
 class EventQueue:
-    """Time-ordered event queue with cancellation.
+    """Time-ordered event queue.
 
     Events are arbitrary payloads; :meth:`pop` returns ``(time,
-    payload)`` in non-decreasing time order.  :meth:`schedule` returns
-    a handle that :meth:`cancel` invalidates lazily (the entry is
-    skipped when it surfaces), the standard heapq idiom.
+    payload)`` in non-decreasing time order.  Heap entries are plain
+    ``(time, seq, payload)`` tuples, which compare in C; the sequence
+    number is unique, so ties on time break by insertion order and the
+    payload is never compared.
     """
 
     def __init__(self) -> None:
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._counter = itertools.count()
         self._now = 0.0
 
@@ -40,36 +32,27 @@ class EventQueue:
         """Time of the last popped event (simulation clock)."""
         return self._now
 
-    def schedule(self, time: float, payload: Any) -> _Entry:
+    def schedule(self, time: float, payload: Any) -> None:
         if time < self._now - 1e-12:
             raise ValueError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        entry = _Entry(time=float(time), seq=next(self._counter), payload=payload)
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def cancel(self, handle: _Entry) -> None:
-        handle.cancelled = True
+        heapq.heappush(self._heap, (float(time), next(self._counter), payload))
 
     def pop(self) -> Optional[tuple[float, Any]]:
-        """Next live event, or ``None`` when the queue is exhausted."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                continue
-            self._now = entry.time
-            return entry.time, entry.payload
-        return None
+        """Next event, or ``None`` when the queue is exhausted."""
+        if not self._heap:
+            return None
+        time, _seq, payload = heapq.heappop(self._heap)
+        self._now = time
+        return time, payload
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        """Time of the next event without popping it."""
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     def run(self, handler: Callable[[float, Any], None], *, until: float = float("inf")) -> None:
         """Drain the queue through ``handler`` until empty or ``until``."""

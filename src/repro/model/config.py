@@ -91,7 +91,6 @@ def pair_config_grid(
     *,
     block_sizes: Sequence[int] = HDFS_BLOCK_SIZES,
     partitions: Sequence[tuple[int, int]] | None = None,
-    freqs_a: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """The co-located pair grid as six parallel arrays.
 
@@ -99,12 +98,6 @@ def pair_config_grid(
     enumerate all full core partitions ``m1 + m2 = n_cores`` (the
     "every combination of core partitioning" of Fig. 5); pass
     ``partitions`` to study under-committed splits too.
-
-    ``freqs_a`` restricts the *first* application's frequency axis.
-    Because that axis is the outermost (slowest-varying) one, grids
-    built for consecutive slices of ``node.frequencies`` concatenate
-    into exactly the full default grid — the property the parallel
-    sweep executor's chunk-and-merge path relies on.
     """
     if partitions is None:
         partitions = [(m, node.n_cores - m) for m in range(1, node.n_cores)]
@@ -112,12 +105,11 @@ def pair_config_grid(
         if m1 < 1 or m2 < 1 or m1 + m2 > node.n_cores:
             raise ValueError(f"invalid core partition ({m1}, {m2})")
     freqs = np.asarray(node.frequencies)
-    freqs_1 = freqs if freqs_a is None else np.asarray(freqs_a, dtype=float)
     blocks = np.asarray(block_sizes, dtype=float)
     parts = np.asarray(partitions, dtype=float)
     # meshgrid over (f1, b1, f2, b2, partition)
     f1, b1, f2, b2, pi = np.meshgrid(
-        freqs_1, blocks, freqs, blocks, np.arange(len(parts)), indexing="ij"
+        freqs, blocks, freqs, blocks, np.arange(len(parts)), indexing="ij"
     )
     m1 = parts[pi.astype(int), 0]
     m2 = parts[pi.astype(int), 1]

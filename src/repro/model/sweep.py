@@ -11,9 +11,7 @@ testbed's weeks.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -141,18 +139,13 @@ def sweep_pair(
     constants: SimConstants = DEFAULT_CONSTANTS,
     partitions: list[tuple[int, int]] | None = None,
     remote_fraction: float | None = None,
-    freqs_a: Sequence[float] | None = None,
 ) -> PairSweepResult:
     """Evaluate the full pair grid (knobs × core partitions) for a pair.
 
     Default grid: (4·5)² knob combinations × 7 full core partitions =
-    2,800 co-located configurations per pair.  ``freqs_a`` restricts
-    the first application's frequency axis — a *chunk* of the full
-    sweep that :func:`merge_pair_sweeps` can stitch back together.
+    2,800 co-located configurations per pair.
     """
-    f1, b1, m1, f2, b2, m2 = pair_config_grid(
-        node, partitions=partitions, freqs_a=freqs_a
-    )
+    f1, b1, m1, f2, b2, m2 = pair_config_grid(node, partitions=partitions)
     metrics = pair_metrics(
         instance_a.profile, instance_a.data_bytes, f1, b1, m1,
         instance_b.profile, instance_b.data_bytes, f2, b2, m2,
@@ -163,54 +156,4 @@ def sweep_pair(
         freq_a=f1, block_a=b1, mappers_a=m1,
         freq_b=f2, block_b=b2, mappers_b=m2,
         metrics=metrics,
-    )
-
-
-# ------------------------------------------------------- chunk merging
-def _concat_metrics(cls, parts: Sequence, lengths: Sequence[int]):
-    """Field-wise concatenation of metrics dataclasses.
-
-    Fields that broadcast to scalars in a chunk are expanded to the
-    chunk's grid length first, so the merged result is exactly what a
-    single full-grid evaluation would have produced.
-    """
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        vals = [getattr(p, field.name) for p in parts]
-        if dataclasses.is_dataclass(vals[0]):
-            kwargs[field.name] = _concat_metrics(type(vals[0]), vals, lengths)
-        else:
-            kwargs[field.name] = np.concatenate(
-                [np.broadcast_to(np.asarray(v), (n,)) for v, n in zip(vals, lengths)]
-            )
-    return cls(**kwargs)
-
-
-def merge_pair_sweeps(chunks: Sequence[PairSweepResult]) -> PairSweepResult:
-    """Stitch frequency-axis chunks of one pair sweep back together.
-
-    Chunks must cover consecutive slices of the first application's
-    frequency axis in order (as produced by ``sweep_pair(freqs_a=...)``
-    over ``node.frequencies``); the merged result is then bit-identical
-    to the unchunked sweep — same array order, same ``best_index``.
-    """
-    if not chunks:
-        raise ValueError("merge_pair_sweeps needs at least one chunk")
-    if len(chunks) == 1:
-        return chunks[0]
-    first = chunks[0]
-    for c in chunks[1:]:
-        if (
-            c.instance_a.label != first.instance_a.label
-            or c.instance_b.label != first.instance_b.label
-        ):
-            raise ValueError("cannot merge sweep chunks of different pairs")
-    lengths = [len(c.freq_a) for c in chunks]
-    cat = lambda name: np.concatenate([getattr(c, name) for c in chunks])
-    return PairSweepResult(
-        instance_a=first.instance_a,
-        instance_b=first.instance_b,
-        freq_a=cat("freq_a"), block_a=cat("block_a"), mappers_a=cat("mappers_a"),
-        freq_b=cat("freq_b"), block_b=cat("block_b"), mappers_b=cat("mappers_b"),
-        metrics=_concat_metrics(type(first.metrics), [c.metrics for c in chunks], lengths),
     )

@@ -341,8 +341,19 @@ class OnlineSTP:
         applications that first appear after the alarm still get
         learned instead of waiting for a second alarm that may never
         come.  Returns True when a sweep happened.
+
+        A pair whose descriptor has a non-finite feature is refused and
+        counted in ``skipped_rows``: its sweep rows and manifold row
+        would make every later refit fail.  It spends no budget and is
+        not marked as swept.
         """
         if self._learning_budget <= 0:
+            return False
+        if not (
+            np.isfinite(desc_a.reduced()).all()
+            and np.isfinite(desc_b.reduced()).all()
+        ):
+            self.telemetry.skipped_rows += 1
             return False
         if not _canonical_order(desc_a, desc_b):
             desc_a, desc_b = desc_b, desc_a

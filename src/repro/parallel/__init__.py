@@ -3,8 +3,10 @@
 Public surface:
 
 * :class:`SweepExecutor` — ordered, deterministic fan-out of solo and
-  pair sweeps (and arbitrary picklable functions) over a process pool;
-  serial inline execution when ``REPRO_WORKERS=1`` (the default).
+  pair sweeps (one task per instance or pair) and of arbitrary
+  picklable functions (one task per item) over a process pool; serial
+  inline execution when ``REPRO_WORKERS=1`` (the default).  It is the
+  repository's only fan-out layer.
 * :func:`worker_count` — ``REPRO_WORKERS`` resolution.
 * :class:`PairSweepBest` — the lightweight per-pair optimum payload.
 """

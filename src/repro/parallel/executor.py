@@ -1,22 +1,19 @@
 """Process-pool fan-out for configuration sweeps.
 
 ECoST's knowledge-discovery loop is an embarrassingly parallel grid:
-per-pair sweeps over (frequency, HDFS block size, mapper count) ×
-core partitions, repeated for every training pair.  This module fans
-that work out over a :class:`concurrent.futures.ProcessPoolExecutor`
-while keeping three guarantees the rest of the repository relies on:
+one exhaustive sweep over (frequency, HDFS block size, mapper count) ×
+core partitions per training pair.  This module fans that work out
+over a :class:`concurrent.futures.ProcessPoolExecutor`, one task per
+pair (or per instance, or per item of :meth:`SweepExecutor.map`),
+while keeping two guarantees the rest of the repository relies on:
 
 * **Determinism** — results are reassembled in submission order and
-  the chunk-merge path is bit-identical to the serial full-grid path
+  every task is the same full-grid call the serial path makes
   (``tests/test_parallel_executor.py`` asserts exact equality), so a
   database built with ``REPRO_WORKERS=8`` equals one built serially.
 * **Serial fallback** — with one worker (the default, and whenever
   ``REPRO_WORKERS=1``) no pool or pickling is involved at all; tasks
   run inline in the calling process.
-* **Load balancing** — pair sweeps are chunked by (pair, frequency
-  block): the first application's frequency axis is the outermost
-  axis of the pair grid, so per-chunk results concatenate into the
-  canonical full grid (see ``pair_config_grid``).
 
 Workers default to the ``REPRO_WORKERS`` environment variable
 (``1`` = serial, ``0``/``auto`` = one per CPU core).
@@ -24,7 +21,7 @@ Workers default to the ``REPRO_WORKERS`` environment variable
 The payload of a full :class:`PairSweepResult` is ~1 MB of metric
 arrays, which can dominate the 1-2 ms its grid takes to evaluate; use
 :meth:`SweepExecutor.sweep_pairs_best` when only the optimum matters
-(database construction) — its per-task payload is a few hundred bytes.
+(database construction) — its per-task payload is under 1 KB.
 """
 
 from __future__ import annotations
@@ -37,18 +34,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.model.sweep import (
-    PairSweepResult,
-    SoloSweepResult,
-    merge_pair_sweeps,
-    sweep_pair,
-    sweep_solo,
-)
+from repro.model.sweep import PairSweepResult, SoloSweepResult, sweep_pair, sweep_solo
 from repro.telemetry.counters import SweepTelemetry
 from repro.telemetry.tracing import NULL_TRACER, SWEEP_PID
 from repro.workloads.base import AppInstance
@@ -101,46 +90,26 @@ def _solo_task(item: tuple[AppInstance, NodeSpec, SimConstants]) -> SoloSweepRes
     return sweep_solo(instance, node=node, constants=constants)
 
 
-def _pair_chunk_task(
-    item: tuple[AppInstance, AppInstance, tuple[float, ...], NodeSpec, SimConstants]
+def _pair_task(
+    item: tuple[AppInstance, AppInstance, NodeSpec, SimConstants]
 ) -> PairSweepResult:
-    a, b, freqs_a, node, constants = item
-    return sweep_pair(a, b, node=node, constants=constants, freqs_a=freqs_a)
-
-
-@dataclass(frozen=True)
-class _BestOfChunk:
-    """Optimum of one frequency chunk, positioned in the full grid."""
-
-    offset: int  # index of the chunk's first grid point in the full grid
-    local_index: int
-    best_edp: float
-    config_a: JobConfig
-    config_b: JobConfig
-
-    @property
-    def global_index(self) -> int:
-        return self.offset + self.local_index
+    a, b, node, constants = item
+    return sweep_pair(a, b, node=node, constants=constants)
 
 
 def _pair_best_task(
-    item: tuple[int, AppInstance, AppInstance, tuple[float, ...], NodeSpec, SimConstants]
-) -> _BestOfChunk:
-    """Sweep one frequency chunk but ship back only its optimum.
-
-    ``offset`` lets the merge reproduce the exact tie-breaking of
-    ``np.argmin`` over the full grid (first occurrence wins).
-    """
-    offset, a, b, freqs_a, node, constants = item
-    sweep = sweep_pair(a, b, node=node, constants=constants, freqs_a=freqs_a)
+    item: tuple[AppInstance, AppInstance, NodeSpec, SimConstants]
+) -> PairSweepBest:
+    """Sweep one pair but ship back only its optimum."""
+    a, b, node, constants = item
+    sweep = sweep_pair(a, b, node=node, constants=constants)
     i = sweep.best_index
-    cfg_a, cfg_b = sweep.configs_at(i)
-    return _BestOfChunk(
-        offset=offset,
-        local_index=i,
+    return PairSweepBest(
+        instance_a=a,
+        instance_b=b,
+        best_index=i,
         best_edp=float(sweep.edp[i]),
-        config_a=cfg_a,
-        config_b=cfg_b,
+        best_configs=sweep.configs_at(i),
     )
 
 
@@ -156,18 +125,13 @@ class PairSweepBest:
 
 
 class SweepExecutor:
-    """Fans sweep batches out over a process pool.
+    """Fans sweep batches out over a process pool, one task per item.
 
     Parameters
     ----------
     workers:
         Process count; ``None`` reads :data:`WORKERS_ENV` (default 1 =
         serial inline execution), ``0`` means one per CPU core.
-    freq_chunk:
-        Frequency levels of the first application per pair-sweep task.
-        Smaller chunks mean more, smaller tasks (better balance, more
-        IPC).  The default of half the DVFS ladder gives 2 tasks per
-        pair on the Atom's 4-level ladder.
     telemetry:
         Optional :class:`SweepTelemetry` receiving per-task worker wall
         times, batch walls, and artifact-cache deltas.
@@ -177,20 +141,15 @@ class SweepExecutor:
         self,
         workers: int | None = None,
         *,
-        freq_chunk: int | None = None,
         telemetry: SweepTelemetry | None = None,
         tracer=None,
     ) -> None:
         self.workers = worker_count(workers)
-        if freq_chunk is not None and freq_chunk < 1:
-            raise ValueError(f"freq_chunk must be >= 1, got {freq_chunk}")
-        self.freq_chunk = freq_chunk
         self.telemetry = telemetry
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Wall-clock origin for trace spans (sweep time is real time,
         # unlike the engine's simulated seconds).
         self._wall0 = time.perf_counter()
-        self._batches = 0
         if self.tracer.enabled:
             self.tracer.name_process(SWEEP_PID, "sweep executor")
 
@@ -249,7 +208,6 @@ class SweepExecutor:
             self.telemetry.record_cache(hits1 - hits0, misses1 - misses0)
             self.telemetry.record_batch(time.perf_counter() - t0)
         if self.tracer.enabled:
-            self._batches += 1
             self.tracer.span(
                 f"batch {getattr(fn, '__name__', 'task')} x{len(items)}",
                 "sweep",
@@ -278,13 +236,6 @@ class SweepExecutor:
             tid=tid,
         )
 
-    def _freq_chunks(self, node: NodeSpec) -> list[tuple[float, ...]]:
-        freqs = tuple(node.frequencies)
-        size = self.freq_chunk
-        if size is None:
-            size = max(1, len(freqs) // 2)
-        return [freqs[i : i + size] for i in range(0, len(freqs), size)]
-
     # -------------------------------------------------------- batches
     def sweep_solos(
         self,
@@ -303,32 +254,8 @@ class SweepExecutor:
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
     ) -> list[PairSweepResult]:
-        """Full pair sweeps, chunked by (pair, frequency block).
-
-        Results are bit-identical to calling :func:`sweep_pair` on each
-        pair serially (same array order, same ``best_index``).
-        """
-        pairs = list(pairs)
-        if self.workers == 1:
-            # Inline fast path: no chunk-merge copies; the equivalence
-            # test pins the chunked path to this result exactly.
-            return self.map(
-                _pair_chunk_task,
-                [(a, b, None, node, constants) for a, b in pairs],
-            )
-        chunks = self._freq_chunks(node)
-        tasks = [
-            (a, b, chunk, node, constants)
-            for a, b in pairs
-            for chunk in chunks
-        ]
-        results = self.map(_pair_chunk_task, tasks)
-        merged = []
-        for i in range(len(pairs)):
-            merged.append(
-                merge_pair_sweeps(results[i * len(chunks) : (i + 1) * len(chunks)])
-            )
-        return merged
+        """Full 2,800-point pair sweeps, one task per pair."""
+        return self.map(_pair_task, [(a, b, node, constants) for a, b in pairs])
 
     def sweep_pairs_best(
         self,
@@ -339,44 +266,8 @@ class SweepExecutor:
     ) -> list[PairSweepBest]:
         """Per-pair optima only — the cheap path for database builds.
 
-        Workers ship back a few hundred bytes per chunk instead of the
-        ~1 MB full metric arrays; the reduction reproduces the exact
-        first-occurrence tie-breaking of a full-grid ``argmin``.
+        One full-grid sweep per pair, as :meth:`sweep_pairs` runs, but
+        workers ship back under 1 KB per pair instead of the ~1 MB
+        metric arrays.
         """
-        pairs = list(pairs)
-        chunks = self._freq_chunks(node)
-        # Offsets need the per-chunk grid sizes; a chunk covers the
-        # full grid length scaled by its share of the frequency axis.
-        from repro.model.config import pair_config_grid
-
-        full_len = len(pair_config_grid(node)[0])
-        per_level = full_len // len(tuple(node.frequencies))
-
-        tasks = []
-        for a, b in pairs:
-            offset = 0
-            for chunk in chunks:
-                tasks.append((offset, a, b, chunk, node, constants))
-                offset += per_level * len(chunk)
-        bests = self.map(_pair_best_task, tasks)
-        out = []
-        n_chunks = len(chunks)
-        for i, (a, b) in enumerate(pairs):
-            parts = bests[i * n_chunks : (i + 1) * n_chunks]
-            edps = np.array([p.best_edp for p in parts])
-            # np.argmin over the full grid returns the *first* global
-            # index achieving the minimum; replicate that tie-breaking.
-            winner = min(
-                (p for p in parts if p.best_edp == edps.min()),
-                key=lambda p: p.global_index,
-            )
-            out.append(
-                PairSweepBest(
-                    instance_a=a,
-                    instance_b=b,
-                    best_index=winner.global_index,
-                    best_edp=winner.best_edp,
-                    best_configs=(winner.config_a, winner.config_b),
-                )
-            )
-        return out
+        return self.map(_pair_best_task, [(a, b, node, constants) for a, b in pairs])

@@ -27,12 +27,6 @@ class AdmissionDecision:
     accepted: bool
     reason: str | None = None  # None when accepted
 
-    def as_ack(self) -> dict:
-        out: dict = {"accepted": self.accepted}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
 
 _ACCEPT = AdmissionDecision(True)
 #: A token short of 1.0 by a float ulp still admits: the bucket is

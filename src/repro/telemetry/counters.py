@@ -384,17 +384,6 @@ class BatchTelemetry(Counters):
         self.kernel_calls += 1
         self.kernel_lanes += lanes
 
-    def merge(self, other: "BatchTelemetry") -> "BatchTelemetry":
-        """Fold another telemetry object into this one (returns self)."""
-        self.scenarios += other.scenarios
-        self.batched += other.batched
-        self.fallbacks += other.fallbacks
-        self.kernel_calls += other.kernel_calls
-        self.kernel_lanes += other.kernel_lanes
-        for case, n in other.by_case.items():
-            self.by_case[case] = self.by_case.get(case, 0) + n
-        return self
-
     # -- derived -------------------------------------------------------
     @property
     def batched_rate(self) -> float | None:

@@ -26,13 +26,6 @@ class AppClass(enum.Enum):
     IO = "I"
     MEMORY = "M"
 
-    @classmethod
-    def from_code(cls, code: str) -> "AppClass":
-        for member in cls:
-            if member.value == code.upper():
-                return member
-        raise ValueError(f"unknown application class code {code!r}")
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -90,6 +90,18 @@ def test_matrix_batch_agrees_with_oracles():
         assert _rel(b.edp, expected.edp) < REL_TOL
 
 
+def test_slice_size_does_not_change_outcomes():
+    """The batch solvers are lane-wise: consecutive slices of the
+    matrix, each its own call, give one whole call's outcomes byte for
+    byte."""
+    whole = evaluate_scenarios(_MATRIX, backend="batch")
+    for size in (7, 16, 50, 10_000):
+        sliced = []
+        for lo in range(0, len(_MATRIX), size):
+            sliced.extend(evaluate_scenarios(_MATRIX[lo : lo + size], backend="batch"))
+        assert sliced == whole
+
+
 def test_matrix_pack_unpack_round_trip():
     batch = ScenarioBatch.from_scenarios(list(_MATRIX))
     assert len(batch) == len(_MATRIX)
@@ -163,16 +175,13 @@ def test_colocation_context_soa_refuses_wide_and_invalid_sets():
         )
 
 
-def test_telemetry_merge_and_snapshot():
+def test_telemetry_snapshot():
     a = BatchTelemetry()
     a.record_scenario("single", "batch", False)
     a.record_kernel(3)
-    b = BatchTelemetry()
-    b.record_scenario("pair", "event", True)
-    b.record_scenario("single", "batch", False)
-    b.record_kernel(1)
-    merged = a.merge(b)
-    assert merged is a
+    a.record_scenario("pair", "event", True)
+    a.record_scenario("single", "batch", False)
+    a.record_kernel(1)
     assert a.scenarios == 3 and a.fallbacks == 1 and a.batched == 2
     assert a.by_case == {"single": 2, "pair": 1}
     snap = a.as_dict()

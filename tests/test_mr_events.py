@@ -39,31 +39,30 @@ def test_cannot_schedule_in_the_past():
         q.schedule(4.0, "y")
 
 
-def test_cancel_skips_event():
-    q = EventQueue()
-    h = q.schedule(1.0, "dead")
-    q.schedule(2.0, "alive")
-    q.cancel(h)
-    assert q.pop()[1] == "alive"
-    assert q.pop() is None
-
-
 def test_len_counts_live_events():
     q = EventQueue()
-    h = q.schedule(1.0, "a")
+    assert len(q) == 0
+    q.schedule(1.0, "a")
     q.schedule(2.0, "b")
     assert len(q) == 2
-    q.cancel(h)
+    q.pop()
     assert len(q) == 1
+    q.pop()
+    assert len(q) == 0
+    assert q.pop() is None
 
 
 def test_peek_time():
     q = EventQueue()
     assert q.peek_time() is None
-    h = q.schedule(1.0, "a")
     q.schedule(2.0, "b")
-    q.cancel(h)
+    q.schedule(1.0, "a")
+    assert q.peek_time() == 1.0
+    assert q.now == 0.0  # peeking does not advance the clock
+    q.pop()
     assert q.peek_time() == 2.0
+    q.pop()
+    assert q.peek_time() is None
 
 
 def test_run_until():

@@ -191,6 +191,39 @@ class TestRelearn:
             t=3.0, desc_a=desc, desc_b=desc, inst_a=inst, inst_b=inst
         )
 
+    def test_first_sight_refuses_non_finite_descriptor(
+        self, fitted_stp, small_dataset
+    ):
+        """A non-finite descriptor feature during a learning period is a
+        counted refusal, not NaN rows that make every later refit raise."""
+        from dataclasses import replace
+
+        online = OnlineSTP(fitted_stp, dataset=small_dataset, relearn_rows=32)
+        online.refit(t=1.0, reason="manual")  # opens the budget
+        inst_a = AppInstance(get_app("km"), 10 * GB)
+        inst_b = AppInstance(get_app("cf"), 10 * GB)
+        desc_a = describe_instance(inst_a)
+        desc_b = describe_instance(inst_b)
+        bad_b = replace(desc_b, features=dict(desc_b.features, ipc=float("nan")))
+        window_before = online._window.arrays()
+        manifold_before = online.stp.train_features_.copy()
+        budget_before = online._learning_budget
+        assert not online.observe_pair(
+            t=2.0, desc_a=desc_a, desc_b=bad_b, inst_a=inst_a, inst_b=inst_b
+        )
+        assert online.telemetry.skipped_rows == 1
+        assert online.telemetry.relearn_sweeps == 0
+        window_after = online._window.arrays()
+        assert all(np.array_equal(a, b) for a, b in zip(window_after, window_before))
+        assert np.array_equal(online.stp.train_features_, manifold_before)
+        assert online._learning_budget == budget_before
+        assert online.refit(t=3.0, reason="manual") is True
+        # Not marked as swept: the pair with a finite descriptor is learned.
+        assert online.observe_pair(
+            t=4.0, desc_a=desc_a, desc_b=desc_b, inst_a=inst_a, inst_b=inst_b
+        )
+        assert online.telemetry.relearn_sweeps == 1
+
     def test_refit_extends_projection_manifold(self, fitted_stp, small_dataset):
         online = OnlineSTP(fitted_stp, dataset=small_dataset, relearn_rows=32)
         rows_before = online.stp.train_features_.shape[0]

@@ -1,4 +1,4 @@
-"""Parallel sweep executor: determinism, chunk-merge, telemetry.
+"""Parallel sweep executor: determinism, telemetry.
 
 The load-bearing property is *bit-identical equivalence*: every array
 and every chosen configuration from the process-pool path must equal
@@ -15,9 +15,7 @@ import pytest
 
 from repro.core.database import build_database
 from repro.core.stp import SoloSTP, build_training_dataset
-from repro.hardware.node import ATOM_C2758
-from repro.model.config import pair_config_grid
-from repro.model.sweep import merge_pair_sweeps, sweep_pair, sweep_solo
+from repro.model.sweep import sweep_pair, sweep_solo
 from repro.parallel import WORKERS_ENV, SweepExecutor, worker_count
 from repro.telemetry.counters import SweepTelemetry
 from repro.utils.units import GB
@@ -68,13 +66,18 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             worker_count(-1)
 
-    def test_bad_freq_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(1, freq_chunk=0)
-
 
 def _square(x: int) -> int:
     return x * x
+
+
+FAULT_KWARGS = dict(rates=(0.0, 5.0), n_jobs=24, mean_interarrival_s=4.0, n_nodes=3)
+
+
+def _fault_replica(fault_seed: int):
+    from repro.experiments.fault_tolerance import run_fault_tolerance
+
+    return run_fault_tolerance(fault_seed=fault_seed, **FAULT_KWARGS)
 
 
 class TestMap:
@@ -87,42 +90,12 @@ class TestMap:
     def test_empty(self):
         assert SweepExecutor(2).map(_square, []) == []
 
-
-class TestChunkMerge:
-    def test_freqs_a_chunks_concatenate_to_full_grid(self):
-        node = ATOM_C2758
-        full = pair_config_grid(node)
-        parts = [pair_config_grid(node, freqs_a=[f]) for f in node.frequencies]
-        for axis in range(6):
-            merged = np.concatenate([p[axis] for p in parts])
-            assert np.array_equal(merged, full[axis])
-
-    def test_merged_chunks_bit_identical_to_full_sweep(self, small_pairs):
-        a, b = small_pairs[0]
-        full = sweep_pair(a, b)
-        chunks = [
-            sweep_pair(a, b, freqs_a=[f]) for f in ATOM_C2758.frequencies
-        ]
-        merged = merge_pair_sweeps(chunks)
-        assert np.array_equal(merged.edp, full.edp)
-        assert merged.best_index == full.best_index
-        assert merged.best_configs == full.best_configs
-        for name in ("freq_a", "block_a", "mappers_a", "freq_b", "block_b", "mappers_b"):
-            assert np.array_equal(getattr(merged, name), getattr(full, name))
-
-    def test_single_chunk_passthrough(self, small_pairs):
-        a, b = small_pairs[0]
-        sweep = sweep_pair(a, b)
-        assert merge_pair_sweeps([sweep]) is sweep
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            merge_pair_sweeps([])
-
-    def test_mismatched_pairs_rejected(self, small_pairs):
-        (a, b), (c, d) = small_pairs[0], small_pairs[1]
-        with pytest.raises(ValueError, match="different pairs"):
-            merge_pair_sweeps([sweep_pair(a, b), sweep_pair(c, d)])
+    def test_fault_replicas_equal_direct_calls(self):
+        """An engine run with injected faults in a pool worker equals
+        the direct call: the property fig9's pooled cells rely on."""
+        seeds = (7, 11)
+        pooled = SweepExecutor(2).map(_fault_replica, seeds)
+        assert pooled == [_fault_replica(seed) for seed in seeds]
 
 
 class TestParallelSerialEquivalence:
@@ -130,7 +103,7 @@ class TestParallelSerialEquivalence:
 
     def test_pair_sweeps(self, small_pairs):
         serial = SweepExecutor(1).sweep_pairs(small_pairs)
-        parallel = SweepExecutor(2, freq_chunk=1).sweep_pairs(small_pairs)
+        parallel = SweepExecutor(2).sweep_pairs(small_pairs)
         for s, p in zip(serial, parallel):
             assert np.array_equal(s.edp, p.edp)
             assert np.array_equal(s.metrics.energy, p.metrics.energy)
@@ -141,7 +114,7 @@ class TestParallelSerialEquivalence:
     def test_pair_bests(self, small_pairs):
         direct = [sweep_pair(a, b) for a, b in small_pairs]
         for workers in (1, 2):
-            bests = SweepExecutor(workers, freq_chunk=1).sweep_pairs_best(small_pairs)
+            bests = SweepExecutor(workers).sweep_pairs_best(small_pairs)
             for ref, best in zip(direct, bests):
                 assert best.best_index == ref.best_index
                 assert best.best_edp == ref.best_edp
@@ -157,7 +130,7 @@ class TestParallelSerialEquivalence:
     def test_build_database(self, small_instances):
         db_serial, _ = build_database(small_instances, executor=SweepExecutor(1))
         db_parallel, _ = build_database(
-            small_instances, executor=SweepExecutor(2, freq_chunk=1)
+            small_instances, executor=SweepExecutor(2)
         )
         assert db_serial.entries == db_parallel.entries
 
@@ -175,7 +148,7 @@ class TestParallelSerialEquivalence:
             small_instances,
             rows_per_pair=50,
             seed=0,
-            executor=SweepExecutor(2, freq_chunk=1),
+            executor=SweepExecutor(2),
         )
         assert np.array_equal(serial.X, parallel.X)
         assert np.array_equal(serial.y, parallel.y)
@@ -212,7 +185,7 @@ class TestExperimentDrivers:
             techniques={"LkT": LkTSTP(small_database)},
         )
         serial = run_table2(executor=SweepExecutor(1), **kwargs)
-        parallel = run_table2(executor=SweepExecutor(2, freq_chunk=1), **kwargs)
+        parallel = run_table2(executor=SweepExecutor(2), **kwargs)
         assert serial == parallel
 
 
@@ -228,9 +201,8 @@ class TestTelemetry:
 
     def test_parallel_workers_visible(self, small_pairs):
         tel = SweepTelemetry()
-        SweepExecutor(2, freq_chunk=1, telemetry=tel).sweep_pairs(small_pairs)
-        # 4 frequency chunks per pair
-        assert tel.n_tasks == 4 * len(small_pairs)
+        SweepExecutor(2, telemetry=tel).sweep_pairs(small_pairs)
+        assert tel.n_tasks == len(small_pairs)  # one task per pair
         assert tel.task_wall_s > 0.0
 
     def test_cache_delta_recorded(self, tmp_path, monkeypatch):

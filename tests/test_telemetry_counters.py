@@ -25,7 +25,6 @@ from repro.conformance.scenarios import oracle_matrix
 from repro.faults import FaultInjector, InjectionPlan
 from repro.mapreduce.engine import ClusterEngine
 from repro.service import ClusterService, ServiceConfig, seeded_requests
-from repro.shard import evaluate_scenarios_sharded
 from repro.telemetry.counters import (
     BatchTelemetry,
     EngineTelemetry,
@@ -145,15 +144,15 @@ def _online_fields() -> dict:
 
 
 def _batch() -> tuple[dict, dict]:
-    """``evaluate_scenarios`` over the oracle matrix, unsharded and in
-    shards of 16 (one kernel pass per shard and class)."""
+    """``evaluate_scenarios`` over the oracle matrix, in one call and in
+    consecutive slices of 16 sharing one telemetry (one kernel pass per
+    slice and class)."""
     matrix = oracle_matrix()
     serial = BatchTelemetry()
     evaluate_scenarios(matrix, backend="batch", telemetry=serial)
     sharded = BatchTelemetry()
-    evaluate_scenarios_sharded(
-        matrix, backend="batch", telemetry=sharded, shard_size=16, workers=1
-    )
+    for lo in range(0, len(matrix), 16):
+        evaluate_scenarios(matrix[lo : lo + 16], backend="batch", telemetry=sharded)
     return _numeric(serial.as_dict()), _numeric(sharded.as_dict())
 
 

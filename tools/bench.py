@@ -407,21 +407,6 @@ def _op_service_http_2k():
     return run
 
 
-def _op_sharded_sweep():
-    from repro.shard import evaluate_scenarios_sharded
-
-    scenarios = _batch_sweep_scenarios()
-
-    def run():
-        outcomes = evaluate_scenarios_sharded(
-            scenarios, backend="batch", workers=2
-        )
-        assert len(outcomes) == 4096
-        assert not any(o.fallback for o in outcomes)
-
-    return run
-
-
 def _op_online_relearn():
     from repro.online.scenario import run_drift_scenario
 
@@ -502,7 +487,6 @@ OPS: dict[str, tuple] = {
     "bench_ecost_steady_1k": (_op_ecost_steady_1k, False),
     "bench_steady_state_256node": (_op_steady_state_256node, False),
     "bench_placement_100k_jobs": (_op_placement_100k_jobs, False),
-    "bench_sharded_sweep": (_op_sharded_sweep, False),
 }
 
 
