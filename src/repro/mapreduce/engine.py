@@ -90,91 +90,162 @@ class IntervalRecord:
 
 
 # ------------------------------------------------------------- recorders
-class _WindowIndex:
+#: Default retained-segment bound of the streaming recorder.
+STREAMING_RECORDER_BOUND = 4096
+
+
+class _SegmentWindow:
     """Indexed (busy energy, busy seconds) window queries over segments.
 
-    Segments arrive in time order and never overlap, so a window query
-    needs only the overlapping run ``[i, j)`` — found by bisection —
-    instead of the full linear scan the recorders used to pay per
-    query (O(segments) each, O(samples × segments) for a 1 Hz
-    resampling pass).  Two paths, both bit-identical to the scan:
+    Segments arrive in time order and never overlap (a node records
+    ``[clock, t]`` only for ``t > clock``, and its clock never moves
+    back), so out-of-order input is refused, and a window query needs
+    only the overlapping run ``[i, j)``, found by bisection.  Two
+    paths, both bit-identical to a linear scan over every segment:
 
     * **head-anchored prefix sums** — a window covering the trace head
       reads the running prefix sums directly (they were accumulated in
       the same left-to-right order the scan adds in, so the floats
       match bit for bit) plus one partial tail segment: O(log n);
     * **bounded scan** — an interior window scans only ``[i, j)``; the
-      skipped segments contributed nothing to the old scan, so the
+      skipped segments contributed nothing to the scan, so the
       additions performed are exactly the same: O(log n + overlap).
 
     Interior windows cannot use prefix-sum *differences*: subtracting
     two rounded partial sums re-associates the float additions and
     drifts from the scan by an ulp — enough to break the byte-identity
     the golden suite pins.
+
+    ``bound=None`` keeps every segment.  A bound keeps only the newest
+    ``bound`` segments; older ones collapse into running (energy,
+    seconds) totals — the global prefix sums at the drop point, same
+    additions in the same order — so a head-anchored window covering
+    the dropped region, or a window over retained segments only, gets
+    the unbounded answer bit for bit.  A window whose edge falls
+    *inside* the dropped region cannot be reconstructed and raises
+    ``RuntimeError``: the caller asked for history the bound
+    discarded, and a silently-wrong answer would be worse.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, bound: int | None = None) -> None:
+        if bound is not None and bound < 1:
+            raise ValueError("streaming recorder bound must be >= 1")
+        self.bound = bound
         self.starts: list[float] = []
         self.ends: list[float] = []
         self.watts: list[float] = []
-        self._cum_energy: list[float] = []
+        self._cum_energy: list[float] = []  # global prefix incl. drops
         self._cum_time: list[float] = []
-        self._ordered = True
+        self._lo = 0  # first retained physical slot
+        self.dropped = 0
+        self._dropped_energy = 0.0
+        self._dropped_time = 0.0
+        self._drop_end = float("-inf")  # end of the last dropped segment
+        self._first_start: float | None = None
 
-    def add(self, start: float, end: float, watts: float) -> None:
-        if self.ends and start < self.ends[-1]:
-            self._ordered = False
-        prev_e = self._cum_energy[-1] if self._cum_energy else 0.0
-        prev_t = self._cum_time[-1] if self._cum_time else 0.0
+    @property
+    def retained(self) -> int:
+        return len(self.starts) - self._lo
+
+    def add(self, start: float, end: float, watts: float) -> bool:
+        """Append one segment; True when the bound dropped the oldest."""
+        ends = self.ends
+        if ends:
+            if start < ends[-1]:
+                raise RuntimeError(
+                    "interval recorder requires time-ordered segments"
+                )
+            prev_e = self._cum_energy[-1]
+            prev_t = self._cum_time[-1]
+        else:
+            self._first_start = start
+            prev_e = prev_t = 0.0
         self.starts.append(start)
-        self.ends.append(end)
+        ends.append(end)
         self.watts.append(watts)
         self._cum_energy.append(prev_e + watts * (end - start))
         self._cum_time.append(prev_t + (end - start))
+        bound = self.bound
+        if bound is None or len(ends) - self._lo <= bound:
+            return False
+        lo = self._lo
+        # The global prefix sums *are* the dropped totals: same
+        # additions, same order as an unbounded window performed.
+        self._dropped_energy = self._cum_energy[lo]
+        self._dropped_time = self._cum_time[lo]
+        self._drop_end = ends[lo]
+        self.dropped += 1
+        self._lo = lo + 1
+        if self._lo > 2 * bound:
+            del self.starts[: self._lo]
+            del ends[: self._lo]
+            del self.watts[: self._lo]
+            del self._cum_energy[: self._lo]
+            del self._cum_time[: self._lo]
+            self._lo = 0
+        return True
 
-    def _scan(self, lo_i: int, hi_i: int, t0: float, t1: float) -> tuple[float, float]:
-        busy = 0.0
-        covered = 0.0
-        for k in range(lo_i, hi_i):
-            lo, hi = max(self.starts[k], t0), min(self.ends[k], t1)
-            if hi > lo:
-                busy += self.watts[k] * (hi - lo)
-                covered += hi - lo
+    def _head(self, j: int, t0: float, t1: float) -> tuple[float, float]:
+        """Head-anchored read: the dropped segments and retained
+        ``[lo, j-1)`` lie fully inside the window, so their global
+        prefix sum is read directly; only segment ``j-1`` can be cut."""
+        if j - 1 > self._lo:
+            busy = self._cum_energy[j - 2]
+            covered = self._cum_time[j - 2]
+        else:
+            busy = self._dropped_energy
+            covered = self._dropped_time
+        s0 = max(self.starts[j - 1], t0)
+        s1 = min(self.ends[j - 1], t1)
+        if s1 > s0:
+            busy += self.watts[j - 1] * (s1 - s0)
+            covered += s1 - s0
         return busy, covered
 
-    def query(self, t0: float, t1: float) -> tuple[float, float]:
-        n = len(self.starts)
-        if n == 0:
+    def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
+        """(busy energy, busy seconds) overlapping ``[t0, t1]``."""
+        if self._first_start is None:
             return 0.0, 0.0
-        if not self._ordered:
-            return self._scan(0, n, t0, t1)
-        i = bisect_right(self.ends, t0)  # first segment with end > t0
-        j = bisect_left(self.starts, t1)  # first segment with start >= t1
+        lo, n = self._lo, len(self.starts)
+        if self.dropped:
+            if t1 <= self._first_start:
+                return 0.0, 0.0
+            if t0 <= self._first_start and t1 >= self._drop_end:
+                # Every dropped segment lies inside the window.
+                j = bisect_left(self.starts, t1, lo, n)
+                if j <= lo:
+                    return self._dropped_energy, self._dropped_time
+                return self._head(j, t0, t1)
+            if t0 < self._drop_end:
+                raise RuntimeError(
+                    "window predates the streaming recorder's retention "
+                    f"bound ({self.bound} segments); use recorder='full'"
+                )
+        i = bisect_right(self.ends, t0, lo, n)  # first retained end > t0
+        j = bisect_left(self.starts, t1, lo, n)  # first retained start >= t1
         if i >= j:
             return 0.0, 0.0
-        if i == 0 and t0 <= self.starts[0]:
-            # Head-anchored: segments [0, j-1) lie fully inside the
-            # window, so their contribution is the running prefix sum;
-            # only the last overlapping segment can be cut by t1.
-            busy = self._cum_energy[j - 2] if j >= 2 else 0.0
-            covered = self._cum_time[j - 2] if j >= 2 else 0.0
-            lo = max(self.starts[j - 1], t0)
-            hi = min(self.ends[j - 1], t1)
-            if hi > lo:
-                busy += self.watts[j - 1] * (hi - lo)
-                covered += hi - lo
-            return busy, covered
-        return self._scan(i, j, t0, t1)
+        if not self.dropped and i == 0 and t0 <= self.starts[0]:
+            return self._head(j, t0, t1)
+        busy = 0.0
+        covered = 0.0
+        for k in range(i, j):
+            s0, s1 = max(self.starts[k], t0), min(self.ends[k], t1)
+            if s1 > s0:
+                busy += self.watts[k] * (s1 - s0)
+                covered += s1 - s0
+        return busy, covered
 
 
-class FullIntervalRecorder:
-    """Default recorder: one :class:`IntervalRecord` per segment."""
+class FullIntervalRecorder(_SegmentWindow):
+    """Default recorder: the window plus one :class:`IntervalRecord`
+    per segment."""
 
     mode = "full"
 
     def __init__(self) -> None:
+        super().__init__()
         self.intervals: list[IntervalRecord] = []
-        self._index = _WindowIndex()
 
     def record(
         self,
@@ -187,6 +258,7 @@ class FullIntervalRecorder:
         u_net: float,
         u_mem: float,
     ) -> None:
+        self.add(start, end, watts)
         self.intervals.append(
             IntervalRecord(
                 node_id=engine.node_id,
@@ -209,56 +281,21 @@ class FullIntervalRecorder:
                 ),
             )
         )
-        self._index.add(start, end, watts)
         engine.telemetry.record_segment(engine.node_id)
 
-    def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
-        """(busy energy, busy seconds) overlapping ``[t0, t1]``."""
-        return self._index.query(t0, t1)
 
+class ColumnarIntervalRecorder(_SegmentWindow):
+    """Memory-lean recorder: the window alone, no per-job records.
 
-class ColumnarIntervalRecorder:
-    """Memory-lean recorder: parallel scalar columns, no per-job tuples.
-
-    Long streaming runs accumulate one Python float per column per
-    segment instead of an :class:`IntervalRecord` with three tuples —
-    windowed energy queries still work, job-level trace reconstruction
+    Windowed energy queries still work; job-level trace reconstruction
     does not.
     """
 
     mode = "columnar"
 
-    def __init__(self) -> None:
-        self._index = _WindowIndex()
-        self.stretch: list[float] = []
-        self.u_disk: list[float] = []
-        self.u_net: list[float] = []
-        self.u_mem: list[float] = []
-        self.n_jobs: list[int] = []
-
-    @property
-    def starts(self) -> list[float]:
-        return self._index.starts
-
-    @property
-    def ends(self) -> list[float]:
-        return self._index.ends
-
-    @property
-    def power_watts(self) -> list[float]:
-        return self._index.watts
-
     def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
-        self._index.add(start, end, watts)
-        self.stretch.append(stretch)
-        self.u_disk.append(u_disk)
-        self.u_net.append(u_net)
-        self.u_mem.append(u_mem)
-        self.n_jobs.append(len(engine.running))
+        self.add(start, end, watts)
         engine.telemetry.record_segment(engine.node_id)
-
-    def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
-        return self._index.query(t0, t1)
 
 
 class NullIntervalRecorder:
@@ -276,149 +313,29 @@ class NullIntervalRecorder:
         )
 
 
-#: Default retained-segment bound of the streaming recorder.
-STREAMING_RECORDER_BOUND = 4096
-
-
-class StreamingIntervalRecorder:
-    """Bounded recorder: a sliding window of recent segments.
+class StreamingIntervalRecorder(_SegmentWindow):
+    """Bounded recorder: the window with a bound.
 
     Long steady-state runs at 256+ nodes accumulate millions of
     segments under the full/columnar recorders — unbounded memory for
     traces nothing reads.  This recorder retains only the newest
-    ``bound`` segments per node; older ones collapse into running
-    (energy, seconds) totals accumulated left-to-right, in exactly the
-    addition order the full recorder's prefix sums use, so every query
-    it *can* answer is bit-identical to the full recorder's answer:
-
-    * head-anchored windows whose right edge is past the dropped
-      region read ``dropped totals + retained prefix``, which is the
-      same float sequence as the full recorder's running prefix sum;
-    * interior windows entirely over retained segments use the same
-      bounded scan.
-
-    A window whose edge falls *inside* the dropped region cannot be
-    reconstructed and raises ``RuntimeError`` — the caller asked for
-    history the bound discarded, and a silently-wrong answer would be
-    worse.  Full-horizon ``energy_between`` never reaches a recorder
-    (node prefix sums answer it), so bounded retention is invisible to
-    the standard energy accounting.
+    ``bound`` segments per node and answers every window the bound
+    kept bit-identically to the full recorder (see
+    :class:`_SegmentWindow`).  Full-horizon ``energy_between`` never
+    reaches a recorder (node prefix sums answer it), so bounded
+    retention is invisible to the standard energy accounting.
     """
 
     mode = "streaming"
 
     def __init__(self, bound: int = STREAMING_RECORDER_BOUND) -> None:
-        if bound < 1:
-            raise ValueError("streaming recorder bound must be >= 1")
-        self.bound = bound
-        self.starts: list[float] = []
-        self.ends: list[float] = []
-        self.watts: list[float] = []
-        self._cum_energy: list[float] = []  # global prefix incl. drops
-        self._cum_time: list[float] = []
-        self._lo = 0  # first retained physical slot
-        self.dropped = 0
-        self._dropped_energy = 0.0
-        self._dropped_time = 0.0
-        self._drop_end = float("-inf")  # end of the last dropped segment
-        self._first_start: float | None = None
-
-    @property
-    def retained(self) -> int:
-        return len(self.starts) - self._lo
+        super().__init__(bound)
 
     def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
-        if self.starts and start < self.ends[-1]:
-            raise RuntimeError(
-                "streaming recorder requires time-ordered segments"
-            )
-        if self._first_start is None:
-            self._first_start = start
-        prev_e = self._cum_energy[-1] if self._cum_energy else 0.0
-        prev_t = self._cum_time[-1] if self._cum_time else 0.0
-        self.starts.append(start)
-        self.ends.append(end)
-        self.watts.append(watts)
-        self._cum_energy.append(prev_e + watts * (end - start))
-        self._cum_time.append(prev_t + (end - start))
+        dropped = self.add(start, end, watts)
         engine.telemetry.record_segment(engine.node_id)
-        if self.retained > self.bound:
-            lo = self._lo
-            # The global prefix sums *are* the dropped totals: same
-            # additions, same order as the full recorder performed.
-            self._dropped_energy = self._cum_energy[lo]
-            self._dropped_time = self._cum_time[lo]
-            self._drop_end = self.ends[lo]
-            self.dropped += 1
-            self._lo = lo + 1
+        if dropped:
             engine.telemetry.record_segments_dropped(engine.node_id)
-            if self._lo > 2 * self.bound:
-                del self.starts[: self._lo]
-                del self.ends[: self._lo]
-                del self.watts[: self._lo]
-                del self._cum_energy[: self._lo]
-                del self._cum_time[: self._lo]
-                self._lo = 0
-
-    def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
-        lo, n = self._lo, len(self.starts)
-        if self._first_start is None:
-            return 0.0, 0.0
-        head = False
-        if self.dropped:
-            if t1 <= self._first_start:
-                return 0.0, 0.0
-            if t0 <= self._first_start and t1 >= self._drop_end:
-                head = True  # every dropped segment lies inside the window
-            elif t0 < self._drop_end:
-                raise RuntimeError(
-                    "window predates the streaming recorder's retention "
-                    f"bound ({self.bound} segments); use recorder='full'"
-                )
-        i = bisect_right(self.ends, t0, lo, n)  # first retained end > t0
-        j = bisect_left(self.starts, t1, lo, n)  # first retained start >= t1
-        if head:
-            if j <= lo:
-                # Covers all dropped segments, overlaps no retained one.
-                return self._dropped_energy, self._dropped_time
-            # Head-anchored: dropped segments plus retained [lo, j-1)
-            # lie fully inside; read the global prefix sum directly
-            # (bit-identical to the full recorder's prefix path, whose
-            # running sums were accumulated in the same order).
-            if j - 1 > lo:
-                busy = self._cum_energy[j - 2]
-                covered = self._cum_time[j - 2]
-            else:
-                busy = self._dropped_energy
-                covered = self._dropped_time
-            s0 = max(self.starts[j - 1], t0)
-            s1 = min(self.ends[j - 1], t1)
-            if s1 > s0:
-                busy += self.watts[j - 1] * (s1 - s0)
-                covered += s1 - s0
-            return busy, covered
-        if i >= j:
-            return 0.0, 0.0
-        if not self.dropped and i == lo and t0 <= self.starts[lo]:
-            # Nothing dropped yet (so lo == 0 and the global prefix
-            # sums cover exactly the retained run): the full recorder's
-            # head-anchored path, unchanged.
-            busy = self._cum_energy[j - 2] if j - 1 > lo else 0.0
-            covered = self._cum_time[j - 2] if j - 1 > lo else 0.0
-            s0 = max(self.starts[j - 1], t0)
-            s1 = min(self.ends[j - 1], t1)
-            if s1 > s0:
-                busy += self.watts[j - 1] * (s1 - s0)
-                covered += s1 - s0
-            return busy, covered
-        busy = 0.0
-        covered = 0.0
-        for k in range(i, j):
-            s0, s1 = max(self.starts[k], t0), min(self.ends[k], t1)
-            if s1 > s0:
-                busy += self.watts[k] * (s1 - s0)
-                covered += s1 - s0
-        return busy, covered
 
 
 _RECORDERS: dict[str, Callable[[], object]] = {
@@ -1133,12 +1050,7 @@ class ClusterEngine:
         self.scheduler: SchedulerFn = scheduler or fifo_first_fit
         self._events = EventQueue()
         self._clock = 0.0
-        self._group_sizes: dict[int, int] = {}
-        self._group_done: dict[int, int] = {}
-        self._free_index = FreeCoreIndex(
-            [n.free_cores for n in self.nodes],
-            classes=self.node_class_tags if self.heterogeneous else None,
-        )
+        self._free_index = FreeCoreIndex([n.free_cores for n in self.nodes])
         for nd in self.nodes:
             nd.capacity_listener = self._on_capacity_change
 
@@ -1149,18 +1061,6 @@ class ClusterEngine:
     def submit(self, spec: JobSpec) -> None:
         """Enqueue an arrival at ``spec.submit_time``."""
         self._events.schedule(spec.submit_time, ("arrival", spec))
-
-    def submit_distributed(self, specs: list[JobSpec]) -> None:
-        """Submit the parts of one multi-node job (shared group id)."""
-        gids = {s.group_id for s in specs}
-        if len(gids) != 1 or None in gids:
-            raise ValueError("distributed parts must share a non-None group_id")
-        gid = specs[0].group_id
-        assert gid is not None
-        self._group_sizes[gid] = len(specs)
-        self._group_done[gid] = 0
-        for s in specs:
-            self.submit(s)
 
     def notify_at(self, t: float) -> None:
         """Schedule a bare scheduler wake-up (external arrival hooks)."""
@@ -1184,18 +1084,15 @@ class ClusterEngine:
     def _on_capacity_change(self, engine: NodeEngine) -> None:
         self._free_index.set(engine.node_id, engine.free_cores)
 
-    def first_fit_node(
-        self, n_mappers: int, *, node_class: int | None = None
-    ) -> int | None:
+    def first_fit_node(self, n_mappers: int) -> int | None:
         """Lowest node id with ≥ ``n_mappers`` free cores (None if none).
 
         O(log n) via the free-core segment tree — the same node the
         first-fit linear scan would pick (dead nodes report zero free
-        cores and are skipped naturally).  ``node_class`` restricts the
-        search to nodes with that class tag (heterogeneous rosters
-        maintain one per-class segment per tag).
+        cores and are skipped naturally).  First fit is class-oblivious
+        on a mixed roster too.
         """
-        return self._free_index.first_at_least(n_mappers, node_class=node_class)
+        return self._free_index.first_at_least(n_mappers)
 
     def place(self, spec: JobSpec, node_id: int) -> None:
         """Start a pending job on a node (scheduler API)."""
@@ -1245,9 +1142,6 @@ class ClusterEngine:
                 return
             result = engine._complete(r)
             self.results.append(result)
-            gid = result.spec.group_id
-            if gid is not None:
-                self._group_done[gid] += 1
             self._arm(engine)
             self.scheduler(self, t)
             if self.tracer.enabled:
@@ -1350,13 +1244,6 @@ class ClusterEngine:
         if not self.results:
             return 0.0
         return max(r.finish_time for r in self.results)
-
-    def group_finish_time(self, gid: int) -> float:
-        """Completion (barrier) time of a distributed job."""
-        parts = [r for r in self.results if r.spec.group_id == gid]
-        if len(parts) != self._group_sizes.get(gid):
-            raise ValueError(f"group {gid} has not completed")
-        return max(r.finish_time for r in parts)
 
     def total_energy(self, horizon: float | None = None) -> float:
         """Whole-cluster energy over [0, horizon] (default: makespan).

@@ -24,22 +24,11 @@ from typing import Iterable, Iterator
 
 
 class FreeCoreIndex:
-    """Max segment tree answering leftmost-node-with-capacity queries.
+    """Max segment tree answering leftmost-node-with-capacity queries."""
 
-    Heterogeneous rosters pass ``classes`` — one integer class tag per
-    slot — and the index additionally maintains one *per-class segment*
-    (a subtree view masking other classes to zero capacity), so
-    ``first_at_least(k, node_class=tag)`` answers "leftmost node of
-    this class with enough room" in the same O(log n).  Without
-    ``classes`` the per-class layer does not exist and behaviour is
-    exactly the homogeneous index of PR 8.
-    """
+    __slots__ = ("_size", "_n", "_tree")
 
-    __slots__ = ("_size", "_n", "_tree", "_classes", "_class_trees")
-
-    def __init__(
-        self, values: Iterable[int], *, classes: Iterable[int] | None = None
-    ) -> None:
+    def __init__(self, values: Iterable[int]) -> None:
         vals = list(values)
         n = len(vals)
         if n < 1:
@@ -47,49 +36,29 @@ class FreeCoreIndex:
         size = 1
         while size < n:
             size *= 2
-        self._size = size
-        self._n = n
-        self._tree = self._build(vals)
-        if classes is None:
-            self._classes = None
-            self._class_trees = None
-        else:
-            tags = list(classes)
-            if len(tags) != n:
-                raise ValueError("classes must provide one tag per slot")
-            self._classes = tags
-            self._class_trees = {
-                tag: self._build(
-                    [v if t == tag else 0 for v, t in zip(vals, tags)]
-                )
-                for tag in sorted(set(tags))
-            }
-
-    def _build(self, vals: list[int]) -> list[int]:
-        size = self._size
         tree = [0] * (2 * size)
-        tree[size : size + len(vals)] = vals
+        tree[size : size + n] = vals
         for i in range(size - 1, 0, -1):
             left, right = tree[2 * i], tree[2 * i + 1]
             tree[i] = left if left >= right else right
-        return tree
+        self._size = size
+        self._n = n
+        self._tree = tree
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def class_tags(self) -> tuple[int, ...] | None:
-        """The per-slot class tags, or None for a classless index."""
-        return None if self._classes is None else tuple(self._classes)
 
     def get(self, index: int) -> int:
         if not 0 <= index < self._n:
             raise IndexError(index)
         return self._tree[self._size + index]
 
-    @staticmethod
-    def _update(tree: list[int], size: int, index: int, value: int) -> None:
-        i = size + index
+    def set(self, index: int, value: int) -> None:
+        """Update one slot and refresh the O(log n) path above it."""
+        if not 0 <= index < self._n:
+            raise IndexError(index)
+        tree = self._tree
+        i = self._size + index
         if tree[i] == value:
             return
         tree[i] = value
@@ -102,57 +71,22 @@ class FreeCoreIndex:
             tree[i] = best
             i //= 2
 
-    def set(self, index: int, value: int) -> None:
-        """Update one slot and refresh the O(log n) path above it."""
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        self._update(self._tree, self._size, index, value)
-        if self._classes is not None:
-            tree = self._class_trees[self._classes[index]]
-            self._update(tree, self._size, index, value)
-
-    @staticmethod
-    def _descend(tree: list[int], size: int, k: int) -> int | None:
+    def first_at_least(self, k: int) -> int | None:
+        """Leftmost index whose value is ≥ ``k`` (None if no slot is)."""
+        if k <= 0:
+            return 0
+        tree = self._tree
         if tree[1] < k:
             return None
+        size = self._size
         i = 1
         while i < size:
             i *= 2
             if tree[i] < k:
                 i += 1
-        return i - size
-
-    def first_at_least(self, k: int, *, node_class: int | None = None) -> int | None:
-        """Leftmost index whose value is ≥ ``k`` (None if no slot is).
-
-        ``node_class`` restricts the search to slots carrying that tag
-        (requires the index to have been built with ``classes``).
-        """
-        if node_class is not None:
-            if self._class_trees is None:
-                raise ValueError("index was built without class tags")
-            tree = self._class_trees.get(node_class)
-            if tree is None:
-                return None
-            if k <= 0:
-                # Leftmost slot of the class, regardless of capacity.
-                classes = self._classes
-                assert classes is not None
-                for i, tag in enumerate(classes):
-                    if tag == node_class:
-                        return i
-                return None  # pragma: no cover - tree exists => tag exists
-            index = self._descend(tree, self._size, k)
-            # Masked and padding slots hold 0 and k >= 1, so the walk
-            # cannot land outside the class.
-            assert index is None or index < self._n
-            return index
-        if k <= 0:
-            return 0
-        index = self._descend(self._tree, self._size, k)
         # Padding slots hold 0 and k >= 1, so the walk cannot land there.
-        assert index is None or index < self._n
-        return index
+        assert i - size < self._n
+        return i - size
 
 
 class PendingQueue:

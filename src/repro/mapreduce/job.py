@@ -20,10 +20,8 @@ class JobSpec:
     job_id: int = field(default_factory=lambda: next(_job_ids))
     submit_time: float = 0.0
     #: Override of the shuffle's remote fraction (None → the constants'
-    #: 8-node default); distributed jobs set (n−1)/n per sub-job.
+    #: 8-node default).
     remote_fraction: float | None = None
-    #: Barrier group id for multi-node jobs (all parts share one id).
-    group_id: int | None = None
 
     @property
     def label(self) -> str:

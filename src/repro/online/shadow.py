@@ -31,7 +31,7 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import pair_metrics
 from repro.model.sweep import sweep_pair
-from repro.online.stp import OnlineSTP, PairingBook
+from repro.online.stp import OnlineSTP
 from repro.workloads.base import AppInstance
 
 
@@ -152,7 +152,6 @@ class ShadowSTP:
         #: Cumulative EDP regret after each scored decision.
         self.champion_curve: list[float] = []
         self.challenger_curve: list[float] = []
-        self._book = PairingBook()
 
     # ------------------------------------------------------- prediction
     @property
@@ -184,14 +183,12 @@ class ShadowSTP:
     ) -> None:
         """Score one pairing decision for both contenders.
 
-        The challenger gets first sight before scoring — during a
-        learning period it may sweep a never-seen pairing, exactly as
-        it would were it active.
+        The challenger notes the pairing first — during a learning
+        period it may sweep a never-seen pairing before scoring, exactly
+        as it would were it active — and its pairing book then matches
+        the decision to the completions that train it.
         """
-        self.challenger.observe_pair(
-            t=t, desc_a=desc_a, desc_b=desc_b, inst_a=inst_a, inst_b=inst_b
-        )
-        self._book.note(
+        self.challenger.note_pairing(
             t=t,
             desc_a=desc_a,
             desc_b=desc_b,
@@ -224,5 +221,4 @@ class ShadowSTP:
 
     def on_complete(self, result: JobResult) -> None:
         """Completion telemetry: finished pairings train the challenger."""
-        for obs in self._book.complete(result):
-            self.challenger.partial_fit(obs)
+        self.challenger.on_complete(result)

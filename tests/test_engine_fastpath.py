@@ -301,23 +301,24 @@ class TestFifoFirstFit:
 
 # -------------------------------------------------- windowed busy queries
 class TestWindowedBusyIndex:
-    """The bisect-bounded window index vs the legacy full scan."""
+    """The bisect-bounded segment window vs the legacy full scan."""
 
     @staticmethod
     def _full_scan(node, t0, t1):
         """The pre-index reference: one pass over every segment."""
         busy = 0.0
         covered = 0.0
-        idx = node.recorder._index
-        for start, end, watts in zip(idx.starts, idx.ends, idx.watts):
+        rec = node.recorder
+        for start, end, watts in zip(rec.starts, rec.ends, rec.watts):
             lo, hi = max(start, t0), min(end, t1)
             if hi > lo:
                 busy += watts * (hi - lo)
                 covered += hi - lo
         return busy, covered
 
-    def test_windows_bit_identical_to_full_scan(self):
-        cluster = _stream_cluster(150)
+    @pytest.mark.parametrize("recorder", ["full", "columnar", "streaming"])
+    def test_windows_bit_identical_to_full_scan(self, recorder):
+        cluster = _stream_cluster(150, recorder=recorder)
         h = cluster.makespan
         windows = [
             (0.0, h),            # head-anchored full horizon (prefix path)

@@ -2,12 +2,10 @@
 
 The scale-out PR proved :class:`FreeCoreIndex` and
 :class:`PendingQueue` equivalent to the naive structures they replaced
-on homogeneous clusters; the heterogeneous PR adds per-class subtree
-views and class-tagged queries.  This suite drives both structures
-through randomised crash → restore → crash sequences on rosters mixing
-atom (8-core) and xeon (16-core) capacities and checks every
-observable against the legacy linear-scan model after every single
-operation.  Hypothesis generates the op sequences when available, a
+on homogeneous clusters.  This suite drives both structures through
+randomised crash → restore → crash sequences on rosters mixing atom
+(8-core) and xeon (16-core) capacities and checks every observable
+against the legacy linear-scan model after every single operation.  Hypothesis generates the op sequences when available, a
 seeded ``parametrize`` fallback otherwise (matching
 ``test_invariants_property.py``).
 """
@@ -49,35 +47,24 @@ def seeded_cases(n: int):
 
 
 # --------------------------------------------------- legacy scan models
-def legacy_first_at_least(values, k, tags=None, node_class=None):
+def legacy_first_at_least(values, k):
     """The O(n) scan ``fifo_first_fit`` paid before the segment tree."""
     for i, v in enumerate(values):
-        if node_class is not None and tags[i] != node_class:
-            continue
         if v >= k:
             return i
     return None
 
 
-def assert_index_matches_scan(index, values, tags):
+def assert_index_matches_scan(index, values):
     """Differentially check every query the index answers."""
     for i, v in enumerate(values):
         assert index.get(i) == v
-    ks = range(0, max(_CAPACITY.values()) + 2)
-    for k in ks:
+    for k in range(0, max(_CAPACITY.values()) + 2):
         if k <= 0:
-            # The classless fast path returns slot 0 unconditionally.
+            # The fast path returns slot 0 unconditionally.
             assert index.first_at_least(k) == 0
         else:
             assert index.first_at_least(k) == legacy_first_at_least(values, k)
-        if tags is not None:
-            for cls in sorted(set(tags)):
-                want = (
-                    legacy_first_at_least(values, k, tags, cls)
-                    if k > 0
-                    else tags.index(cls)
-                )
-                assert index.first_at_least(k, node_class=cls) == want
 
 
 # ------------------------------------------------- FreeCoreIndex suite
@@ -94,9 +81,8 @@ def test_free_core_index_crash_restore_differential(case_seed):
     n = rng.randint(1, 12)
     tags = [rng.randint(0, 1) for _ in range(n)]
     values = [_CAPACITY[t] for t in tags]
-    index = FreeCoreIndex(values, classes=tags)
-    assert index.class_tags == tuple(tags)
-    assert_index_matches_scan(index, values, tags)
+    index = FreeCoreIndex(values)
+    assert_index_matches_scan(index, values)
 
     crashed = set()
     for _ in range(rng.randint(5, 40)):
@@ -111,68 +97,37 @@ def test_free_core_index_crash_restore_differential(case_seed):
         else:
             values[i] = rng.randint(0, _CAPACITY[tags[i]])
         index.set(i, values[i])
-        assert_index_matches_scan(index, values, tags)
-
-
-@seeded_cases(25)
-def test_free_core_index_classless_matches_classed_global_view(case_seed):
-    """Class tags must not perturb the *global* first-fit answer: the
-    classed index answers every untagged query exactly as the classless
-    index over the same values (the homogeneous byte-identity path)."""
-    rng = random.Random(case_seed)
-    n = rng.randint(1, 10)
-    tags = [rng.randint(0, 1) for _ in range(n)]
-    values = [rng.randint(0, _CAPACITY[t]) for t in tags]
-    classed = FreeCoreIndex(values, classes=tags)
-    classless = FreeCoreIndex(values)
-    for _ in range(20):
-        i = rng.randrange(n)
-        v = rng.randint(0, _CAPACITY[tags[i]])
-        values[i] = v
-        classed.set(i, v)
-        classless.set(i, v)
-        for k in range(0, max(_CAPACITY.values()) + 2):
-            assert classed.first_at_least(k) == classless.first_at_least(k)
+        assert_index_matches_scan(index, values)
 
 
 def test_free_core_index_double_crash_sequence():
     # One deterministic crash → restore → crash walk on a 2-class
-    # roster, pinning the per-class views through both transitions.
+    # roster, pinning the global first fit through both transitions.
     tags = [0, 1, 0, 1]
     values = [_CAPACITY[t] for t in tags]
-    index = FreeCoreIndex(values, classes=tags)
-    assert index.first_at_least(16, node_class=1) == 1
+    index = FreeCoreIndex(values)
+    assert index.first_at_least(16) == 1
 
     index.set(1, 0)  # crash the first xeon
-    assert index.first_at_least(16, node_class=1) == 3
     assert index.first_at_least(16) == 3
     index.set(3, 0)  # crash the second xeon too
-    assert index.first_at_least(16, node_class=1) is None
     assert index.first_at_least(16) is None
-    assert index.first_at_least(8, node_class=0) == 0
+    assert index.first_at_least(8) == 0
 
     index.set(1, _CAPACITY[1])  # restore
     assert index.first_at_least(16) == 1
     index.set(1, 0)  # and crash again
     assert index.first_at_least(16) is None
-    assert index.first_at_least(0, node_class=1) == 1  # slots still exist
 
 
 def test_free_core_index_validation():
     with pytest.raises(ValueError, match="at least one slot"):
         FreeCoreIndex([])
-    with pytest.raises(ValueError, match="one tag per slot"):
-        FreeCoreIndex([8, 8], classes=[0])
     index = FreeCoreIndex([8, 16])
-    assert index.class_tags is None
-    with pytest.raises(ValueError, match="without class tags"):
-        index.first_at_least(1, node_class=0)
     with pytest.raises(IndexError):
         index.get(2)
     with pytest.raises(IndexError):
         index.set(-1, 3)
-    classed = FreeCoreIndex([8, 16], classes=[0, 1])
-    assert classed.first_at_least(1, node_class=7) is None
 
 
 # --------------------------------------------------- PendingQueue suite

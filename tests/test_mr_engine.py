@@ -144,19 +144,6 @@ class TestClusterEngine:
         idle = cluster.nodes[0].node.power.idle_power
         assert e >= 3 * idle * t  # three nodes never ran anything
 
-    def test_distributed_group_barrier(self):
-        parts = [spec(gb=1, m=8, group_id=77) for _ in range(2)]
-        cluster = ClusterEngine(n_nodes=2)
-        cluster.submit_distributed(parts)
-        cluster.run()
-        t = cluster.group_finish_time(77)
-        assert t == pytest.approx(max(r.finish_time for r in cluster.results))
-
-    def test_distributed_requires_group_id(self):
-        cluster = ClusterEngine(n_nodes=2)
-        with pytest.raises(ValueError, match="group_id"):
-            cluster.submit_distributed([spec(), spec()])
-
     def test_edp_is_energy_times_makespan(self):
         cluster = ClusterEngine(n_nodes=1)
         cluster.submit(spec(gb=1))

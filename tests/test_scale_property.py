@@ -14,6 +14,7 @@ clusters of 256-512 nodes:
 * the streaming recorder answers every query a full recorder answers
   bit-identically while retention holds, keeps head-anchored windows
   exact after dropping, and refuses windows inside the dropped span;
+* every recording mode refuses out-of-order segments;
 * ``FreeCoreIndex`` and ``PendingQueue`` match list-based references
   under random operation sequences.
 
@@ -27,6 +28,7 @@ import pytest
 
 from repro.mapreduce.engine import (
     ClusterEngine,
+    ColumnarIntervalRecorder,
     FullIntervalRecorder,
     StreamingIntervalRecorder,
 )
@@ -217,9 +219,18 @@ def test_streaming_recorder_drops_keep_head_windows_exact(case_seed):
         stream.busy_between(segs[1][0], horizon)
 
 
-def test_streaming_recorder_rejects_out_of_order():
+@pytest.mark.parametrize(
+    "make",
+    [
+        FullIntervalRecorder,
+        ColumnarIntervalRecorder,
+        lambda: StreamingIntervalRecorder(bound=4),
+    ],
+    ids=["full", "columnar", "streaming"],
+)
+def test_recorder_rejects_out_of_order(make):
     eng = _StubEngine()
-    rec = StreamingIntervalRecorder(bound=4)
+    rec = make()
     rec.record(eng, 0.0, 1.0, 10.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="time-ordered"):
         rec.record(eng, 0.5, 2.0, 10.0, 1.0, 0.0, 0.0, 0.0)

@@ -147,8 +147,8 @@ def _op_hetero_steady_state_1k():
     from repro.workloads.streams import poisson_job_stream
 
     # bench_steady_state_1k's stream on a mixed atom/xeon roster: the
-    # per-class free-core segments, class-tagged recontext cache keys
-    # and roster-aware energy accounting all sit on this hot path.
+    # class-tagged recontext cache keys and roster-aware energy
+    # accounting sit on this hot path.
     specs = list(poisson_job_stream(1000, tuned=True, job_ids_from=1))
     roster = roster_from_classes(("atom", "xeon") * 4)
 
