@@ -42,7 +42,7 @@ def main(code: str = "km", size_gb: int = 5) -> None:
     engine = NodeEngine()
     engine.submit(JobSpec(instance=instance, config=PROFILING_CONFIG))
     result = engine.run_to_completion()[0]
-    trace = WattsupMeter().trace_from_intervals(engine.intervals, seed=0)
+    trace = WattsupMeter().trace(engine, seed=0)
     print(f"\nWattsup: {trace.duration_s:.0f}s trace, "
           f"avg {trace.average_watts:.1f}W wall, "
           f"{trace.average_above_idle:.1f}W above idle "

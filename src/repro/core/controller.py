@@ -17,16 +17,10 @@ import heapq
 import itertools
 from typing import Sequence
 
-from repro.analysis.classify import AppClassifier, NearestCentroidClassifier
-from repro.analysis.features import PROFILING_CONFIG, build_feature_matrix
-from repro.core.database import build_database
+from repro.analysis.classify import AppClassifier
+from repro.analysis.features import PROFILING_CONFIG
 from repro.core.pairing import PairingPolicy
-from repro.core.stp import (
-    AppDescriptor,
-    MLMSTP,
-    SelfTuningPredictor,
-    build_training_dataset,
-)
+from repro.core.stp import AppDescriptor, SelfTuningPredictor
 from repro.core.wait_queue import QueuedApp, WaitQueue
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.engine import ClusterEngine, NodeEngine
@@ -35,10 +29,8 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import standalone_metrics_scalar
 from repro.telemetry.profiling import profile_features
-from repro.telemetry.tracing import NULL_TRACER
 from repro.utils.rng import SeedLike
 from repro.workloads.base import AppClass, AppInstance
-from repro.workloads.registry import TRAINING_APPS, instances_for
 
 
 class ECoSTController:
@@ -80,7 +72,7 @@ class ECoSTController:
         #: surviving-node profile shifted (crash/recovery).
         self.relearn_count = 0
         #: Shared with the cluster: controller decisions land on pid 0.
-        self.tracer = getattr(cluster, "tracer", NULL_TRACER)
+        self.tracer = cluster.tracer
         #: Online self-tuning seam: predictors that expose completion
         #: hooks (``repro.online``) receive every pairing decision and
         #: job completion.  Plain STP backends leave this None and the
@@ -263,7 +255,7 @@ class ECoSTController:
         byte-identical legacy path).  Heterogeneous clusters rank nodes
         by the queue head's per-class EDP, ties broken by node id.
         """
-        if not getattr(cluster, "heterogeneous", False):
+        if not cluster.heterogeneous:
             return cluster.nodes
         head = self.queue.head
         if head is None:
@@ -460,37 +452,3 @@ class ECoSTController:
         # count as telemetry for the online tuner.
         self.notify_completions()
         return results
-
-    # ---------------------------------------------------------- factories
-    @classmethod
-    def default(
-        cls,
-        cluster: ClusterEngine,
-        *,
-        model_kind: str = "reptree",
-        node: NodeSpec = ATOM_C2758,
-        constants: SimConstants = DEFAULT_CONSTANTS,
-        seed: SeedLike = 0,
-    ) -> "ECoSTController":
-        """Build the full pipeline from the training applications.
-
-        Constructs the configuration database and MLM-STP from sweeps
-        of the 5 known training applications and fits the
-        nearest-centroid classifier on their feature matrix — the
-        complete offline Step 0 of Figs. 6/7.
-        """
-        training = instances_for(TRAINING_APPS)
-        _db, sweeps = build_database(
-            training, node=node, constants=constants, keep_sweeps=True
-        )
-        dataset = build_training_dataset(
-            training, node=node, constants=constants, sweeps=sweeps, seed=seed
-        )
-        stp = MLMSTP(model_kind, node=node).fit(dataset)
-        fm = build_feature_matrix(training, node=node, constants=constants, seed=seed)
-        classifier = NearestCentroidClassifier().fit(
-            fm, [i.app_class for i in training]
-        )
-        return cls(
-            cluster, stp, classifier, node=node, constants=constants, profiling_seed=seed
-        )

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 from repro.faults.plan import FaultEvent, InjectionPlan
 from repro.mapreduce.engine import ClusterEngine, NodeEngine
 from repro.mapreduce.job import JobSpec
-from repro.telemetry.tracing import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.controller import ECoSTController
@@ -69,7 +68,7 @@ class FaultInjector:
         self.speculative = speculative
         self.blacklist_after = blacklist_after
         self.telemetry = cluster.telemetry
-        self.tracer = getattr(cluster, "tracer", NULL_TRACER)
+        self.tracer = cluster.tracer
         self.trace: list[str] = []
         self.skipped = 0  # plan events that found nothing to break
         self.crash_counts: dict[int, int] = {}

@@ -11,14 +11,14 @@ Two cooperating layers reproduce Hadoop:
   of jobs on microserver nodes.  Jobs progress wave by wave at fluid
   rates derived from the shared cost kernel; co-located jobs slow each
   other exactly as :func:`repro.model.costmodel.pair_metrics`
-  prescribes, and the engine additionally produces time-resolved
-  utilisation/power traces for the telemetry samplers.
+  prescribes, and each node keeps its time-resolved power trace in a
+  segment window that the Wattsup meter samples.
 """
 
 from repro.mapreduce.events import EventQueue
 from repro.mapreduce.functional import MapReduceRuntime, JobOutput
 from repro.mapreduce.job import JobSpec, JobResult
-from repro.mapreduce.engine import NodeEngine, ClusterEngine, IntervalRecord
+from repro.mapreduce.engine import NodeEngine, ClusterEngine
 
 __all__ = [
     "EventQueue",
@@ -28,5 +28,4 @@ __all__ = [
     "JobResult",
     "NodeEngine",
     "ClusterEngine",
-    "IntervalRecord",
 ]

@@ -14,9 +14,10 @@ Whenever the running set of a node changes (submit/finish), every
 affected job's context is re-evaluated and its remaining work is
 carried over as a *fraction* of the new standalone duration — work is
 conserved exactly across context switches.  Between events the node is
-in a fixed configuration, and the engine records one
-:class:`IntervalRecord` per such segment: the time-resolved power and
-utilisation trace the telemetry samplers (perf/dstat/Wattsup) consume.
+in a fixed configuration, and its interval recorder keeps one
+``(start, end, watts)`` segment per such stretch: the node's
+time-resolved power trace, which
+:meth:`repro.telemetry.wattsup.WattsupMeter.trace` samples at 1 Hz.
 
 The closed-form :func:`~repro.model.costmodel.pair_metrics` is this
 engine's two-job special case, up to one documented approximation (the
@@ -65,28 +66,6 @@ from repro.model.costmodel import (
 )
 from repro.telemetry.counters import EngineTelemetry
 from repro.telemetry.tracing import NULL_TRACER
-
-
-@dataclass(frozen=True)
-class IntervalRecord:
-    """One constant-configuration segment of a node's execution."""
-
-    node_id: int
-    start: float
-    end: float
-    power_watts: float
-    stretch: float
-    job_ids: tuple[int, ...]
-    u_cpu_per_job: tuple[float, ...]  # per-core busy fraction of each job
-    u_disk: float  # node disk utilisation in the segment
-    u_net: float
-    u_mem: float
-    frequency_per_job: tuple[float, ...]
-    mappers_per_job: tuple[int, ...]
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 # ------------------------------------------------------------- recorders
@@ -238,62 +217,23 @@ class _SegmentWindow:
 
 
 class FullIntervalRecorder(_SegmentWindow):
-    """Default recorder: the window plus one :class:`IntervalRecord`
-    per segment."""
+    """Default recorder: the window, keeping every segment — the node's
+    power trace :class:`~repro.telemetry.wattsup.WattsupMeter` samples."""
 
     mode = "full"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.intervals: list[IntervalRecord] = []
-
-    def record(
-        self,
-        engine: "NodeEngine",
-        start: float,
-        end: float,
-        watts: float,
-        stretch: float,
-        u_disk: float,
-        u_net: float,
-        u_mem: float,
-    ) -> None:
+    def record(self, engine, start, end, watts):
         self.add(start, end, watts)
-        self.intervals.append(
-            IntervalRecord(
-                node_id=engine.node_id,
-                start=start,
-                end=end,
-                power_watts=watts,
-                stretch=stretch,
-                job_ids=tuple(r.spec.job_id for r in engine.running),
-                u_cpu_per_job=tuple(
-                    r.metrics.u_cpu / stretch for r in engine.running
-                ),
-                u_disk=u_disk,
-                u_net=u_net,
-                u_mem=u_mem,
-                frequency_per_job=tuple(
-                    r.spec.config.frequency for r in engine.running
-                ),
-                mappers_per_job=tuple(
-                    r.spec.config.n_mappers for r in engine.running
-                ),
-            )
-        )
         engine.telemetry.record_segment(engine.node_id)
 
 
 class ColumnarIntervalRecorder(_SegmentWindow):
-    """Memory-lean recorder: the window alone, no per-job records.
-
-    Windowed energy queries still work; job-level trace reconstruction
-    does not.
-    """
+    """The window alone: the same storage and answers as
+    :class:`FullIntervalRecorder`, kept as a separate mode name."""
 
     mode = "columnar"
 
-    def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
+    def record(self, engine, start, end, watts):
         self.add(start, end, watts)
         engine.telemetry.record_segment(engine.node_id)
 
@@ -303,7 +243,7 @@ class NullIntervalRecorder:
 
     mode = "off"
 
-    def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
+    def record(self, engine, start, end, watts):
         pass
 
     def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
@@ -318,7 +258,7 @@ class StreamingIntervalRecorder(_SegmentWindow):
 
     Long steady-state runs at 256+ nodes accumulate millions of
     segments under the full/columnar recorders — unbounded memory for
-    traces nothing reads.  This recorder retains only the newest
+    a trace those runs never read.  This recorder retains only the newest
     ``bound`` segments per node and answers every window the bound
     kept bit-identically to the full recorder (see
     :class:`_SegmentWindow`).  Full-horizon ``energy_between`` never
@@ -331,7 +271,7 @@ class StreamingIntervalRecorder(_SegmentWindow):
     def __init__(self, bound: int = STREAMING_RECORDER_BOUND) -> None:
         super().__init__(bound)
 
-    def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
+    def record(self, engine, start, end, watts):
         dropped = self.add(start, end, watts)
         engine.telemetry.record_segment(engine.node_id)
         if dropped:
@@ -447,7 +387,6 @@ def _running_key(r: "_Running") -> _JobKey:
         cfg.frequency,
         cfg.block_size,
         cfg.n_mappers,
-        spec.remote_fraction,
     )
 
 
@@ -510,7 +449,7 @@ class NodeEngine:
         #: cluster uses it to keep its placement index current.
         self.capacity_listener: Callable[["NodeEngine"], None] | None = None
         self._used_cores = 0
-        self._seg: tuple[float, float, float, float, float] | None = None
+        self._seg: tuple[float, float] | None = None
         self._clock = 0.0
         self._busy_energy = 0.0  # energy while >=1 job runs (above nothing)
         self._busy_time = 0.0  # seconds with >=1 job running
@@ -523,15 +462,6 @@ class NodeEngine:
     @property
     def now(self) -> float:
         return self._clock
-
-    @property
-    def intervals(self) -> list[IntervalRecord]:
-        if self._recorder.mode != "full":
-            raise RuntimeError(
-                "per-segment IntervalRecords require recorder='full' "
-                f"(this engine uses recorder={self._recorder.mode!r})"
-            )
-        return self._recorder.intervals
 
     @property
     def recorder(self):
@@ -579,13 +509,13 @@ class NodeEngine:
             "completed": len(self.finished),
         }
 
-    def _segment_state(self) -> tuple[float, float, float, float, float]:
-        """(stretch, watts, u_disk, u_net, u_mem), cached per generation."""
+    def _segment_state(self) -> tuple[float, float]:
+        """(stretch, watts), cached per generation."""
         seg = self._seg
         if seg is None:
             pm = self.node.power
             if not self.running:
-                seg = (1.0, pm.idle_power, 0.0, 0.0, 0.0)
+                seg = (1.0, pm.idle_power)
             else:
                 bw = self.node.membw.achievable_bw
                 sum_disk = 0.0
@@ -601,7 +531,6 @@ class NodeEngine:
                 s = max(1.0, sum_disk, sum_net, sum_mem / bw)
                 core = sum_core / s
                 u_disk = min(sum_disk / s, 1.0)
-                u_net = min(sum_net / s, 1.0)
                 u_mem = min(sum_mem / s / bw, 1.0)
                 watts = (
                     pm.idle_power
@@ -609,7 +538,7 @@ class NodeEngine:
                     + pm.mem_max_power * u_mem
                     + pm.disk_max_power * u_disk
                 )
-                seg = (s, watts, u_disk, u_net, u_mem)
+                seg = (s, watts)
             self._seg = seg
         return seg
 
@@ -630,7 +559,7 @@ class NodeEngine:
         """Re-evaluate every running job under the current running set.
 
         Evaluation is memoized: the per-job metrics are a pure function
-        of the ordered ``(profile, data, config, remote)`` identities of
+        of the ordered ``(profile, data, config)`` identities of
         the running set, so identical sets share one kernel evaluation.
         """
         self.generation += 1
@@ -679,7 +608,6 @@ class NodeEngine:
                         mpki_scale=mpki,
                         disk_traffic_scale=disk,
                         extra_streams=extra,
-                        remote_fraction=r.spec.remote_fraction,
                     )
                     cache.put(job_key, m)
                 out.append(m)
@@ -706,15 +634,16 @@ class NodeEngine:
             self._clock = max(self._clock, t)
             return
         if self.running:
-            s, watts, u_disk, u_net, u_mem = self._segment_state()
-            self._recorder.record(
-                self, self._clock, t, watts, s, u_disk, u_net, u_mem
-            )
+            s, watts = self._segment_state()
+            self._recorder.record(self, self._clock, t, watts)
             progress = dt / s
             share = watts * dt / len(self.running)
+            # The completion time was rounded to the clock's resolution,
+            # which exceeds 1e-6 s from about 2**35 s of virtual time.
+            tol = max(1e-6 * max(1.0, progress), math.ulp(t))
             for r in self.running:
                 r.remaining -= progress / r.slowdown
-                if r.remaining < -1e-6 * max(1.0, progress):
+                if r.remaining < -tol:
                     raise RuntimeError(
                         f"job {r.spec.label} overshot completion by {-r.remaining}s"
                     )
@@ -787,7 +716,6 @@ class NodeEngine:
                 "config": spec.config.label,
                 "node": self.node_id,
                 "energy_joules": result.energy_joules,
-                "remote_fraction": spec.remote_fraction,
             },
         )
         m = r.metrics

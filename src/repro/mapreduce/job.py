@@ -19,9 +19,6 @@ class JobSpec:
     config: JobConfig
     job_id: int = field(default_factory=lambda: next(_job_ids))
     submit_time: float = 0.0
-    #: Override of the shuffle's remote fraction (None → the constants'
-    #: 8-node default).
-    remote_fraction: float | None = None
 
     @property
     def label(self) -> str:

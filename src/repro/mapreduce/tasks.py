@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, MutableSequence, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.hdfs.blocks import Block
 from repro.hdfs.filesystem import MiniHdfs
@@ -121,16 +121,16 @@ RecordReader = Callable[[Block, int], Iterator[KeyValue]]
 class BlockWorkQueue:
     """Pending map-task blocks indexed by replica node.
 
-    The locality scheduler's old path scanned the whole pending list
-    per assignment looking for the first block with a local replica —
-    O(blocks) per task, O(blocks²) per job, which dominates large jobs
-    on big clusters.  This queue keeps the global FIFO *and* one
-    per-node FIFO of candidate blocks (built from the namenode's
-    placement in O(blocks × replication)), so a local pick is O(1)
-    amortised: the head of a node's candidate queue *is* the first
-    pending block with a replica there.  Taken blocks are tombstoned
-    and skipped lazily, so every queue preserves exact pending order
-    and the assignment sequence matches the scan's byte for byte.
+    Scanning the whole pending list per assignment for the first block
+    with a local replica costs O(blocks) per task, O(blocks²) per job,
+    which dominates large jobs on big clusters.  This queue keeps the
+    global FIFO *and* one per-node FIFO of candidate blocks (built from
+    the namenode's placement in O(blocks × replication)), so a local
+    pick is O(1) amortised: the head of a node's candidate queue *is*
+    the first pending block with a replica there.  Taken blocks are
+    tombstoned and skipped lazily, so every queue preserves exact
+    pending order and the assignment sequence matches the scan's byte
+    for byte.
 
     The per-node index snapshots placement at construction; the
     scheduler re-verifies locality against the live namenode before
@@ -221,22 +221,11 @@ class LocalityScheduler:
     task when one exists; otherwise it waits (skips its turn) up to
     ``max_skips`` times before taking a remote task — the standard
     delay-scheduling trade between locality and utilisation.
-
-    On a heterogeneous cluster the remote fallback is class-ranked:
-    ``worker_classes`` tags each worker with its node-class index and
-    ``class_extra_skips`` charges slower classes extra skip rounds
-    before they may steal remote work, so a remote candidate drifts
-    toward the faster class whenever both are idle.  Local assignments
-    are never delayed — shipping a local task elsewhere always costs
-    more than running it in place.  Both knobs default to off, in
-    which case scheduling is byte-identical to the homogeneous path.
     """
 
     hdfs: MiniHdfs
     n_workers: int
     max_skips: int = 2
-    worker_classes: Sequence[int] | None = None
-    class_extra_skips: Mapping[int, int] | None = None
     _skips: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -244,79 +233,32 @@ class LocalityScheduler:
             raise ValueError("n_workers must be >= 1")
         if self.max_skips < 0:
             raise ValueError("max_skips must be >= 0")
-        if self.worker_classes is not None:
-            if len(self.worker_classes) != self.n_workers:
-                raise ValueError(
-                    "worker_classes must tag every worker: got "
-                    f"{len(self.worker_classes)} tags for {self.n_workers} workers"
-                )
-        if self.class_extra_skips is not None:
-            if self.worker_classes is None:
-                raise ValueError(
-                    "class_extra_skips requires worker_classes"
-                )
-            if any(v < 0 for v in self.class_extra_skips.values()):
-                raise ValueError("class_extra_skips values must be >= 0")
-
-    def _max_skips_for(self, worker: int) -> int:
-        """Remote-work patience for ``worker`` (class-adjusted)."""
-        if self.worker_classes is None or self.class_extra_skips is None:
-            return self.max_skips
-        tag = self.worker_classes[worker]
-        return self.max_skips + self.class_extra_skips.get(tag, 0)
-
-    @property
-    def max_patience(self) -> int:
-        """The largest skip budget any worker can hold (starvation bound)."""
-        if self.worker_classes is None or self.class_extra_skips is None:
-            return self.max_skips
-        return self.max_skips + max(self.class_extra_skips.values(), default=0)
 
     def assign(
-        self, pending: MutableSequence[Block], worker: int
+        self, pending: BlockWorkQueue, worker: int
     ) -> tuple[Block, bool] | None:
         """Pick a block for ``worker``; returns (block, data_local).
 
         Returns ``None`` when the worker should wait this round (delay
-        scheduling) even though remote work exists.  ``pending`` may be
-        a list or (preferably) a :class:`collections.deque` — the
-        remote-work path takes the queue head, which a list removes by
-        shifting every remaining element (O(n) per remote task, O(n²)
-        per job) while a deque removes in O(1).  ``del pending[i]``
-        keeps the same FIFO order on either container, so the
-        assignment sequence is identical.
+        scheduling) even though remote work exists.  The first pending
+        block with a local replica is the head of the node's candidate
+        queue — O(1) amortised, the block a scan of the pending order
+        would pick (``tests/test_mr_tasks.py`` keeps that scan as the
+        reference model).
         """
         if not pending:
             return None
-        node = worker % self.hdfs.n_nodes
-        if isinstance(pending, BlockWorkQueue):
-            # Indexed path: the first pending block with a local replica
-            # is the head of the node's candidate queue — O(1) amortised
-            # instead of the O(blocks) scan below, same assignment.
-            block = pending.pop_local(node)
-            if block is not None:
-                self._skips[worker] = 0
-                return block, True
-            skips = self._skips.get(worker, 0)
-            if skips < self._max_skips_for(worker):
-                self._skips[worker] = skips + 1
-                return None
+        block = pending.pop_local(worker % self.hdfs.n_nodes)
+        if block is not None:
             self._skips[worker] = 0
-            head = pending.pop_head()
-            assert head is not None  # pending was non-empty
-            return head, False
-        for i, block in enumerate(pending):
-            if self.hdfs.namenode.is_local(block.block_id, node):
-                self._skips[worker] = 0
-                del pending[i]
-                return block, True
+            return block, True
         skips = self._skips.get(worker, 0)
-        if skips < self._max_skips_for(worker):
+        if skips < self.max_skips:
             self._skips[worker] = skips + 1
             return None
         self._skips[worker] = 0
-        head = pending[0]
-        del pending[0]
+        head = pending.pop_head()
+        assert head is not None  # pending was non-empty
         return head, False
 
 
@@ -456,7 +398,7 @@ class TaskJobRunner:
                 idle_rounds = 0
             else:
                 idle_rounds += 1
-                if idle_rounds > self.n_workers * (self.scheduler.max_patience + 1):
+                if idle_rounds > self.n_workers * (self.scheduler.max_skips + 1):
                     raise RuntimeError("scheduler starved with pending tasks")
             worker = (worker + 1) % self.n_workers
 

@@ -611,7 +611,6 @@ def pair_metrics(
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
-    remote_fraction: float | None = None,
 ) -> PairMetrics:
     """Evaluate a co-located pair under (grids of) configurations.
 
@@ -633,13 +632,13 @@ def pair_metrics(
         profile_a, data_a, freq_a, block_a, ma,
         node=node, constants=constants,
         mpki_scale=mpki_scale_a, disk_traffic_scale=disk_scale,
-        extra_streams=mb, remote_fraction=remote_fraction,
+        extra_streams=mb,
     )
     job_b = standalone_metrics(
         profile_b, data_b, freq_b, block_b, mb,
         node=node, constants=constants,
         mpki_scale=mpki_scale_b, disk_traffic_scale=disk_scale,
-        extra_streams=ma, remote_fraction=remote_fraction,
+        extra_streams=ma,
     )
 
     cap = node.membw.achievable_bw

@@ -120,13 +120,12 @@ def sweep_solo(
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
-    remote_fraction: float | None = None,
 ) -> SoloSweepResult:
     """Evaluate all 160 standalone configurations for one instance."""
     f, b, m = config_grid(node)
     metrics = standalone_metrics(
         instance.profile, instance.data_bytes, f, b, m,
-        node=node, constants=constants, remote_fraction=remote_fraction,
+        node=node, constants=constants,
     )
     return SoloSweepResult(instance=instance, freq=f, block=b, mappers=m, metrics=metrics)
 
@@ -138,7 +137,6 @@ def sweep_pair(
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     partitions: list[tuple[int, int]] | None = None,
-    remote_fraction: float | None = None,
 ) -> PairSweepResult:
     """Evaluate the full pair grid (knobs × core partitions) for a pair.
 
@@ -149,7 +147,7 @@ def sweep_pair(
     metrics = pair_metrics(
         instance_a.profile, instance_a.data_bytes, f1, b1, m1,
         instance_b.profile, instance_b.data_bytes, f2, b2, m2,
-        node=node, constants=constants, remote_fraction=remote_fraction,
+        node=node, constants=constants,
     )
     return PairSweepResult(
         instance_a=instance_a, instance_b=instance_b,

@@ -236,9 +236,7 @@ class ClusterService:
         if self.controller is not None:
             # Live ECoST path: completion telemetry also feeds the
             # online self-tuner (no-op for plain STP backends).
-            notify = getattr(self.controller, "notify_completions", None)
-            if callable(notify):
-                notify()
+            self.controller.notify_completions()
 
     def pump(self) -> int:
         """Wall-mode tick: dispatch buffered jobs, advance to now.

@@ -3,14 +3,14 @@
 The paper instruments every run with three tools (§2.5): ``perf``
 (multiplexed PMU counters), ``dstat`` (CPU/disk/memory utilisation at
 1 s) and a Wattsup PRO wall-power meter (1 s).  This package simulates
-all three against either a live :class:`~repro.mapreduce.engine.
-NodeEngine` trace or a closed-form profiling run, producing the
-14-feature vectors that drive classification and self-tuning.
+all three.  ``perf`` and ``dstat`` sample a closed-form profiling run,
+producing the 14-feature vectors that drive classification and
+self-tuning; the Wattsup meter also samples a live
+:class:`~repro.mapreduce.engine.NodeEngine`'s segment window.
 
-Exports resolve lazily (PEP 562): several submodules here import from
-``repro.mapreduce.engine`` while the engine itself imports
-``repro.telemetry.tracing``, so an eager package init would close an
-import cycle whenever ``repro.mapreduce`` loads first.
+Exports resolve lazily (PEP 562), so the engine, which imports
+``repro.telemetry.tracing`` and ``repro.telemetry.counters``, does not
+load the samplers with them.
 """
 
 import importlib

@@ -2,20 +2,18 @@
 
 Mirrors the columns the paper collects (§3.1): CPUuser, CPUsys,
 CPUidle, CPUiowait, disk read/write bandwidth, memory footprint and
-page-cache size.  Rows can be produced from a live
-:class:`~repro.mapreduce.engine.NodeEngine` interval trace (resampled
-to one second) or synthesised for a standalone profiling run.
+page-cache size.  Rows are synthesised for a standalone profiling run
+(the learning period), the input of the 14-feature vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.hardware.node import ATOM_C2758, NodeSpec
-from repro.mapreduce.engine import IntervalRecord
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.costmodel import standalone_metrics
 from repro.utils.rng import SeedLike, rng_from
@@ -46,7 +44,7 @@ class DstatRow:
 
 
 class DstatMonitor:
-    """Produces dstat rows for profiling runs and engine traces."""
+    """Produces dstat rows for profiling runs."""
 
     def __init__(
         self,
@@ -144,45 +142,6 @@ class DstatMonitor:
                     ),
                     mem_footprint_bytes=ss["mem_footprint_bytes"],
                     mem_cache_bytes=ss["mem_cache_bytes"],
-                )
-            )
-        return rows
-
-    # ------------------------------------------------------- engine trace
-    def rows_from_intervals(
-        self, intervals: Sequence[IntervalRecord], *, until: float | None = None
-    ) -> list[DstatRow]:
-        """Resample a node's interval trace to 1-second dstat rows."""
-        if not intervals:
-            return []
-        end = until if until is not None else max(i.end for i in intervals)
-        rows = []
-        for t in range(int(np.ceil(end))):
-            lo, hi = float(t), float(t + 1)
-            busy = disk = 0.0
-            for seg in intervals:
-                w = max(min(seg.end, hi) - max(seg.start, lo), 0.0)
-                if w <= 0:
-                    continue
-                cores_busy = sum(
-                    u * m for u, m in zip(seg.u_cpu_per_job, seg.mappers_per_job)
-                )
-                busy += w * cores_busy / self.node.n_cores
-                disk += w * seg.u_disk
-            user = busy * (1.0 - _SYS_FRACTION) * 100.0
-            sys = busy * _SYS_FRACTION * 100.0
-            iowait = min(disk * 40.0, 100.0 - user - sys)
-            rows.append(
-                DstatRow(
-                    time=lo,
-                    cpu_user=user,
-                    cpu_sys=sys,
-                    cpu_idle=100.0 - user - sys - iowait,
-                    cpu_iowait=iowait,
-                    io_read_bps=disk * self.node.disk.peak_bw * 0.6,
-                    io_write_bps=disk * self.node.disk.peak_bw * 0.4,
-                    mem_footprint_bytes=0.0,
-                    mem_cache_bytes=0.0,
                 )
             )
         return rows

@@ -1,8 +1,8 @@
 """Simulated Wattsup PRO power meter.
 
 Whole-system wall power at one-second granularity (§2.5).  The trace
-can be produced from a :class:`~repro.mapreduce.engine.NodeEngine`
-interval record (the power of each constant-configuration segment,
+can be sampled from a :class:`~repro.mapreduce.engine.NodeEngine`'s
+segment window (the power of each constant-configuration segment,
 resampled at 1 Hz with meter noise) or from a closed-form run.  The
 paper derives "core power" by subtracting the measured idle baseline;
 :meth:`PowerTrace.average_above_idle` implements that methodology.
@@ -11,13 +11,15 @@ paper derives "core power" by subtracting the measured idle baseline;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.hardware.node import ATOM_C2758, NodeSpec
-from repro.mapreduce.engine import IntervalRecord
 from repro.utils.rng import SeedLike, rng_from
+
+if TYPE_CHECKING:
+    from repro.mapreduce.engine import NodeEngine
 
 
 @dataclass(frozen=True)
@@ -73,64 +75,35 @@ class WattsupMeter:
         self.node = node
         self.noise_watts = noise_watts
 
-    def trace_from_intervals(
+    def trace(
         self,
-        intervals: Sequence[IntervalRecord],
+        engine: NodeEngine,
         *,
         until: float | None = None,
         seed: SeedLike = None,
     ) -> PowerTrace:
-        """Resample an engine interval trace at 1 Hz.
+        """Sample a node engine's segment window at 1 Hz.
 
-        Seconds not covered by any segment read the idle baseline —
-        the node is powered whether or not a job runs.
+        Second ``t`` reads the busy energy and busy seconds the window
+        holds over ``[t, t+1]``; the uncovered rest of the second reads
+        the idle baseline — the node is powered whether or not a job
+        runs.  ``until`` defaults to the engine clock, which on a
+        finished node is the end of its last segment.
 
-        A node's interval records arrive time-ordered and
-        non-overlapping, so one forward cursor sweeps intervals and
-        samples together in O(seconds + segments); rescanning every
-        segment for every sample is O(seconds × segments), which
-        dominates long steady-state traces.  The cursor visits exactly
-        the segments the full rescan would have accumulated, in the
-        same order, so the samples are byte-identical.  Unsorted input
-        (a hand-built trace) falls back to the rescan.
+        The window's reads are bit-identical to a linear scan of every
+        segment, so each sample is too.  A recorder that keeps no
+        segments (``recorder='off'``), or a streaming window asked for
+        seconds it has dropped, refuses with ``RuntimeError``.
         """
         rng = rng_from(seed)
         idle = self.node.power.idle_power
-        intervals = list(intervals)
-        end = until
-        if end is None:
-            end = max((i.end for i in intervals), default=1.0)
+        end = engine.now if until is None else until
         n = max(int(np.ceil(end)), 1)
-        samples = np.full(n, idle)
-        sorted_in = all(
-            intervals[k - 1].start <= intervals[k].start
-            for k in range(1, len(intervals))
-        )
-        cursor = 0 if sorted_in else None
+        busy_between = engine.recorder.busy_between
+        samples = np.empty(n)
         for t in range(n):
-            lo, hi = float(t), float(t + 1)
-            acc = 0.0
-            covered = 0.0
-            if cursor is None:
-                for seg in intervals:
-                    w = max(min(seg.end, hi) - max(seg.start, lo), 0.0)
-                    if w > 0:
-                        acc += seg.power_watts * w
-                        covered += w
-            else:
-                # Drop segments that ended at or before this second;
-                # they can never overlap a later sample either.
-                while cursor < len(intervals) and intervals[cursor].end <= lo:
-                    cursor += 1
-                for k in range(cursor, len(intervals)):
-                    seg = intervals[k]
-                    if seg.start >= hi:
-                        break
-                    w = max(min(seg.end, hi) - max(seg.start, lo), 0.0)
-                    if w > 0:
-                        acc += seg.power_watts * w
-                        covered += w
-            samples[t] = acc + idle * (1.0 - covered)
+            busy, covered = busy_between(float(t), float(t + 1))
+            samples[t] = busy + idle * (1.0 - covered)
         samples = np.maximum(samples + rng.normal(0.0, self.noise_watts, size=n), 0.0)
         return PowerTrace(samples_watts=samples, idle_watts=idle)
 

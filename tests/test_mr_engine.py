@@ -97,7 +97,8 @@ class TestNodeEngine:
         engine = NodeEngine()
         engine.submit(spec())
         result = engine.run_to_completion()[0]
-        covered = sum(seg.duration for seg in engine.intervals)
+        window = engine.recorder
+        covered = sum(e - s for s, e in zip(window.starts, window.ends))
         assert covered == pytest.approx(result.duration)
 
     def test_energy_between_includes_idle(self):
@@ -159,3 +160,27 @@ class TestClusterEngine:
         cluster.run()
         second = cluster.results[-1]
         assert second.start_time >= 50.0
+
+    @pytest.mark.parametrize("exponent", [36, 40, 44, 48])
+    def test_completions_hold_at_large_clock_values(self, exponent):
+        """From about 2**35 s the clock's float spacing exceeds the
+        engine's 1e-6 s completion tolerance, so the tolerance is
+        floored at the clock's resolution."""
+        start = 2.0**exponent
+        for codes in (("wc", "st", "km"), ("gp", "ts", "hmm"), ("st", "st", "wc")):
+            for gaps in ((0.0, 3.0, 7.0), (0.0, 0.0, 0.0), (0.0, 11.0, 19.0)):
+                cluster = ClusterEngine(n_nodes=1)
+                specs = []
+                t = start
+                for code, gap, m in zip(codes, gaps, (2, 3, 3)):
+                    t += gap
+                    specs.append(
+                        spec(code, gb=1, b=128, m=m, submit_time=t)
+                    )
+                    cluster.submit(specs[-1])
+                results = cluster.run()
+                assert sorted(r.spec.job_id for r in results) == sorted(
+                    s.job_id for s in specs
+                )
+                assert all(np.isfinite(r.energy_joules) for r in results)
+                assert np.isfinite(cluster.total_energy())

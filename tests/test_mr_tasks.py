@@ -7,6 +7,7 @@ import pytest
 from repro.hdfs.filesystem import MiniHdfs
 from repro.mapreduce.functional import MapReduceRuntime
 from repro.mapreduce.tasks import (
+    BlockWorkQueue,
     LocalityScheduler,
     TaskJobRunner,
     synthetic_record_reader,
@@ -87,15 +88,15 @@ def test_scheduler_prefers_local():
     fs = MiniHdfs(n_nodes=2, replication=1)
     fs.write_file("f", 256 * MB, 128 * MB)
     sched = LocalityScheduler(fs, n_workers=2)
-    pending = fs.splits_for("f")
-    block, local = sched.assign(list(pending), worker=0)  # type: ignore[misc]
+    pending = BlockWorkQueue(fs.splits_for("f"), fs.namenode)
+    block, local = sched.assign(pending, worker=0)  # type: ignore[misc]
     assert local
 
 
 def test_scheduler_empty_pending():
     fs = MiniHdfs(n_nodes=1)
     sched = LocalityScheduler(fs, n_workers=1)
-    assert sched.assign([], worker=0) is None
+    assert sched.assign(BlockWorkQueue([], fs.namenode), worker=0) is None
 
 
 def test_validation(hdfs):
@@ -107,33 +108,70 @@ def test_validation(hdfs):
         synthetic_record_reader(get_app("wc"), records_per_block=0)
 
 
-def test_deque_and_list_assignment_orders_identical(hdfs):
-    """The O(1)-head deque path must reproduce the list path exactly.
+class _ScanScheduler:
+    """Reference model of :class:`LocalityScheduler`: delay scheduling
+    by scanning the pending list in order for the first block with a
+    local replica."""
 
-    Replays the same worker round-robin against a deque- and a
-    list-backed pending queue; every (block, locality) decision —
-    including delay-scheduling waits — must match, so a runner built on
-    either container sees the byte-identical assignment sequence.
+    def __init__(self, hdfs, max_skips):
+        self.hdfs = hdfs
+        self.max_skips = max_skips
+        self._skips = {}
+
+    def assign(self, pending, worker):
+        if not pending:
+            return None
+        node = worker % self.hdfs.n_nodes
+        for i, block in enumerate(pending):
+            if self.hdfs.namenode.is_local(block.block_id, node):
+                self._skips[worker] = 0
+                del pending[i]
+                return block, True
+        skips = self._skips.get(worker, 0)
+        if skips < self.max_skips:
+            self._skips[worker] = skips + 1
+            return None
+        self._skips[worker] = 0
+        return pending.pop(0), False
+
+
+def _assignment_log(sched, pending, n_workers):
+    log = []
+    worker = 0
+    while pending:
+        got = sched.assign(pending, worker=worker)
+        if got is None:
+            log.append((worker, None, None))
+        else:
+            block, local = got
+            log.append((worker, block.block_id, local))
+        worker = (worker + 1) % n_workers
+    return log
+
+
+def test_work_queue_assignment_matches_reference_scan():
+    """The indexed path picks what the pending-order scan picks.
+
+    Three workers on six nodes leave three nodes' replicas without a
+    local worker, so the remote fallback and the delay-scheduling waits
+    both run; every (block, locality) decision and every wait must match.
     """
-    from collections import deque
-
-    blocks = hdfs.splits_for("input")
-    seq = {}
-    for backend in (list, deque):
-        sched = LocalityScheduler(hdfs=hdfs, n_workers=4, max_skips=1)
-        pending = backend(blocks)
-        log = []
-        worker = 0
-        while pending:
-            got = sched.assign(pending, worker=worker)
-            if got is None:
-                log.append((worker, None, None))
-            else:
-                block, local = got
-                log.append((worker, block.block_id, local))
-            worker = (worker + 1) % 4
-        seq[backend.__name__] = log
-    assert seq["deque"] == seq["list"]
+    for replication in (1, 3):
+        fs = MiniHdfs(n_nodes=6, replication=replication)
+        fs.write_file("input", 2 * GB, 128 * MB)  # 16 blocks
+        blocks = fs.splits_for("input")
+        for max_skips in (0, 1, 2):
+            want = _assignment_log(
+                _ScanScheduler(fs, max_skips), list(blocks), n_workers=3
+            )
+            got = _assignment_log(
+                LocalityScheduler(fs, n_workers=3, max_skips=max_skips),
+                BlockWorkQueue(blocks, fs.namenode),
+                n_workers=3,
+            )
+            assert got == want, (replication, max_skips)
+            assert any(local is False for _w, _b, local in want)
+            assert (max_skips == 0) == all(b is not None for _w, b, _l in want)
 
 
 def test_counters_are_consistent_with_attempt_log(hdfs):

@@ -171,7 +171,6 @@ class _StubEngine:
     """Minimal NodeEngine stand-in for driving recorders directly."""
 
     node_id = 0
-    running = ()
 
     class telemetry:  # noqa: N801 - attribute stand-in, not a real class
         @staticmethod
@@ -196,8 +195,8 @@ def test_streaming_recorder_drops_keep_head_windows_exact(case_seed):
         t += float(rng.uniform(0.0, 2.0))
         dur = float(rng.uniform(0.1, 3.0))
         watts = float(rng.uniform(1.0, 40.0))
-        full.record(eng, t, t + dur, watts, 1.0, 0.0, 0.0, 0.0)
-        stream.record(eng, t, t + dur, watts, 1.0, 0.0, 0.0, 0.0)
+        full.record(eng, t, t + dur, watts)
+        stream.record(eng, t, t + dur, watts)
         segs.append((t, t + dur))
         t += dur
     assert stream.dropped > 0
@@ -231,9 +230,9 @@ def test_streaming_recorder_drops_keep_head_windows_exact(case_seed):
 def test_recorder_rejects_out_of_order(make):
     eng = _StubEngine()
     rec = make()
-    rec.record(eng, 0.0, 1.0, 10.0, 1.0, 0.0, 0.0, 0.0)
+    rec.record(eng, 0.0, 1.0, 10.0)
     with pytest.raises(RuntimeError, match="time-ordered"):
-        rec.record(eng, 0.5, 2.0, 10.0, 1.0, 0.0, 0.0, 0.0)
+        rec.record(eng, 0.5, 2.0, 10.0)
 
 
 # ------------------------------------------------- index structures

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mapreduce.engine import NodeEngine
+from repro.hardware import roster_from_classes
+from repro.mapreduce.engine import ClusterEngine, NodeEngine
 from repro.mapreduce.job import JobSpec
 from repro.model.config import JobConfig
 from repro.telemetry.dstat import DstatMonitor, average_rows
@@ -11,10 +12,11 @@ from repro.telemetry.wattsup import PowerTrace, WattsupMeter
 from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
+from repro.workloads.streams import poisson_job_stream
 
 
 @pytest.fixture(scope="module")
-def engine_trace():
+def solo_engine():
     engine = NodeEngine()
     engine.submit(
         JobSpec(
@@ -23,7 +25,7 @@ def engine_trace():
         )
     )
     engine.run_to_completion()
-    return engine.intervals
+    return engine
 
 
 class TestDstat:
@@ -51,29 +53,23 @@ class TestDstat:
         assert avg["cpu_user"] > 70.0
         assert avg["cpu_iowait"] < 10.0
 
-    def test_rows_from_engine_intervals(self, engine_trace):
-        rows = DstatMonitor().rows_from_intervals(engine_trace)
-        assert len(rows) >= 1
-        for r in rows:
-            assert 0 <= r.cpu_user <= 100
-
     def test_average_rows_empty_rejected(self):
         with pytest.raises(ValueError):
             average_rows([])
 
 
 class TestWattsup:
-    def test_trace_from_intervals_covers_horizon(self, engine_trace):
+    def test_trace_covers_horizon(self, solo_engine):
         meter = WattsupMeter(noise_watts=0.0)
-        end = max(i.end for i in engine_trace)
-        trace = meter.trace_from_intervals(engine_trace, until=end + 10)
+        end = solo_engine.recorder.ends[-1]
+        trace = meter.trace(solo_engine, until=end + 10)
         assert trace.duration_s >= end + 9
         idle = trace.samples_watts[-1]
         assert idle == pytest.approx(trace.idle_watts, abs=0.5)
 
-    def test_busy_seconds_above_idle(self, engine_trace):
+    def test_busy_seconds_above_idle(self, solo_engine):
         meter = WattsupMeter(noise_watts=0.0)
-        trace = meter.trace_from_intervals(engine_trace)
+        trace = meter.trace(solo_engine)
         assert trace.samples_watts[0] > trace.idle_watts
 
     def test_average_above_idle(self):
@@ -101,34 +97,43 @@ class TestWattsup:
             PowerTrace(samples_watts=np.array([]), idle_watts=30.0)
 
 
-def _rescan_reference(intervals, idle, n):
-    """The legacy O(seconds x segments) resampling loop, verbatim."""
+def _rescan_reference(window, idle, n):
+    """The O(seconds x segments) resampling loop over every segment of a
+    window's ``(starts, ends, watts)``: the reference each sample must
+    match bit for bit."""
+    segments = list(zip(window.starts, window.ends, window.watts))
     samples = np.full(n, idle)
     for t in range(n):
         lo, hi = float(t), float(t + 1)
         acc = 0.0
         covered = 0.0
-        for seg in intervals:
-            w = max(min(seg.end, hi) - max(seg.start, lo), 0.0)
+        for start, end, watts in segments:
+            w = max(min(end, hi) - max(start, lo), 0.0)
             if w > 0:
-                acc += seg.power_watts * w
+                acc += watts * w
                 covered += w
         samples[t] = acc + idle * (1.0 - covered)
     return samples
 
 
+def _assert_matches_rescan(meter, engine, until=None):
+    trace = meter.trace(engine, until=until)
+    want = _rescan_reference(
+        engine.recorder, meter.node.power.idle_power, len(trace.samples_watts)
+    )
+    assert np.array_equal(trace.samples_watts, want), engine.node_id
+    return trace
+
+
 class TestWattsupCursor:
-    def test_cursor_byte_identical_to_rescan(self, engine_trace):
-        meter = WattsupMeter(noise_watts=0.0)
-        trace = meter.trace_from_intervals(engine_trace)
-        idle = meter.node.power.idle_power
-        want = _rescan_reference(engine_trace, idle, len(trace.samples_watts))
-        assert np.array_equal(trace.samples_watts, want)
+    """Window-read samples against the rescan reference."""
+
+    def test_cursor_byte_identical_to_rescan(self, solo_engine):
+        _assert_matches_rescan(WattsupMeter(noise_watts=0.0), solo_engine)
 
     def test_cursor_byte_identical_on_colocated_trace(self):
         # Two co-resident jobs produce multiple segments per node with
-        # boundary seconds covered by two segments each — the case the
-        # cursor must accumulate in exactly the legacy order.
+        # boundary seconds covered by two segments each.
         engine = NodeEngine()
         for code, gb in (("st", 1), ("wc", 5)):
             engine.submit(
@@ -140,35 +145,62 @@ class TestWattsupCursor:
                 )
             )
         engine.run_to_completion()
-        meter = WattsupMeter(noise_watts=0.0)
-        trace = meter.trace_from_intervals(engine.intervals)
-        want = _rescan_reference(
-            engine.intervals,
-            meter.node.power.idle_power,
-            len(trace.samples_watts),
-        )
-        assert np.array_equal(trace.samples_watts, want)
+        _assert_matches_rescan(WattsupMeter(noise_watts=0.0), engine)
 
-    def test_unsorted_input_falls_back_to_rescan(self, engine_trace):
-        meter = WattsupMeter(noise_watts=0.0)
-        shuffled = list(reversed(engine_trace))
-        trace = meter.trace_from_intervals(shuffled)
-        want = _rescan_reference(
-            shuffled, meter.node.power.idle_power, len(trace.samples_watts)
-        )
-        assert np.array_equal(trace.samples_watts, want)
+    @pytest.mark.parametrize("classes", [("atom",) * 4, ("atom", "xeon") * 2])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_window_read_matches_rescan_on_seeded_cluster(self, classes, seed):
+        # Poisson arrivals leave idle gaps between segments and
+        # co-locate jobs; ``until`` past the last segment adds idle
+        # seconds after it.
+        n_jobs = 40
+        cluster = ClusterEngine(roster=roster_from_classes(classes))
+        for spec in poisson_job_stream(n_jobs, seed=seed, mean_interarrival_s=60.0):
+            cluster.submit(spec)
+        cluster.run()
+        horizon = cluster.makespan
+        for engine in cluster.nodes:
+            meter = WattsupMeter(engine.node, noise_watts=0.0)
+            trace = _assert_matches_rescan(meter, engine)
+            assert trace.duration_s == max(np.ceil(engine.now), 1.0)
+            _assert_matches_rescan(meter, engine, until=horizon + 30.5)
+        windows = [engine.recorder for engine in cluster.nodes]
+        # More segments than jobs: some job shared its node mid-run.
+        assert sum(w.retained for w in windows) > n_jobs
+        gaps = [s - e for w in windows for s, e in zip(w.starts[1:], w.ends)]
+        assert max(gaps) > 1.0
 
-    def test_noise_unchanged_by_cursor(self, engine_trace):
+    def test_noise_unchanged_by_cursor(self, solo_engine):
         # Seeded noise is drawn after resampling, so the metered trace
         # is the noiseless one plus the same normal draws as ever.
-        noisy = WattsupMeter(noise_watts=2.0).trace_from_intervals(
-            engine_trace, seed=123
-        )
-        clean = WattsupMeter(noise_watts=0.0).trace_from_intervals(
-            engine_trace, seed=123
-        )
+        noisy = WattsupMeter(noise_watts=2.0).trace(solo_engine, seed=123)
+        clean = WattsupMeter(noise_watts=0.0).trace(solo_engine, seed=123)
         from repro.utils.rng import rng_from
 
         draws = rng_from(123).normal(0.0, 2.0, size=len(clean.samples_watts))
         want = np.maximum(clean.samples_watts + draws, 0.0)
         assert np.array_equal(noisy.samples_watts, want)
+
+    def test_off_recorder_refused(self):
+        engine = NodeEngine(recorder="off")
+        engine.submit(
+            JobSpec(
+                instance=AppInstance(get_app("st"), 1 * GB),
+                config=JobConfig(
+                    frequency=2.4 * GHZ, block_size=256 * MB, n_mappers=4
+                ),
+            )
+        )
+        engine.run_to_completion()
+        with pytest.raises(RuntimeError, match="recorder='off'"):
+            WattsupMeter().trace(engine)
+
+    def test_streaming_window_refuses_dropped_seconds(self):
+        cluster = ClusterEngine(n_nodes=2, recorder="streaming:3")
+        for spec in poisson_job_stream(30, seed=3):
+            cluster.submit(spec)
+        cluster.run()
+        engine = max(cluster.nodes, key=lambda n: n.recorder.dropped)
+        assert engine.recorder.dropped > 0
+        with pytest.raises(RuntimeError, match="retention bound"):
+            WattsupMeter().trace(engine)
