@@ -11,7 +11,6 @@ matrix that justifies dropping co-linear counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig

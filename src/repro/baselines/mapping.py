@@ -43,7 +43,7 @@ from repro.mapreduce.job import JobSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import distributed_metrics
-from repro.model.sweep import sweep_pair, sweep_solo
+from repro.model.sweep import sweep_pair
 from repro.utils.units import GHZ, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import TRAINING_APPS, instances_for

@@ -205,84 +205,17 @@ def generate_scenario(
 
 
 # -------------------------------------------------------------- checking
-def _check_backends(
-    scenario: Scenario, backends: tuple[str, ...]
-) -> list[Failure]:
-    """Differential check: alternate backends vs the event engine.
-
-    For each requested non-event backend (``"batch"``), evaluate the
-    scenario through :func:`repro.batch.engine.evaluate_scenarios` and
-    compare makespan, total energy, EDP, node-0 busy time and every
-    per-job energy against the reference event run at the conformance
-    tolerance.  A backend outcome that *fell back* to the event engine
-    is skipped — it is the reference, there is nothing to diff.
-    """
-    # Imported lazily: repro.batch.engine itself imports the scenario
-    # layer of this package, so a module-level import would cycle.
-    from repro.batch.engine import evaluate_scenarios
-    from repro.conformance.oracles import REL_TOL, _rel_err
-
-    failures: list[Failure] = []
-    names = [b for b in backends if b != "event"]
-    if not names:
-        return failures
-    reference = None
-    for name in names:
-        [outcome] = evaluate_scenarios([scenario], backend=name)
-        if outcome.fallback:
-            continue
-        if reference is None:
-            [reference] = evaluate_scenarios([scenario], backend="event")
-        quantities = (
-            ("makespan", reference.makespan, outcome.makespan),
-            ("total_energy", reference.total_energy, outcome.total_energy),
-            ("edp", reference.edp, outcome.edp),
-            ("busy_seconds", reference.busy_seconds, outcome.busy_seconds),
-        )
-        for qty, want, got in quantities:
-            err = _rel_err(want, got)
-            if err > REL_TOL:
-                failures.append(
-                    Failure(
-                        check=f"backend:{name}:{qty}",
-                        message=(
-                            f"backend:{name}:{qty}: {name}={got!r} "
-                            f"event={want!r} rel_err={err:.3e} "
-                            f"(case={outcome.case})"
-                        ),
-                    )
-                )
-        for j, (want, got) in enumerate(
-            zip(reference.job_energies, outcome.job_energies)
-        ):
-            err = _rel_err(want, got)
-            if err > REL_TOL:
-                failures.append(
-                    Failure(
-                        check=f"backend:{name}:job_energy[{j}]",
-                        message=(
-                            f"backend:{name}:job_energy[{j}]: {name}={got!r} "
-                            f"event={want!r} rel_err={err:.3e} "
-                            f"(case={outcome.case})"
-                        ),
-                    )
-                )
-    return failures
-
-
 def run_checks(
     scenario: Scenario,
     *,
     relations: list[str] | None = None,
-    backends: tuple[str, ...] = (),
 ) -> list[Failure]:
     """The full conformance battery on one scenario.
 
-    Order: analytic oracle (when solvable), then the differential
-    backend checks (when ``backends`` requests any), then every
-    requested metamorphic relation.  An exception anywhere is itself a
-    failure (check name ``crash:<ExceptionType>``) — the engine must
-    not raise on any valid scenario.
+    Order: analytic oracle (when solvable), then every requested
+    metamorphic relation.  An exception anywhere is itself a failure
+    (check name ``crash:<ExceptionType>``) — the engine must not raise
+    on any valid scenario.
     """
     failures: list[Failure] = []
     try:
@@ -296,16 +229,6 @@ def run_checks(
                 message=traceback.format_exc(limit=3).strip(),
             )
         )
-    if backends:
-        try:
-            failures.extend(_check_backends(scenario, tuple(backends)))
-        except Exception as exc:  # noqa: BLE001
-            failures.append(
-                Failure(
-                    check=f"crash:{type(exc).__name__}",
-                    message=traceback.format_exc(limit=3).strip(),
-                )
-            )
     names = list(RELATIONS) if relations is None else relations
     for name in names:
         try:
@@ -324,13 +247,9 @@ def run_checks(
     return failures
 
 
-def _still_fails(
-    scenario: Scenario, check: str, *, backends: tuple[str, ...] = ()
-) -> bool:
+def _still_fails(scenario: Scenario, check: str) -> bool:
     try:
-        return any(
-            f.check == check for f in run_checks(scenario, backends=backends)
-        )
+        return any(f.check == check for f in run_checks(scenario))
     except Exception:  # pragma: no cover - run_checks catches internally
         return False
 
@@ -341,7 +260,6 @@ def shrink(
     check: str,
     *,
     log: list[str] | None = None,
-    backends: tuple[str, ...] = (),
 ) -> Scenario:
     """Greedily minimise ``scenario`` while check ``check`` still fails.
 
@@ -351,15 +269,13 @@ def shrink(
     fewest mappers).  Each candidate is
     accepted only if the *same named check* still fails, so shrinking
     cannot wander onto a different defect.  Deterministic; bounded by
-    ``_MAX_SHRINK_ROUNDS`` fixpoint rounds.  ``backends`` must match
-    the :func:`run_checks` call that caught the failure, or a
-    ``backend:*`` check can never reproduce.
+    ``_MAX_SHRINK_ROUNDS`` fixpoint rounds.
     """
     log = log if log is not None else []
 
     def attempt(candidate: Scenario, note: str) -> bool:
         nonlocal scenario
-        if _still_fails(candidate, check, backends=backends):
+        if _still_fails(candidate, check):
             scenario = candidate
             log.append(note)
             return True
@@ -459,7 +375,6 @@ def fuzz(
     budget: int,
     seed: int,
     relations: list[str] | None = None,
-    backends: tuple[str, ...] = (),
     stop_on_failure: bool = True,
     roster_prob: float = _ROSTER_PROB,
 ) -> FuzzReport:
@@ -468,11 +383,10 @@ def fuzz(
     Stops at the first failure (after shrinking it and rendering the
     regression test), or reports a clean run.  Fully determined by
     ``seed``: scenario ``i`` is generated from ``Random(f"{seed}:{i}")``
-    independently of the preceding scenarios.  ``backends`` adds the
-    differential backend checks (e.g. ``("batch",)``) to the battery
-    on every scenario.  ``roster_prob`` overrides the fraction of
-    oracle-shaped draws carrying an explicit node-class roster
-    (``1.0`` = the heterogeneous smoke; other draws are unchanged).
+    independently of the preceding scenarios.  ``roster_prob``
+    overrides the fraction of oracle-shaped draws carrying an explicit
+    node-class roster (``1.0`` = the heterogeneous smoke; other draws
+    are unchanged).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -481,20 +395,18 @@ def fuzz(
         rng = random.Random(f"{seed}:{i}")
         scenario = generate_scenario(rng, roster_prob=roster_prob)
         report.executed = i + 1
-        failures = run_checks(scenario, relations=relations, backends=backends)
+        failures = run_checks(scenario, relations=relations)
         if not failures:
             continue
         failure = failures[0]
         report.failure = failure
         report.scenario = scenario
         log: list[str] = []
-        report.shrunk = shrink(scenario, failure.check, log=log, backends=backends)
+        report.shrunk = shrink(scenario, failure.check, log=log)
         report.shrink_log = log
         shrunk_failures = [
             f
-            for f in run_checks(
-                report.shrunk, relations=relations, backends=backends
-            )
+            for f in run_checks(report.shrunk, relations=relations)
             if f.check == failure.check
         ]
         report.failure = shrunk_failures[0] if shrunk_failures else failure

@@ -415,7 +415,8 @@ def hetero_matrix(codes: Sequence[str] = ALL_APPS) -> list[Scenario]:
     rosters — an over-committed simultaneous pair whose second job
     spills onto node 1's hardware.  Every scenario is analytically
     solvable by :mod:`repro.conformance.oracles` with the roster's own
-    specs, so the acceptance gate can demand zero dispatcher fallbacks.
+    specs, so the acceptance gate fails on any scenario the oracle
+    cannot solve.
     """
     scenarios: list[Scenario] = []
     codes = tuple(codes)

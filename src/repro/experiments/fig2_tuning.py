@@ -24,7 +24,6 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.costmodel import standalone_metrics
 from repro.utils.tables import render_series
 from repro.utils.units import GB, GHZ, MB
-from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 
 BASELINE_BLOCK = 64 * MB

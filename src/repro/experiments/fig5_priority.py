@@ -20,7 +20,7 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.utils.tables import render_table
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
-from repro.workloads.registry import TRAINING_APPS, get_app
+from repro.workloads.registry import get_app
 
 #: Representative training application per class (Fig. 5's data comes
 #: from the training set).

@@ -28,7 +28,7 @@ from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.utils.tables import render_table
 from repro.utils.units import GB
-from repro.workloads.base import AppClass, AppInstance
+from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 
 #: Constants perturbed and the relative deltas applied.

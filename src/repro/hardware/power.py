@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hardware.frequency import DvfsTable, OperatingPoint
+from repro.hardware.frequency import DvfsTable
 from repro.utils.validation import check_positive, check_probability
 
 

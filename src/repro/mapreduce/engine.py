@@ -50,18 +50,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.events import EventQueue
 from repro.mapreduce.indexes import FreeCoreIndex, PendingQueue
 from repro.mapreduce.job import JobResult, JobSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.costmodel import (
-    JobMetrics,
     ScalarJobMetrics,
     colocation_context_scalar,
-    fluid_stretch,
     standalone_metrics_scalar,
 )
 from repro.telemetry.counters import EngineTelemetry

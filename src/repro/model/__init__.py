@@ -1,14 +1,9 @@
 """Analytic cost model and vectorised configuration sweeps.
 
 One array cost kernel (:mod:`repro.model.costmodel`) serves every
-array caller:
-
-* :mod:`repro.model.sweep` evaluates it over whole NumPy grids of
-  configurations — this is what makes the paper's 84,480-run
-  brute-force oracle (COLAO) tractable in seconds;
-* :mod:`repro.batch` feeds it per-lane profiles
-  (:class:`~repro.batch.kernel.ProfileSoA`) to solve thousands of
-  scenarios in one pass.
+array caller: :mod:`repro.model.sweep` evaluates it over whole NumPy
+grids of configurations — this is what makes the paper's 84,480-run
+brute-force oracle (COLAO) tractable in seconds.
 
 :mod:`repro.mapreduce.engine` replays the same per-job quantities event
 by event through the kernel's scalar twin

@@ -37,11 +37,9 @@ aggregate disk/NIC/DRAM demand oversubscribes a resource, and a
 two-segment schedule yields makespan and energy.
 
 One array kernel, :func:`standalone_metrics` / :func:`pair_metrics`,
-serves every array caller: grid sweeps with one
-:class:`~repro.workloads.base.AppProfile`, and the batch solvers with
-per-lane :class:`~repro.batch.kernel.ProfileSoA` profiles.  The
-discrete-event engine calls the kernel one job at a time, where array
-overhead dominates, so it runs the scalar twin
+serves the grid sweeps, one :class:`~repro.workloads.base.AppProfile`
+per call.  The discrete-event engine calls the kernel one job at a
+time, where array overhead dominates, so it runs the scalar twin
 :func:`standalone_metrics_scalar` / :func:`colocation_context_scalar`,
 which tests hold bit-identical to the array code.
 """
@@ -218,12 +216,6 @@ def standalone_metrics(
     broadcast together.  The three ``*_scale``/``extra_streams`` hooks
     are how :func:`pair_metrics` injects co-location couplings while
     reusing this single kernel.
-
-    ``profile`` is an :class:`~repro.workloads.base.AppProfile` or a
-    :class:`~repro.batch.kernel.ProfileSoA`: the kernel only reads the
-    profile fields by attribute, so SoA lanes (one float64 array per
-    field) broadcast with the knobs and one call evaluates jobs of
-    *different* applications together — the batch solvers' path.
     """
     D = np.asarray(data_bytes, dtype=float)
     f = np.asarray(frequency, dtype=float)
@@ -530,8 +522,8 @@ def colocation_context_scalar(
     Returns one ``(mpki_scale, disk_traffic_scale, extra_streams)``
     tuple per job without allocating arrays for the common small
     running sets.  For fewer than 8 jobs the result is bit-identical to
-    :func:`repro.batch.kernel.colocation_context_soa` on a one-row
-    batch (``tests/test_costmodel_scalar.py`` asserts it).
+    the array reference ``colocation_context_soa`` in
+    ``tests/test_costmodel_scalar.py``, which asserts it.
     """
     if len(profiles) != len(mappers):
         raise ValueError("profiles and mappers must have equal length")
@@ -565,7 +557,7 @@ def colocation_context_scalar(
     for i in range(k):
         share = min(max(pres[i] / pres_total, floor), 1.0 - floor)
         # np.power, not **: NumPy's pow differs from libm by ULPs, and
-        # the array code (pair_metrics, colocation_context_soa) uses it.
+        # the array code (pair_metrics, the tests' reference) uses it.
         infl = min(
             max(float(np.power(min(share, 1.0), -profiles[i].cache_alpha)), 1.0),
             cache.max_inflation,

@@ -344,57 +344,3 @@ class SweepTelemetry(Counters):
         if self.batch_wall_s <= 0.0:
             return None
         return self.task_wall_s / self.batch_wall_s
-
-
-# ------------------------------------------------------ batch telemetry
-@dataclass(eq=False)
-class BatchTelemetry(Counters):
-    """Accounting for :func:`repro.batch.engine.evaluate_scenarios`.
-
-    Tracks how many scenarios each backend actually served, how many of
-    those were honest fallbacks to the event engine, and the shape of
-    the vectorised work (kernel passes and total SoA lanes).  A healthy
-    batch run over solvable scenario classes should report a batched
-    rate near 1.0; a low rate means the workload's shapes are outside
-    the closed forms and the batch layer is mostly delegating.
-    """
-
-    FLATTEN = {"by_case": "case_"}
-    DERIVED = ("batched_rate", "mean_lanes_per_call")
-
-    scenarios: int = 0
-    batched: int = 0
-    fallbacks: int = 0
-    kernel_calls: int = 0
-    kernel_lanes: int = 0
-    by_case: dict[str, int] = field(default_factory=dict)
-
-    # -- recording -----------------------------------------------------
-    def record_scenario(self, case: str, backend: str, fallback: bool) -> None:
-        """One scenario's final outcome: class, serving backend, fallback."""
-        self.scenarios += 1
-        self.by_case[case] = self.by_case.get(case, 0) + 1
-        if fallback:
-            self.fallbacks += 1
-        elif backend != "event":
-            self.batched += 1
-
-    def record_kernel(self, lanes: int) -> None:
-        """One vectorised solver pass over ``lanes`` scenario lanes."""
-        self.kernel_calls += 1
-        self.kernel_lanes += lanes
-
-    # -- derived -------------------------------------------------------
-    @property
-    def batched_rate(self) -> float | None:
-        """Closed-form share of scenarios, or ``None`` before any ran."""
-        if self.scenarios == 0:
-            return None
-        return self.batched / self.scenarios
-
-    @property
-    def mean_lanes_per_call(self) -> float | None:
-        """Average SoA width per kernel pass (the amortisation factor)."""
-        if self.kernel_calls == 0:
-            return None
-        return self.kernel_lanes / self.kernel_calls

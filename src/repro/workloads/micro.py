@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.workloads import datagen
-from repro.workloads.base import AppClass, Application, KeyValue
+from repro.workloads.base import Application, KeyValue
 from repro.workloads.profiles import class_for, profile_for
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.hcluster import (
     AgglomerativeClustering,
-    fcluster_by_count,
     representatives,
 )
 

@@ -8,7 +8,7 @@ from repro.core.controller import ECoSTController
 from repro.core.stp import MLMSTP
 from repro.mapreduce.engine import ClusterEngine
 from repro.utils.units import GB
-from repro.workloads.base import AppClass, AppInstance
+from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 
 

@@ -4,10 +4,10 @@ The discrete-event engine runs on :func:`standalone_metrics_scalar` /
 :func:`colocation_context_scalar`; every seeded experiment output is
 therefore only reproducible if the scalar twin is *exactly* (not
 approximately) equal to the array code it mirrors: the kernel
-:func:`standalone_metrics` and the batch layer's
-:func:`~repro.batch.kernel.colocation_context_soa`.  These tests assert
-``==`` on every field over randomized draws of the full knob/coupling
-space.
+:func:`standalone_metrics` and :func:`colocation_context_soa`, the
+array reference for the co-location context kept in this file.  These
+tests assert ``==`` on every field over randomized draws of the full
+knob/coupling space.
 """
 
 import math
@@ -15,9 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.batch.kernel import ProfileSoA, colocation_context_soa
 from repro.hardware.classes import XEON_E5
-from repro.hardware.node import ATOM_C2758
+from repro.hardware.node import ATOM_C2758, NodeSpec
+from repro.model.calibration import DEFAULT_CONSTANTS
 from repro.model.costmodel import (
     ScalarJobMetrics,
     _dyn_scale_scalar,
@@ -117,17 +117,72 @@ class TestDynScaleScalar:
             _dyn_scale_scalar(ATOM_C2758, 3.1 * GHZ)
 
 
+def colocation_context_soa(
+    cache_pressure: np.ndarray,
+    cache_alpha: np.ndarray,
+    footprint_per_task: np.ndarray,
+    n_mappers: np.ndarray,
+    *,
+    node: NodeSpec = ATOM_C2758,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array reference for :func:`colocation_context_scalar`.
+
+    Every argument is an ``(S, K)`` array, one row per set of ``K``
+    co-resident jobs: the three profile fields the context reads and
+    the mapper counts.  Returns per-job ``(mpki_scale,
+    disk_traffic_scale, extra_streams)`` arrays of the same shape.
+
+    Cross-job sums accumulate sequentially in slot order, as the scalar
+    context's loops do below 8 jobs (NumPy's pairwise reduction starts
+    at 8).  Elementwise IEEE-754 arithmetic equals the same scalar
+    arithmetic, so each row is bit-identical to the scalar twin.
+    """
+    m = np.asarray(n_mappers, dtype=float)
+    S, K = m.shape
+    assert K < 8, "sets of >= 8 jobs sum pairwise in the scalar context"
+
+    cores_per_module = 2.0
+    n_modules = node.n_cores / cores_per_module
+    mods = np.ceil(m / cores_per_module)
+    pres = cache_pressure * m
+    mods_sum = total_m = footprint = pres_total = np.zeros(S)
+    for j in range(K):
+        mods_sum = mods_sum + mods[:, j]
+        total_m = total_m + m[:, j]
+        footprint = footprint + m[:, j] * footprint_per_task[:, j]
+        pres_total = pres_total + pres[:, j]
+    shared = np.maximum(mods_sum - n_modules, 0.0)
+
+    over = np.maximum(footprint / node.available_memory_bytes - 1.0, 0.0)
+    disk_scale = 1.0 + DEFAULT_CONSTANTS.swap_penalty * over
+
+    if K == 1:
+        mpki_scale = np.ones_like(m)
+    else:
+        floor = DEFAULT_CONSTANTS.cache_share_floor
+        share = np.minimum(np.maximum(pres / pres_total[:, None], floor), 1.0 - floor)
+        infl = np.minimum(
+            np.maximum(np.power(np.minimum(share, 1.0), -cache_alpha), 1.0),
+            node.cache.max_inflation,
+        )
+        frac = np.minimum(shared[:, None] / mods, 1.0)
+        mpki_scale = 1.0 + frac * (infl - 1.0)
+    return mpki_scale, np.broadcast_to(disk_scale[:, None], m.shape), total_m[:, None] - m
+
+
 def _soa_context(profiles, mappers, node):
-    """:func:`colocation_context_soa` on a one-row batch, per-job tuples."""
-    k = len(profiles)
-    lanes = ProfileSoA.from_profiles(profiles).take(np.arange(k)[None, :])
+    """:func:`colocation_context_soa` on one set, per-job tuples."""
+
+    def row(name):
+        return np.array([[float(getattr(p, name)) for p in profiles]])
+
     mpki, disk, extra = colocation_context_soa(
-        lanes, np.array([mappers], dtype=float), np.ones((1, k), dtype=bool),
-        node=node,
+        row("cache_pressure"), row("cache_alpha"), row("footprint_per_task"),
+        np.array([mappers], dtype=float), node=node,
     )
     return [
         (float(mpki[0, i]), float(disk[0, i]), float(extra[0, i]))
-        for i in range(k)
+        for i in range(len(profiles))
     ]
 
 

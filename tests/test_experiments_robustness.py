@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.stp import LkTSTP
-from repro.experiments.robustness import RobustnessReport, run_robustness
+from repro.experiments.robustness import run_robustness
 
 
 @pytest.fixture(scope="module")

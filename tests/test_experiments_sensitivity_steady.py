@@ -5,7 +5,6 @@ import pytest
 from repro.core.stp import LkTSTP
 from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments.steady_state import _poisson_workload, run_steady_state
-from repro.model.calibration import DEFAULT_CONSTANTS
 from repro.utils.units import GB
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.hdfs.blocks import Block
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.utils.units import GB, MB
+from repro.utils.units import MB
 
 
 def _block(i=0, length=64 * MB, name="f"):

@@ -11,7 +11,6 @@ conservation laws that must hold for *any* schedule:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

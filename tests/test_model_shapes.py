@@ -13,7 +13,7 @@ from repro.baselines.ilao import ilao_best, ilao_pair_edp
 from repro.model.costmodel import standalone_metrics
 from repro.model.sweep import sweep_solo
 from repro.utils.units import GB, GHZ, MB
-from repro.workloads.base import AppClass, AppInstance
+from repro.workloads.base import AppInstance
 from repro.workloads.registry import ALL_APPS, get_app
 
 

@@ -1,7 +1,5 @@
 """Task-level job runner tests: locality scheduling + correctness."""
 
-from collections import Counter
-
 import pytest
 
 from repro.hdfs.filesystem import MiniHdfs

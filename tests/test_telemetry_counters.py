@@ -1,9 +1,9 @@
 """Every counter family's numeric export, pinned to a golden file.
 
 ``tests/golden/telemetry_counters.json`` holds the numeric ``as_dict``
-entries of the five counter families (engine, service, online, sweep,
-batch) and one whole service ``metrics_snapshot()``, captured from the
-seeded inputs below.  ``MetricsRegistry`` snapshots, the service's
+entries of the four counter families (engine, service, online, sweep)
+and one whole service ``metrics_snapshot()``, captured from the seeded
+inputs below.  ``MetricsRegistry`` snapshots, the service's
 ``/metrics`` body and the ``metrics`` block of ``tools/bench.py``
 payloads are all built from these exports, so a change to how the
 counters are declared must leave every key, value and number type
@@ -20,13 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch.engine import evaluate_scenarios
-from repro.conformance.scenarios import oracle_matrix
 from repro.faults import FaultInjector, InjectionPlan
 from repro.mapreduce.engine import ClusterEngine
 from repro.service import ClusterService, ServiceConfig, seeded_requests
 from repro.telemetry.counters import (
-    BatchTelemetry,
     EngineTelemetry,
     OnlineTelemetry,
     ServiceTelemetry,
@@ -143,22 +140,8 @@ def _online_fields() -> dict:
     return _numeric(tel.as_dict())
 
 
-def _batch() -> tuple[dict, dict]:
-    """``evaluate_scenarios`` over the oracle matrix, in one call and in
-    consecutive slices of 16 sharing one telemetry (one kernel pass per
-    slice and class)."""
-    matrix = oracle_matrix()
-    serial = BatchTelemetry()
-    evaluate_scenarios(matrix, backend="batch", telemetry=serial)
-    sharded = BatchTelemetry()
-    for lo in range(0, len(matrix), 16):
-        evaluate_scenarios(matrix[lo : lo + 16], backend="batch", telemetry=sharded)
-    return _numeric(serial.as_dict()), _numeric(sharded.as_dict())
-
-
 def compute_pins() -> dict[str, dict]:
     service_live, service_snapshot = _service()
-    batch_serial, batch_sharded = _batch()
     return {
         "engine_full": _engine_run("full"),
         "engine_streaming_8": _engine_run("streaming:8"),
@@ -172,9 +155,6 @@ def compute_pins() -> dict[str, dict]:
         "online_empty": _numeric(OnlineTelemetry().as_dict()),
         "sweep_calls": _sweep_calls(),
         "sweep_empty": _numeric(SweepTelemetry().as_dict()),
-        "batch_unsharded": batch_serial,
-        "batch_sharded": batch_sharded,
-        "batch_empty": _numeric(BatchTelemetry().as_dict()),
     }
 
 

@@ -1,6 +1,5 @@
 """14-feature profiling-vector tests."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.features import PROFILING_CONFIG

@@ -97,8 +97,7 @@ class TestStreamDeterminism:
 class TestJobIdStability:
     """The pinned job-id contract: ids from ``job_ids_from`` are a pure
     function of the arguments — stable across processes (a fresh
-    ``REPRO_WORKERS`` pool worker restarts the default counter) and
-    across evaluation backends."""
+    ``REPRO_WORKERS`` pool worker restarts the default counter)."""
 
     def test_pinned_ids_are_sequential_from_start(self):
         ids = [s.job_id for s in poisson_job_stream(8, seed=4, job_ids_from=10)]
@@ -187,42 +186,3 @@ class TestSeededRequestsMatchPlainStream:
         assert [_spec_key(s) for s in requests_to_specs(few)] == [
             _spec_key(s) for s in requests_to_specs(many)
         ]
-
-
-class TestCrossBackendSeedMatrix:
-    """One pinned seed-matrix test: the same seeded stream evaluated on
-    every backend yields the same jobs, ids and results."""
-
-    def test_stream_scenarios_agree_across_backends(self):
-        from repro.batch.engine import evaluate_scenarios
-        from repro.conformance.oracles import REL_TOL
-        from repro.conformance.scenarios import Scenario, ScenarioJob
-
-        for seed in (0, 3, 11):
-            specs = list(
-                poisson_job_stream(4, seed=seed, job_ids_from=1)
-            )
-            scenarios = [
-                Scenario(
-                    n_nodes=1,
-                    jobs=(
-                        ScenarioJob(
-                            code=s.instance.app.code,
-                            data_bytes=s.instance.data_bytes,
-                            frequency=s.config.frequency,
-                            block_size=s.config.block_size,
-                            n_mappers=s.config.n_mappers,
-                            submit_time=0.0,
-                        ),
-                    ),
-                )
-                for s in specs
-            ]
-            event = evaluate_scenarios(scenarios, backend="event")
-            batch = evaluate_scenarios(scenarios, backend="batch")
-            assert not any(o.fallback for o in batch)
-            for e, b in zip(event, batch):
-                scale = max(abs(e.makespan), 1.0)
-                assert abs(e.makespan - b.makespan) <= REL_TOL * scale
-                scale = max(abs(e.total_energy), 1.0)
-                assert abs(e.total_energy - b.total_energy) <= REL_TOL * scale

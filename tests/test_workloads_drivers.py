@@ -1,7 +1,6 @@
 """Iterative-driver tests: the apps run to convergence end to end."""
 
 import numpy as np
-import pytest
 
 from repro.workloads.drivers import run_hmm_em, run_kmeans, run_pagerank, run_svm
 

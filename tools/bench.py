@@ -233,50 +233,6 @@ def _op_reptree_predict():
     return run
 
 
-def _batch_sweep_scenarios():
-    """~4096 single-job scenarios spanning the studied knob grids."""
-    from repro.conformance.scenarios import Scenario, ScenarioJob
-    from repro.utils.units import GB, GHZ, MB
-    from repro.workloads.registry import ALL_APPS
-
-    scenarios = []
-    for code in ALL_APPS:
-        for freq in (1.2 * GHZ, 1.6 * GHZ, 2.0 * GHZ, 2.4 * GHZ):
-            for block in (64 * MB, 128 * MB, 256 * MB, 512 * MB):
-                for mappers in range(1, 9):
-                    for size in (1 * GB, 5 * GB, 10 * GB):
-                        scenarios.append(
-                            Scenario(
-                                n_nodes=1,
-                                jobs=(
-                                    ScenarioJob(
-                                        code=code,
-                                        data_bytes=size,
-                                        frequency=freq,
-                                        block_size=block,
-                                        n_mappers=mappers,
-                                        submit_time=0.0,
-                                    ),
-                                ),
-                                recorder="off",
-                            )
-                        )
-    return scenarios[:4096]
-
-
-def _op_batch_sweep_4096():
-    from repro.batch import evaluate_scenarios
-
-    scenarios = _batch_sweep_scenarios()
-
-    def run():
-        outcomes = evaluate_scenarios(scenarios, backend="batch")
-        assert len(outcomes) == 4096
-        assert not any(o.fallback for o in outcomes)
-
-    return run
-
-
 def _op_steady_state_256node():
     from repro.mapreduce.engine import ClusterEngine
     from repro.workloads.streams import poisson_job_stream
@@ -477,7 +433,6 @@ OPS: dict[str, tuple] = {
     "bench_steady_state_1k": (_op_steady_state_1k, True),
     "bench_hetero_steady_state_1k": (_op_hetero_steady_state_1k, True),
     "bench_faulty_steady_state": (_op_faulty_steady_state, True),
-    "bench_batch_sweep_4096": (_op_batch_sweep_4096, True),
     "bench_functional_wordcount": (_op_functional_wordcount, False),
     "bench_reptree_predict": (_op_reptree_predict, False),
     # Scale lane (not in --quick: CI runs these explicitly via --ops).

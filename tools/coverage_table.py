@@ -42,8 +42,7 @@ def missing_packages(report: dict, src_root: Path) -> list[str]:
 
     A package nobody imports produces no entry in ``coverage.json`` at
     all, so it would silently vanish from the table — 0% coverage
-    reading as "nothing to report".  (``repro.batch`` shipped in the
-    same PR as this check for exactly that reason.)
+    reading as "nothing to report".
     """
     measured = {package_of(p) for p in report["files"]}
     repro_dir = src_root / "repro"
