@@ -19,7 +19,7 @@ from repro.baselines.mapping import evaluate_policy
 from repro.baselines.oracle_stp import OraclePairSTP
 from repro.core.controller import ECoSTController
 from repro.core.stp import describe_instance
-from repro.experiments.artifacts import get_components
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.scenarios import scenario_instances
 from repro.mapreduce.engine import ClusterEngine
 from repro.utils.tables import render_table
@@ -27,7 +27,7 @@ from repro.utils.tables import render_table
 
 def test_ablation_decoupling(benchmark, save):
     def run():
-        comp = get_components("mlp")
+        comp = train_pipeline().components("mlp")
         rows = []
         for ws in ("WS1", "WS4", "WS7"):
             workload = scenario_instances(ws)

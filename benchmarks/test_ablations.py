@@ -19,10 +19,7 @@ import numpy as np
 from repro.baselines.mapping import evaluate_policy
 from repro.core.pairing import PairingPolicy
 from repro.core.stp import LkTSTP, describe_instance
-from repro.experiments.artifacts import (
-    get_components,
-    get_database_and_sweep_labels,
-)
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.scenarios import scenario_instances
 from repro.model.costmodel import pair_metrics, serial_pair_edp, standalone_metrics
 from repro.model.costmodel import colocation_context_scalar, fluid_stretch
@@ -37,7 +34,7 @@ def test_ablation_pairing_priority(benchmark, save):
     """FIFO pairing vs the class-priority decision tree on WS8."""
 
     def run():
-        comp = get_components("mlp")
+        comp = train_pipeline().components("mlp")
         workload = scenario_instances("WS8")
         with_tree = evaluate_policy("ECoST", workload, 8, components=comp)
         # Neutralise the decision tree: every class equal priority ->
@@ -74,7 +71,7 @@ def test_ablation_lkt_size_awareness(benchmark, save):
     """Paper-literal LkT vs the size-aware lookup variant."""
 
     def run():
-        db = get_database_and_sweep_labels()
+        db = train_pipeline().database
         paper = LkTSTP(db)
         aware = LkTSTP(db, size_aware=True)
         errors = {"paper": [], "size-aware": []}
@@ -185,7 +182,7 @@ def test_ablation_stp_model_kind(benchmark, save):
     def run():
         rows = []
         for kind in ("reptree", "mlp"):
-            comp = get_components(kind)
+            comp = train_pipeline().components(kind)
             for ws in ("WS4", "WS8"):
                 workload = scenario_instances(ws)
                 ub = evaluate_policy("UB", workload, 8, components=comp).edp

@@ -6,12 +6,12 @@ REPTree self-tuner, substantiating the deployment claim that the
 pipeline tolerates its classifier's realistic error modes.
 """
 
-from repro.experiments.artifacts import get_mlm
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.robustness import run_robustness
 
 
 def test_robustness_injection(benchmark, save):
-    stp = get_mlm("reptree")
+    stp = train_pipeline().pair_stp("reptree")
     report = benchmark.pedantic(
         run_robustness, args=(stp,), rounds=1, iterations=1
     )

@@ -7,13 +7,14 @@ starvation even though the decision tree de-prioritises memory-bound
 applications.
 """
 
-from repro.experiments.artifacts import get_classifier, get_mlm
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.steady_state import run_steady_state
 
 
 def test_steady_state(benchmark, save):
-    stp = get_mlm("mlp")
-    classifier = get_classifier()
+    pipeline = train_pipeline()
+    stp = pipeline.pair_stp("mlp")
+    classifier = pipeline.classifier
     report = benchmark.pedantic(
         run_steady_state,
         args=(stp, classifier),

@@ -1,8 +1,8 @@
 """Full ECoST pipeline on an 8-node cluster (the paper's headline demo).
 
 Builds the complete offline stage — exhaustive sweeps of the five
-known training applications, the configuration database, the REPTree
-self-tuning model and the classifier — then submits a 16-application
+known training applications, the configuration database, the MLP
+self-tuning models and the classifier — then submits a 16-application
 mixed workload (Table 3's WS4) of mostly *unknown* applications to the
 online controller.  The controller classifies each arrival, pairs it
 via the I > H > C > M decision tree, self-tunes the pair's six knobs
@@ -11,13 +11,15 @@ and places it on the discrete-event cluster.
 For comparison, the same workload runs under untuned single-node
 mapping (SNM) and the brute-force upper bound (UB).
 
-First run takes ~1 minute (offline sweeps + model training); artifacts
-are memoised in-process only.
+First run takes ~1 minute (offline sweeps + model training); the
+artifacts are disk-cached under ``.repro_cache/``, so later runs
+reuse them until the code changes.
 
 Run:  python examples/ecost_datacenter.py
 """
 
-from repro.baselines.mapping import build_components, evaluate_policy
+from repro.baselines.mapping import evaluate_policy
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.scenarios import scenario_instances
 from repro.utils.tables import render_table
 from repro.utils.units import fmt_duration
@@ -25,7 +27,7 @@ from repro.utils.units import fmt_duration
 
 def main() -> None:
     print("Training ECoST's offline stage from the 5 known applications...")
-    components = build_components(model_kind="mlp")
+    components = train_pipeline().components("mlp")
 
     workload = scenario_instances("WS4")  # [C,C,H,I] x 4 at 5 GB
     print(f"Workload: {', '.join(i.label for i in workload)}\n")

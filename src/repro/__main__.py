@@ -61,11 +61,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_policies(args) -> int:
     from repro.baselines.mapping import POLICIES, evaluate_policy
-    from repro.experiments.artifacts import get_components
+    from repro.experiments.artifacts import train_pipeline
     from repro.experiments.scenarios import scenario_instances
     from repro.utils.tables import render_table
 
-    components = get_components(args.model)
+    components = train_pipeline().components(args.model)
     workload = scenario_instances(args.scenario)
     rows = []
     outcomes = {}
@@ -87,7 +87,7 @@ def _cmd_policies(args) -> int:
 
 def _cmd_classify(args) -> int:
     from repro.analysis.features import PROFILING_CONFIG
-    from repro.experiments.artifacts import get_classifier
+    from repro.experiments.artifacts import train_pipeline
     from repro.telemetry.profiling import FEATURE_NAMES, profile_features
     from repro.utils.tables import render_table
     from repro.utils.units import GB
@@ -102,7 +102,7 @@ def _cmd_classify(args) -> int:
         title=f"Learning-period profile of {inst.label}",
         floatfmt=".2f",
     ))
-    print(f"\nclassified as: {get_classifier().classify(feats)}")
+    print(f"\nclassified as: {train_pipeline().classifier.classify(feats)}")
     return 0
 
 
@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_conf.add_argument(
         "--self-verify", action="store_true",
-        help="also fuzz three deliberately broken engine variants "
+        help="also fuzz the deliberately broken engine variants "
              "and require each to be caught and shrunk",
     )
     p_conf.add_argument("--budget", type=int, default=60,

@@ -33,10 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.analysis.classify import NearestCentroidClassifier
-from repro.analysis.features import build_feature_matrix
 from repro.core.controller import ECoSTController
-from repro.core.database import build_database
-from repro.core.stp import MLMSTP, SoloSTP, build_training_dataset, describe_instance
+from repro.core.stp import MLMSTP, SoloSTP, describe_instance
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.engine import ClusterEngine
 from repro.mapreduce.job import JobSpec
@@ -46,7 +44,6 @@ from repro.model.costmodel import distributed_metrics
 from repro.model.sweep import sweep_pair
 from repro.utils.units import GHZ, MB
 from repro.workloads.base import AppInstance
-from repro.workloads.registry import TRAINING_APPS, instances_for
 
 #: Stock defaults for the [NT] (not-tuned) policies: Hadoop 1.x's
 #: 64 MB block size and the microserver's shipping powersave governor
@@ -80,30 +77,6 @@ class TunedComponents:
     solo_stp: SoloSTP
     pair_stp: MLMSTP
     classifier: NearestCentroidClassifier
-
-
-def build_components(
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    model_kind: str = "reptree",
-    seed: int = 0,
-) -> TunedComponents:
-    """Train STP + classifier from the known training applications."""
-    training = instances_for(TRAINING_APPS)
-    _db, sweeps = build_database(
-        training, node=node, constants=constants, keep_sweeps=True
-    )
-    dataset = build_training_dataset(
-        training, node=node, constants=constants, sweeps=sweeps, seed=seed
-    )
-    pair_stp = MLMSTP(model_kind, node=node).fit(dataset)
-    solo_stp = SoloSTP(model_kind, node=node, constants=constants).fit(
-        training, seed=seed
-    )
-    fm = build_feature_matrix(training, node=node, constants=constants, seed=seed)
-    classifier = NearestCentroidClassifier().fit(fm, [i.app_class for i in training])
-    return TunedComponents(solo_stp=solo_stp, pair_stp=pair_stp, classifier=classifier)
 
 
 # ----------------------------------------------------------------- helpers

@@ -1,25 +1,27 @@
-"""Disk-cached heavyweight artifacts shared across experiments.
+"""The offline stage (§6), built once and disk-cached.
 
-Building the configuration database, training dataset, and fitted STP
-models takes tens of seconds to minutes; every experiment and
-benchmark that needs them goes through these accessors so the work
-happens once per calibration version.
+The paper's offline stage sweeps the known training pairs once, keeps
+each pair's best configuration as the database, and trains the STP
+and the class centroids on the same sweeps.  :func:`train_pipeline`
+is that stage: every experiment, the CLI, the service and the
+benchmarks read their database, dataset, classifier and fitted STPs
+from the :class:`Pipeline` it returns.
 
 Cache design
 ------------
-* **Content-keyed paths.**  Files live under ``.repro_cache/`` (or
-  ``REPRO_CACHE_DIR``) as ``<name>-<CACHE_VERSION>-<fingerprint>.pkl``
-  where the fingerprint is a SHA-256 digest of everything the cached
-  artifacts are a function of: the training workload profiles, the
-  hardware node spec, the simulation constants, and the cache version
-  itself.  Changing any calibration input silently invalidates every
-  stale entry — no manual version bump required (though bumping
-  :data:`CACHE_VERSION` still works and is the right move for pipeline
-  changes that don't show up in those inputs).
+* **Keyed on the code and the inputs.**  Files live under
+  ``.repro_cache/`` (or ``REPRO_CACHE_DIR``) as
+  ``<name>-<fingerprint>.pkl``.  The fingerprint is a SHA-256 digest
+  of every ``src/repro/**/*.py`` path and its bytes (read once per
+  process) together with the entry's key, which is plain JSON: the
+  training instances' codes, sizes and profiles, ``rows_per_pair``
+  and, for a fitted STP, the model kind.  Editing any source file or
+  changing any key input therefore misses every entry built before.
+  Those entries stay on disk until ``python -m repro clear-cache``.
 * **Self-describing payloads.**  Each pickle wraps its value in an
-  envelope recording the version and fingerprint it was built under;
-  a file whose envelope disagrees with the current scheme (e.g. one
-  copied between machines) is treated as stale and rebuilt.
+  envelope recording the fingerprint it was built under; a file whose
+  envelope disagrees (e.g. one copied between machines) is treated as
+  stale and rebuilt.
 * **Corruption tolerance.**  A truncated, garbled, or unreadable
   pickle — or one referencing classes that no longer exist — is
   logged, quarantined to ``<file>.corrupt``, and rebuilt instead of
@@ -33,38 +35,25 @@ Cache design
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
 import pickle
-import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.analysis.classify import NearestCentroidClassifier
 from repro.analysis.features import build_feature_matrix
 from repro.core.database import ConfigDatabase, build_database
-from repro.core.stp import (
-    LkTSTP,
-    MLMSTP,
-    SoloSTP,
-    TrainingDataset,
-    build_training_dataset,
-)
-from repro.workloads.registry import TRAINING_APPS, get_app, instances_for
+from repro.core.stp import MLMSTP, SoloSTP, TrainingDataset, build_training_dataset
+from repro.workloads.base import AppInstance
+from repro.workloads.registry import TRAINING_APPS, instances_for
 
 log = logging.getLogger("repro.cache")
-
-#: Bump when the STP pipeline changes in ways the content fingerprint
-#: cannot see (profiles and hardware constants are fingerprinted).
-#: v3: REPTree keeps flat node arrays instead of a ``_Node`` tree, so a
-#: v2 pickle of a fitted tree cannot predict.
-#: v4: a fitted ``MLMSTP`` carries its decision memo and manifold span,
-#: and a fitted ``SoloSTP`` its span, which v3 pickles lack.
-CACHE_VERSION = "v4"
 
 #: Errors that mean "this pickle cannot be trusted": garbage bytes,
 #: truncation, classes that moved/vanished since it was written, or an
@@ -79,6 +68,9 @@ CORRUPTION_ERRORS = (
     OSError,
 )
 
+#: The package whose sources every fingerprint digests.
+_PACKAGE = Path(__file__).resolve().parents[1]
+
 
 @dataclass
 class CacheStats:
@@ -87,7 +79,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     corrupt: int = 0  # quarantined after a failed load
-    stale: int = 0  # envelope version/fingerprint mismatch
+    stale: int = 0  # envelope fingerprint mismatch
 
     @property
     def hit_rate(self) -> float | None:
@@ -120,62 +112,37 @@ def cache_dir() -> Path:
     return path
 
 
-_ADDR_RE = re.compile(r" at 0x[0-9a-fA-F]+")
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of every ``repro`` source file's relative path and bytes.
 
-
-def _jsonable(obj: Any) -> Any:
-    """Last-resort canonicaliser for fingerprint serialisation.
-
-    Must never emit process-dependent text: a memory address leaking
-    into the digest (e.g. via a default ``repr``) would give every
-    process its own fingerprint and silently disable the cache.
+    Read once per process.  Paths are relative to the package, so a
+    byte-identical copy of the tree elsewhere digests the same.
     """
-    if hasattr(obj, "tolist"):  # numpy arrays / scalars
-        return obj.tolist()
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    state = getattr(obj, "__dict__", None)
-    if state:  # plain objects (e.g. DvfsTable): type name + attributes
-        return {"__class__": type(obj).__qualname__, "state": state}
-    return _ADDR_RE.sub("", repr(obj))
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(_PACKAGE).as_posix(), p) for p in _PACKAGE.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
-_FINGERPRINTS: dict[str, str] = {}
+def content_fingerprint(**key: Any) -> str:
+    """Digest of the ``repro`` sources together with one entry's key.
 
-
-def content_fingerprint() -> str:
-    """Digest of every input the cached artifacts are a function of.
-
-    Covers the training applications' calibrated profiles, the node
-    hardware spec, the simulation constants, and the cache version.
-    Deterministic across processes and runs (pure values, sorted keys).
+    The key must be plain JSON: ``json.dumps`` raises on anything
+    else, so no process-dependent text such as a memory address can
+    reach the digest.
     """
-    cached_fp = _FINGERPRINTS.get(CACHE_VERSION)
-    if cached_fp is not None:
-        return cached_fp
-    from repro.hardware.node import ATOM_C2758
-    from repro.model.calibration import DEFAULT_CONSTANTS
-
-    payload = {
-        "version": CACHE_VERSION,
-        "node": dataclasses.asdict(ATOM_C2758),
-        "constants": dataclasses.asdict(DEFAULT_CONSTANTS),
-        "profiles": {
-            code: dataclasses.asdict(get_app(code).profile)
-            for code in TRAINING_APPS
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True, default=_jsonable)
-    fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-    _FINGERPRINTS[CACHE_VERSION] = fp
-    return fp
+    blob = json.dumps(key, sort_keys=True)
+    return hashlib.sha256(f"{_source_digest()}\0{blob}".encode()).hexdigest()[:12]
 
 
-def cache_path(name: str) -> Path:
-    """Content-keyed path for one named artifact."""
-    return cache_dir() / f"{name}-{CACHE_VERSION}-{content_fingerprint()}.pkl"
+def cache_path(name: str, **key: Any) -> Path:
+    """Where :func:`cached` keeps the entry ``name`` under ``key``."""
+    return cache_dir() / f"{name}-{content_fingerprint(**key)}.pkl"
 
 
 def _quarantine(path: Path, reason: str) -> None:
@@ -192,7 +159,7 @@ def _quarantine(path: Path, reason: str) -> None:
         log.warning("removed %s cache file %s", reason, path)
 
 
-def _load_envelope(path: Path) -> tuple[Any, bool]:
+def _load_envelope(path: Path, fingerprint: str) -> tuple[Any, bool]:
     """(payload, ok) for one cache file; never raises on bad content."""
     try:
         with path.open("rb") as fh:
@@ -204,8 +171,7 @@ def _load_envelope(path: Path) -> tuple[Any, bool]:
         return None, False
     if (
         not isinstance(envelope, dict)
-        or envelope.get("version") != CACHE_VERSION
-        or envelope.get("fingerprint") != content_fingerprint()
+        or envelope.get("fingerprint") != fingerprint
         or "payload" not in envelope
     ):
         _STATS.stale += 1
@@ -214,18 +180,14 @@ def _load_envelope(path: Path) -> tuple[Any, bool]:
     return envelope["payload"], True
 
 
-def _atomic_write(path: Path, value: Any) -> None:
+def _atomic_write(path: Path, value: Any, fingerprint: str) -> None:
     """Write-and-rename with a per-writer unique temp name.
 
     ``os.replace`` is atomic on POSIX for same-filesystem paths, so
     concurrent writers on the same key simply last-write-win and no
     reader ever sees a partial pickle.
     """
-    envelope = {
-        "version": CACHE_VERSION,
-        "fingerprint": content_fingerprint(),
-        "payload": value,
-    }
+    envelope = {"fingerprint": fingerprint, "payload": value}
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
     try:
         with tmp.open("wb") as fh:
@@ -235,22 +197,23 @@ def _atomic_write(path: Path, value: Any) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def cached(name: str, build: Callable[[], Any]) -> Any:
-    """Load ``name`` from the cache or build and store it.
+def cached(name: str, build: Callable[[], Any], **key: Any) -> Any:
+    """Load ``name`` under ``key`` from the cache or build and store it.
 
     Never trusts the disk: corrupt or stale files are quarantined and
     the artifact is rebuilt, so a bad cache can slow a run down but
     can't fail it.
     """
-    path = cache_path(name)
+    fingerprint = content_fingerprint(**key)
+    path = cache_path(name, **key)
     if path.exists():
-        value, ok = _load_envelope(path)
+        value, ok = _load_envelope(path, fingerprint)
         if ok:
             _STATS.hits += 1
             return value
     _STATS.misses += 1
     value = build()
-    _atomic_write(path, value)
+    _atomic_write(path, value, fingerprint)
     return value
 
 
@@ -268,61 +231,79 @@ def clear_cache() -> int:
     return n
 
 
-# ------------------------------------------------------------ accessors
-def get_database_and_sweep_labels() -> ConfigDatabase:
-    """The training-pair configuration database (§6.2)."""
-    return cached("database", lambda: build_database(instances_for(TRAINING_APPS))[0])
+# ------------------------------------------------------------ pipeline
+#: The known training applications at every studied input size (§7).
+TRAINING: tuple[AppInstance, ...] = tuple(instances_for(TRAINING_APPS))
 
 
-def get_training_dataset(rows_per_pair: int = 500) -> TrainingDataset:
-    """Model-training rows from the training-pair sweeps."""
-    def build() -> TrainingDataset:
-        training = instances_for(TRAINING_APPS)
-        _db, sweeps = build_database(training, keep_sweeps=True)
-        return build_training_dataset(
-            training, sweeps=sweeps, rows_per_pair=rows_per_pair, seed=0
+@dataclass(frozen=True)
+class Pipeline:
+    """One offline stage: the database, dataset and classifier from one
+    sweep of the training pairs, with STPs fitted (and cached) on
+    demand under the pipeline's key plus the model kind."""
+
+    training: tuple[AppInstance, ...]
+    key: dict[str, Any]
+    database: ConfigDatabase
+    dataset: TrainingDataset
+    classifier: NearestCentroidClassifier
+
+    def pair_stp(self, kind: str) -> MLMSTP:
+        """The MLM-STP (``"lr"``, ``"reptree"`` or ``"mlp"``) fitted on
+        :attr:`dataset`."""
+        return cached(
+            "pair-stp",
+            lambda: MLMSTP(kind).fit(self.dataset),
+            model_kind=kind,
+            **self.key,
         )
 
-    return cached(f"dataset-rpp{rows_per_pair}", build)
+    def solo_stp(self, kind: str) -> SoloSTP:
+        """The standalone-application tuner (PTM backend) of ``kind``."""
+        return cached(
+            "solo-stp",
+            lambda: SoloSTP(kind).fit(self.training, seed=0),
+            model_kind=kind,
+            **self.key,
+        )
+
+    def components(self, kind: str):
+        """The PTM/ECoST/UB component bundle for the §8 policies."""
+        from repro.baselines.mapping import TunedComponents
+
+        return TunedComponents(
+            solo_stp=self.solo_stp(kind),
+            pair_stp=self.pair_stp(kind),
+            classifier=self.classifier,
+        )
 
 
-def get_lkt() -> LkTSTP:
-    """The lookup-table STP over the cached database."""
-    return LkTSTP(get_database_and_sweep_labels())
+def train_pipeline(
+    training: Sequence[AppInstance] = TRAINING, *, rows_per_pair: int = 500
+) -> Pipeline:
+    """The offline stage on ``training``, built once per key and code.
 
+    The cached payload holds the built artifacts only: unpickling the
+    training instances would copy the registry's application objects.
+    """
+    training = tuple(training)
+    key = {
+        "training": [
+            [inst.code, inst.data_bytes, dataclasses.asdict(inst.profile)]
+            for inst in training
+        ],
+        "rows_per_pair": rows_per_pair,
+    }
 
-def get_mlm(model_kind: str) -> MLMSTP:
-    """A fitted MLM-STP (``"lr"``, ``"reptree"``, or ``"mlp"``)."""
-    def build() -> MLMSTP:
-        return MLMSTP(model_kind).fit(get_training_dataset())
-
-    return cached(f"mlm-{model_kind}", build)
-
-
-def get_solo_stp(model_kind: str = "reptree") -> SoloSTP:
-    """A fitted standalone-application tuner (PTM backend)."""
-    def build() -> SoloSTP:
-        return SoloSTP(model_kind).fit(instances_for(TRAINING_APPS), seed=0)
-
-    return cached(f"solo-{model_kind}", build)
-
-
-def get_classifier() -> NearestCentroidClassifier:
-    """Nearest-centroid classifier fitted on the training apps."""
-    def build() -> NearestCentroidClassifier:
-        training = instances_for(TRAINING_APPS)
+    def build() -> tuple[ConfigDatabase, TrainingDataset, NearestCentroidClassifier]:
+        database, sweeps = build_database(training, keep_sweeps=True)
+        dataset = build_training_dataset(
+            training, sweeps=sweeps, rows_per_pair=rows_per_pair, seed=0
+        )
         fm = build_feature_matrix(training, seed=0)
-        return NearestCentroidClassifier().fit(fm, [i.app_class for i in training])
+        classifier = NearestCentroidClassifier().fit(
+            fm, [inst.app_class for inst in training]
+        )
+        return database, dataset, classifier
 
-    return cached("classifier", build)
-
-
-def get_components(model_kind: str = "reptree"):
-    """The PTM/ECoST/UB component bundle for the §8 policies."""
-    from repro.baselines.mapping import TunedComponents
-
-    return TunedComponents(
-        solo_stp=get_solo_stp(model_kind),
-        pair_stp=get_mlm(model_kind),
-        classifier=get_classifier(),
-    )
+    return Pipeline(training, key, *cached("pipeline", build, **key))

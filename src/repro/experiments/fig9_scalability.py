@@ -24,7 +24,7 @@ from repro.baselines.mapping import (
     TunedComponents,
     evaluate_policy,
 )
-from repro.experiments.artifacts import get_components
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.scenarios import WORKLOAD_SCENARIOS, scenario_instances
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
@@ -115,7 +115,8 @@ def run_fig9(
     from repro.parallel import SweepExecutor
 
     names = tuple(scenarios) if scenarios is not None else tuple(WORKLOAD_SCENARIOS)
-    comp = components if components is not None else get_components(model_kind)
+    if components is None:
+        components = train_pipeline().components(model_kind)
     cells = [
         (ws, scenario_instances(ws, data_bytes=data_bytes), n)
         for ws in names
@@ -124,7 +125,7 @@ def run_fig9(
     exec_ = executor if executor is not None else SweepExecutor()
     results = exec_.map(
         _scenario_cell,
-        [(workload, n, node, constants, comp) for _ws, workload, n in cells],
+        [(workload, n, node, constants, components) for _ws, workload, n in cells],
     )
     outcomes: dict[tuple[str, int, str], PolicyOutcome] = {}
     for (ws, _workload, n), by_policy in zip(cells, results):

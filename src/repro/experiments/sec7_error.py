@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.stp import AppDescriptor, SelfTuningPredictor, describe_instance
-from repro.experiments.artifacts import get_lkt, get_mlm
+from repro.core.stp import AppDescriptor, LkTSTP, SelfTuningPredictor, describe_instance
+from repro.experiments.artifacts import train_pipeline
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.costmodel import pair_metrics
@@ -60,11 +60,12 @@ class Sec7Report:
 
 def default_techniques() -> Mapping[str, SelfTuningPredictor]:
     """The paper's four STP techniques, fitted from cached artifacts."""
+    pipeline = train_pipeline()
     return {
-        "LkT": get_lkt(),
-        "LR": get_mlm("lr"),
-        "REPTree": get_mlm("reptree"),
-        "MLP": get_mlm("mlp"),
+        "LkT": LkTSTP(pipeline.database),
+        "LR": pipeline.pair_stp("lr"),
+        "REPTree": pipeline.pair_stp("reptree"),
+        "MLP": pipeline.pair_stp("mlp"),
     }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.stp import MODEL_FACTORIES, TrainingDataset
 from repro.ml.mlp import MLPRegressor
-from repro.experiments.artifacts import get_training_dataset
+from repro.experiments.artifacts import train_pipeline
 from repro.ml.metrics import mean_ape
 from repro.ml.preprocessing import train_val_split
 from repro.utils.tables import render_table
@@ -58,7 +58,7 @@ def run_table1(
     seed: int = 0,
 ) -> Table1Report:
     """Fit each model per class pair and score held-out APE."""
-    ds = dataset if dataset is not None else get_training_dataset()
+    ds = dataset if dataset is not None else train_pipeline().dataset
     ape: dict[str, dict[str, float]] = {}
     for code in ds.class_pairs:
         X, y = ds.subset(code)

@@ -99,11 +99,11 @@ def run_traced(
     controller = None
     if experiment == "ecost":
         from repro.core.controller import ECoSTController
-        from repro.experiments.artifacts import get_components
+        from repro.experiments.artifacts import train_pipeline
 
-        components = get_components(model_kind)
+        pipeline = train_pipeline()
         controller = ECoSTController(
-            cluster, components.pair_stp, components.classifier
+            cluster, pipeline.pair_stp(model_kind), pipeline.classifier
         )
         for spec in specs:
             controller.submit(spec.instance, spec.submit_time)

@@ -20,7 +20,6 @@ from repro.hardware.memorybw import MemoryBandwidthModel
 from repro.hardware.disk import DiskModel
 from repro.hardware.power import PowerModel, PowerBreakdown
 from repro.hardware.node import NodeSpec, ATOM_C2758
-from repro.hardware.cluster import ClusterSpec
 from repro.hardware.classes import (
     ATOM,
     NODE_CLASSES,
@@ -48,7 +47,6 @@ __all__ = [
     "PowerBreakdown",
     "NodeSpec",
     "ATOM_C2758",
-    "ClusterSpec",
     "NodeClass",
     "NODE_CLASSES",
     "ATOM",

@@ -24,7 +24,6 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.lookup import LookupTable
 from repro.ml.preprocessing import StandardScaler, train_val_split
 from repro.ml.metrics import mean_ape, mse, mae, r2_score
-from repro.ml.timing import time_model
 
 __all__ = [
     "Regressor",
@@ -38,5 +37,4 @@ __all__ = [
     "mse",
     "mae",
     "r2_score",
-    "time_model",
 ]

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.classify import NearestCentroidClassifier
-from repro.analysis.features import build_feature_matrix
 from repro.core.controller import ECoSTController
-from repro.core.database import build_database
-from repro.core.stp import MLMSTP, build_training_dataset
 from repro.faults import DriftSchedule, FaultEvent, FaultInjector, InjectionPlan
 from repro.faults.drift import drifted_arrivals
 from repro.mapreduce.engine import ClusterEngine
@@ -43,26 +39,17 @@ DRIFT_SIZES: tuple[int, ...] = (10 * GB,)
 
 def pipeline_components(model_kind: str = "reptree"):
     """(fitted MLM-STP, classifier, training dataset) — artifact-cached."""
-    from repro.experiments.artifacts import cached
+    from repro.experiments.artifacts import train_pipeline
 
-    def build():
-        training = [
+    pipeline = train_pipeline(
+        [
             AppInstance(get_app(code), size)
             for code in PIPELINE_CODES
             for size in PIPELINE_SIZES
-        ]
-        _db, sweeps = build_database(training, keep_sweeps=True)
-        dataset = build_training_dataset(
-            training, sweeps=sweeps, rows_per_pair=200, seed=0
-        )
-        stp = MLMSTP(model_kind).fit(dataset)
-        fm = build_feature_matrix(training, seed=0)
-        classifier = NearestCentroidClassifier().fit(
-            fm, [inst.app_class for inst in training]
-        )
-        return stp, classifier, dataset
-
-    return cached(f"online-pipeline-{model_kind}", build)
+        ],
+        rows_per_pair=200,
+    )
+    return pipeline.pair_stp(model_kind), pipeline.classifier, pipeline.dataset
 
 
 @dataclass

@@ -349,7 +349,7 @@ class ClusterService:
 def _default_controller_factory(cluster: ClusterEngine):
     """Live ECoST controller from the cached STP/classifier artifacts."""
     from repro.core.controller import ECoSTController
-    from repro.experiments.artifacts import get_components
+    from repro.experiments.artifacts import train_pipeline
 
-    components = get_components("reptree")
-    return ECoSTController(cluster, components.pair_stp, components.classifier)
+    pipeline = train_pipeline()
+    return ECoSTController(cluster, pipeline.pair_stp("reptree"), pipeline.classifier)

@@ -16,9 +16,6 @@ load the samplers with them.
 import importlib
 
 _EXPORT_TO_SUBMODULE = {
-    "edp": "metrics",
-    "energy_joules": "metrics",
-    "edp_improvement": "metrics",
     "PerfSampler": "perf",
     "PerfReport": "perf",
     "PMU_EVENTS": "perf",

@@ -1,15 +1,19 @@
-"""Hardened artifact-cache tests: corruption, staleness, races.
+"""Hardened artifact-cache tests: keys, corruption, staleness, races.
 
 The cache must never fail a caller because of what's on disk: corrupt
 or stale files are quarantined and rebuilt, writes are atomic, and
-concurrent writers on the same key both succeed.
+concurrent writers on the same key both succeed.  An entry's
+fingerprint covers the ``repro`` sources and its key, so a code edit
+misses every entry built before it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,17 +30,46 @@ def cache_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _fingerprint_of(package: Path) -> str:
+    """``content_fingerprint()`` computed in a fresh interpreter that
+    imports ``repro`` from ``package``."""
+    code = (
+        "import repro;"
+        "from repro.experiments.artifacts import content_fingerprint;"
+        "print(repro.__file__);"
+        "print(content_fingerprint())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={
+            **os.environ,
+            "PYTHONPATH": str(package.parent),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert Path(out[0]).parent == package
+    return out[1]
+
+
 class TestContentKeys:
     def test_cache_dir_override(self, cache_dir):
         assert artifacts.cache_dir() == cache_dir
         artifacts.cached("where", lambda: 1)
         assert list(cache_dir.glob("where-*.pkl"))
 
-    def test_path_embeds_version_and_fingerprint(self, cache_dir):
-        path = artifacts.cache_path("item")
-        fp = artifacts.content_fingerprint()
-        assert path.name == f"item-{artifacts.CACHE_VERSION}-{fp}.pkl"
+    def test_path_embeds_fingerprint(self, cache_dir):
+        path = artifacts.cache_path("item", model_kind="lr")
+        fp = artifacts.content_fingerprint(model_kind="lr")
+        assert path.name == f"item-{fp}.pkl"
         assert len(fp) == 12
+        assert fp != artifacts.content_fingerprint(model_kind="mlp")
+
+    def test_non_json_key_is_refused(self):
+        with pytest.raises(TypeError):
+            artifacts.content_fingerprint(model=object())
 
     def test_fingerprint_is_stable(self):
         assert artifacts.content_fingerprint() == artifacts.content_fingerprint()
@@ -45,34 +78,35 @@ class TestContentKeys:
         """The digest must be identical in fresh interpreters, or the
         content-keyed cache never hits across runs (regression: a
         default ``repr`` leaked a memory address into the payload)."""
-        src = str(Path(artifacts.__file__).parents[2])
-        code = (
-            "from repro.experiments.artifacts import content_fingerprint;"
-            "print(content_fingerprint())"
-        )
-        seen = {
-            subprocess.run(
-                [sys.executable, "-c", code],
-                env={**os.environ, "PYTHONPATH": src},
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout.strip()
-            for _ in range(2)
-        }
+        package = Path(artifacts.__file__).parents[1]
+        seen = {_fingerprint_of(package) for _ in range(2)}
         assert seen == {artifacts.content_fingerprint()}
 
-    def test_version_bump_invalidates(self, cache_dir, monkeypatch):
+    def test_changed_key_rebuilds(self, cache_dir):
         calls = []
         build = lambda: calls.append(1) or "value"
-        artifacts.cached("versioned", build)
-        artifacts.cached("versioned", build)
+        artifacts.cached("keyed", build, rows_per_pair=200)
+        artifacts.cached("keyed", build, rows_per_pair=200)
         assert len(calls) == 1
-        monkeypatch.setattr(artifacts, "CACHE_VERSION", "v999-test")
-        artifacts.cached("versioned", build)
-        assert len(calls) == 2  # new version => rebuilt under a new key
-        # both versions now coexist on disk
-        assert len(list(cache_dir.glob("versioned-*.pkl"))) == 2
+        artifacts.cached("keyed", build, rows_per_pair=100)
+        assert len(calls) == 2  # new key => rebuilt under a new name
+        # both entries now coexist on disk
+        assert len(list(cache_dir.glob("keyed-*.pkl"))) == 2
+
+    def test_fingerprint_follows_source_bytes(self, tmp_path):
+        """A byte-identical copy of the package digests the same; one
+        appended comment line digests differently, so a code edit
+        misses every entry built before it."""
+        package = Path(artifacts.__file__).parents[1]
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            package, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        original = _fingerprint_of(package)
+        assert _fingerprint_of(copy) == original
+        with (copy / "model" / "costmodel.py").open("a") as fh:
+            fh.write("# one more comment line\n")
+        assert _fingerprint_of(copy) != original
 
 
 class TestCorruptionTolerance:
@@ -89,7 +123,9 @@ class TestCorruptionTolerance:
 
     def test_truncated_pickle_recovers(self, cache_dir):
         path = artifacts.cache_path("trunc")
-        blob = pickle.dumps({"version": artifacts.CACHE_VERSION, "payload": 1})
+        blob = pickle.dumps(
+            {"fingerprint": artifacts.content_fingerprint(), "payload": 1}
+        )
         path.write_bytes(blob[: len(blob) // 2])
         assert artifacts.cached("trunc", lambda: 42) == 42
 
@@ -116,7 +152,6 @@ class TestCorruptionTolerance:
         with path.open("wb") as fh:
             pickle.dump(
                 {
-                    "version": artifacts.CACHE_VERSION,
                     "fingerprint": "deadbeefdead",
                     "payload": "from another calibration",
                 },
@@ -203,11 +238,46 @@ class TestCliWithPoisonedCache:
         self, cache_dir, capsys
     ):
         """The seed failure: a garbage ``.pkl`` pre-seeded exactly where
-        the classifier cache lives must not crash the CLI."""
-        artifacts.cache_path("classifier").write_bytes(b"\x04garbage bytes")
+        the pipeline holding the classifier lives must not crash the
+        CLI."""
+        key = {
+            "training": [
+                [inst.code, inst.data_bytes, dataclasses.asdict(inst.profile)]
+                for inst in artifacts.TRAINING
+            ],
+            "rows_per_pair": 500,
+        }
+        artifacts.cache_path("pipeline", **key).write_bytes(b"\x04garbage bytes")
         from repro.__main__ import main
 
         assert main(["classify", "st", "1"]) == 0
         out = capsys.readouterr().out
         assert "classified as" in out
         assert artifacts.cache_stats().corrupt >= 1
+
+
+class TestPipeline:
+    def test_two_model_kinds_build_the_pipeline_once(
+        self, cache_dir, monkeypatch
+    ):
+        """The fitted STPs are separate entries on one pipeline entry, so
+        a second model kind reuses the sweeps instead of redoing them."""
+        from repro.online.scenario import pipeline_components
+
+        sweeps = []
+        build_database = artifacts.build_database
+
+        def counting_build_database(*args, **kwargs):
+            sweeps.append(1)
+            return build_database(*args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "build_database", counting_build_database)
+        lr, _classifier, dataset_a = pipeline_components("lr")
+        reptree, _classifier, dataset_b = pipeline_components("reptree")
+        assert len(sweeps) == 1
+        assert (lr.model_kind, reptree.model_kind) == ("lr", "reptree")
+        assert dataset_a.X.tobytes() == dataset_b.X.tobytes()
+        assert len(list(cache_dir.glob("pipeline-*.pkl"))) == 1
+        assert len(list(cache_dir.glob("pair-stp-*.pkl"))) == 2
+        stats = artifacts.cache_stats()
+        assert (stats.hits, stats.misses) == (1, 3)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.artifacts import get_classifier, get_mlm
+from repro.experiments.artifacts import train_pipeline
 from repro.experiments.fig5_priority import run_fig5
 from repro.experiments.robustness import run_robustness
 from repro.experiments.steady_state import run_steady_state
@@ -34,7 +34,8 @@ class TestGoldenByteIdentity:
         assert run_fig5().render() + "\n" == _golden("fig5_priority")
 
     def test_steady_state(self):
-        report = run_steady_state(get_mlm("mlp"), get_classifier())
+        pipeline = train_pipeline()
+        report = run_steady_state(pipeline.pair_stp("mlp"), pipeline.classifier)
         assert report.render() + "\n" == _golden("steady_state")
         # The rewrite's telemetry rides along without touching the
         # rendered artifact.
@@ -43,7 +44,7 @@ class TestGoldenByteIdentity:
             assert tel.events > 0
 
     def test_robustness(self):
-        report = run_robustness(get_mlm("reptree"))
+        report = run_robustness(train_pipeline().pair_stp("reptree"))
         assert report.render() + "\n" == _golden("robustness")
 
     def test_fault_tolerance(self):

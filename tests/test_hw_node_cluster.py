@@ -1,8 +1,7 @@
-"""NodeSpec / ClusterSpec tests."""
+"""NodeSpec tests."""
 
 import pytest
 
-from repro.hardware.cluster import ClusterSpec
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.utils.units import GB
 
@@ -35,19 +34,3 @@ def test_node_reserved_memory_validation():
 def test_node_core_count_validation():
     with pytest.raises(ValueError):
         NodeSpec(n_cores=0)
-
-
-def test_cluster_total_cores():
-    assert ClusterSpec(n_nodes=8).total_cores == 64
-
-
-def test_cluster_subcluster_preserves_node():
-    big = ClusterSpec(n_nodes=8)
-    small = big.subcluster(2)
-    assert small.n_nodes == 2
-    assert small.node is big.node
-
-
-def test_cluster_validation():
-    with pytest.raises(ValueError):
-        ClusterSpec(n_nodes=0)

@@ -1,4 +1,4 @@
-"""LookupTable, preprocessing, metrics and timing tests."""
+"""LookupTable, preprocessing and metrics tests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.ml.lookup import LookupTable
 from repro.ml.metrics import mae, mean_ape, mse, r2_score
 from repro.ml.preprocessing import StandardScaler, train_val_split
-from repro.ml.timing import time_model
 
 
 class TestLookupTable:
@@ -98,22 +97,3 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mse(np.array([]), np.array([]))
 
-
-class TestTiming:
-    def test_time_model_measures_both_phases(self):
-        from repro.ml.linreg import LinearRegression
-
-        model = LinearRegression()
-        X = np.random.default_rng(0).normal(size=(200, 3))
-        y = X @ np.ones(3)
-        timing = time_model("lr", model.fit, model.predict, X, y, X)
-        assert timing.train_seconds > 0
-        assert timing.predict_seconds_total > 0
-        assert timing.n_predictions == 200
-        assert timing.predict_seconds_per_query <= timing.predict_seconds_total
-
-    def test_repeat_validation(self):
-        with pytest.raises(ValueError):
-            time_model("x", lambda X, y: None, lambda X: None,
-                       np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
-                       repeat_predict=0)
