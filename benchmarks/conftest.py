@@ -35,17 +35,8 @@ def save(results_dir):
 
 @pytest.fixture(scope="session")
 def small_dataset():
-    """A reduced training dataset for model micro-benchmarks."""
-    from repro.core.database import build_database
-    from repro.core.stp import build_training_dataset
-    from repro.utils.units import GB
-    from repro.workloads.base import AppInstance
-    from repro.workloads.registry import get_app
+    """The reduced pipeline's training dataset (artifact-cached), for
+    model micro-benchmarks."""
+    from repro.online.scenario import reduced_pipeline
 
-    instances = [
-        AppInstance(get_app(code), size)
-        for code in ("wc", "st", "ts", "fp")
-        for size in (1 * GB, 5 * GB)
-    ]
-    _db, sweeps = build_database(instances, keep_sweeps=True)
-    return build_training_dataset(instances, sweeps=sweeps, rows_per_pair=200, seed=0)
+    return reduced_pipeline().dataset

@@ -77,7 +77,9 @@ class NearestCentroidClassifier:
             raise ValueError("one label per feature-matrix row required")
         centroids: dict[AppClass, np.ndarray] = {}
         labels_arr = np.array([l.value for l in labels])
-        for cls in set(labels):
+        # Sorted, so the centroid order (classify's tie-break and the
+        # pickle's bytes) does not follow the hash seed.
+        for cls in sorted(set(labels), key=lambda c: c.value):
             idx = np.flatnonzero(labels_arr == cls.value)
             centroids[cls] = matrix.scaled[idx].mean(axis=0)
         self._centroids = centroids

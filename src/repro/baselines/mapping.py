@@ -264,22 +264,20 @@ def _ub(workload, n_nodes, node, constants, components):
     n = len(workload)
     if n % 2:
         raise ValueError("UB expects an even number of applications")
-    sweeps = {}
+    # The matching reads each pair's best EDP and the schedule its
+    # makespan and energy there; a pair's full sweep (~1 MB) is dropped
+    # before the next one runs.
+    optimum = {}
     cost = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             s = sweep_pair(workload[i], workload[j], node=node, constants=constants)
-            sweeps[(i, j)] = s
+            k = s.best_index
+            optimum[(i, j)] = (float(s.metrics.makespan[k]), float(s.metrics.energy[k]))
             cost[i, j] = cost[j, i] = s.best_edp
     pairs = _min_cost_matching(cost)
     # LPT scheduling of pairs onto nodes.
-    jobs = []
-    for i, j in pairs:
-        s = sweeps[(min(i, j), max(i, j))]
-        k = s.best_index
-        jobs.append(
-            (float(s.metrics.makespan[k]), float(s.metrics.energy[k]))
-        )
+    jobs = [optimum[(min(i, j), max(i, j))] for i, j in pairs]
     jobs.sort(reverse=True)
     busy = [0.0] * n_nodes
     dyn = 0.0

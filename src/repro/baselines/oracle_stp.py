@@ -37,6 +37,8 @@ class OraclePairSTP:
     constants: SimConstants = DEFAULT_CONSTANTS
     _instances: list[AppInstance] = field(default_factory=list)
     _features: list[np.ndarray] = field(default_factory=list)
+    #: Unordered label pair -> (label_a, label_b, the optimum's configs
+    #: in that orientation); the sweep itself is not kept.
     _cache: dict = field(default_factory=dict)
 
     def register(self, instance: AppInstance, descriptor: AppDescriptor) -> None:
@@ -71,14 +73,9 @@ class OraclePairSTP:
         inst_b = self._resolve(b)
         key = tuple(sorted((inst_a.label, inst_b.label)))
         if key not in self._cache:
-            self._cache[key] = sweep_pair(
-                inst_a, inst_b, node=self.node, constants=self.constants
-            )
-        sweep = self._cache[key]
-        cfg_a, cfg_b = sweep.best_configs
-        if (sweep.instance_a.label, sweep.instance_b.label) != (
-            inst_a.label,
-            inst_b.label,
-        ):
+            sweep = sweep_pair(inst_a, inst_b, node=self.node, constants=self.constants)
+            self._cache[key] = (inst_a.label, inst_b.label, sweep.best_configs)
+        label_a, label_b, (cfg_a, cfg_b) = self._cache[key]
+        if (label_a, label_b) != (inst_a.label, inst_b.label):
             cfg_a, cfg_b = cfg_b, cfg_a
         return cfg_a, cfg_b

@@ -28,7 +28,7 @@ from repro.core.stp import (
     MLMSTP,
     SelfTuningPredictor,
     TrainingDataset,
-    build_training_dataset,
+    build_offline,
 )
 from repro.core.controller import ECoSTController
 
@@ -45,6 +45,6 @@ __all__ = [
     "LkTSTP",
     "MLMSTP",
     "TrainingDataset",
-    "build_training_dataset",
+    "build_offline",
     "ECoSTController",
 ]

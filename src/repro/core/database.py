@@ -4,8 +4,8 @@ Built offline from exhaustive sweeps of the *training* applications:
 for every co-located training pair it stores the tuning parameters
 that minimised EDP, keyed by the pair's classes and input sizes.
 Unknown incoming pairs are answered by nearest-key lookup (this is
-the data behind LkT-STP) and the same sweeps provide the training
-rows for the learned models (MLM-STP).
+the data behind LkT-STP); the same sweeps provide the training rows
+for the learned models (MLM-STP, see :func:`repro.core.stp.build_offline`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.ml.lookup import LookupTable
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.model.sweep import PairSweepResult
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
 
@@ -130,58 +129,46 @@ def training_pairs(
     return pairs
 
 
+def database_from_optima(optima: Sequence["PairSweepBest"]) -> ConfigDatabase:
+    """The database of swept pair optima, one entry per pair in order."""
+    return ConfigDatabase(
+        [
+            DatabaseEntry(
+                class_a=best.instance_a.app_class,
+                class_b=best.instance_b.app_class,
+                size_a=best.instance_a.data_bytes,
+                size_b=best.instance_b.data_bytes,
+                config_a=best.best_configs[0],
+                config_b=best.best_configs[1],
+                best_edp=best.best_edp,
+                label_a=best.instance_a.label,
+                label_b=best.instance_b.label,
+            )
+            for best in optima
+        ]
+    )
+
+
 def build_database(
     instances: Sequence[AppInstance],
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     include_self: bool = True,
-    keep_sweeps: bool = False,
     executor: "SweepExecutor | None" = None,
-) -> tuple[ConfigDatabase, dict[tuple[str, str], PairSweepResult]]:
-    """Sweep every training pair and collect the best configurations.
+) -> ConfigDatabase:
+    """Sweep every training pair and keep each pair's best configuration.
 
-    Returns the database plus (optionally) the raw sweeps, which the
-    MLM-STP training-set builder reuses so the expensive grid is
-    evaluated once.
-
-    Sweeps are fanned out through ``executor`` (a fresh
-    :class:`repro.parallel.SweepExecutor` honouring ``REPRO_WORKERS``
-    when omitted).  Without ``keep_sweeps`` only each pair's optimum
-    crosses process boundaries — the cheap path; with it the full
-    metric arrays are shipped back for training-set reuse.  Either
-    way the result is identical to a serial build.
+    This is :func:`repro.core.stp.build_offline` without the training
+    rows: each pair's full sweep runs in one task of ``executor`` (a
+    fresh :class:`repro.parallel.SweepExecutor` honouring
+    ``REPRO_WORKERS`` when omitted), which keeps only the optimum, so
+    the result is the same serial or pooled.
     """
     from repro.parallel import SweepExecutor
 
     exec_ = executor if executor is not None else SweepExecutor()
     pairs = training_pairs(instances, include_self=include_self)
-    entries = []
-    sweeps: dict[tuple[str, str], PairSweepResult] = {}
-    if keep_sweeps:
-        results = exec_.sweep_pairs(pairs, node=node, constants=constants)
-        bests = [
-            (s.best_configs, s.best_edp) for s in results
-        ]
-        for (a, b), sweep in zip(pairs, results):
-            sweeps[(a.label, b.label)] = sweep
-    else:
-        bests = [
-            (s.best_configs, s.best_edp)
-            for s in exec_.sweep_pairs_best(pairs, node=node, constants=constants)
-        ]
-    for (a, b), ((cfg_a, cfg_b), best_edp) in zip(pairs, bests):
-        entries.append(
-            DatabaseEntry(
-                class_a=a.app_class,
-                class_b=b.app_class,
-                size_a=a.data_bytes,
-                size_b=b.data_bytes,
-                config_a=cfg_a,
-                config_b=cfg_b,
-                best_edp=best_edp,
-                label_a=a.label,
-                label_b=b.label,
-            )
-        )
-    return ConfigDatabase(entries), sweeps
+    return database_from_optima(
+        exec_.sweep_pairs_best(pairs, node=node, constants=constants)
+    )

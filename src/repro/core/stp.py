@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.database import ConfigDatabase, training_pairs
+from repro.core.database import ConfigDatabase, database_from_optima, training_pairs
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.ml.base import Regressor
 from repro.ml.linreg import LinearRegression
@@ -33,7 +33,6 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.reptree import REPTree
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig, pair_config_grid
-from repro.model.sweep import PairSweepResult
 from repro.telemetry.profiling import REDUCED_FEATURE_NAMES, profile_features, reduced_vector
 from repro.analysis.features import PROFILING_CONFIG
 from repro.utils.rng import SeedLike, rng_from
@@ -281,24 +280,28 @@ def pair_code(class_a: AppClass, class_b: AppClass) -> str:
     return f"{a}-{b}"
 
 
-def build_training_dataset(
+def build_offline(
     instances: Sequence[AppInstance],
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
-    sweeps: Mapping[tuple[str, str], PairSweepResult] | None = None,
     rows_per_pair: int = 400,
     include_self: bool = True,
     seed: SeedLike = 0,
     executor: "SweepExecutor | None" = None,
-) -> TrainingDataset:
-    """Sweep (or reuse sweeps of) training pairs and emit model rows.
+) -> tuple[ConfigDatabase, TrainingDataset]:
+    """The configuration database and the MLM-STP rows from one sweep
+    of every training pair.
 
     Each pair contributes ``rows_per_pair`` grid points sampled without
     replacement — always including the optimum, so models can learn
-    where the minimum lives.  Pairs not covered by ``sweeps`` are swept
-    through ``executor`` (default: a fresh ``SweepExecutor`` honouring
-    ``REPRO_WORKERS``) in one fan-out batch.
+    where the minimum lives.  The grid indices are drawn up front, one
+    set per pair in :func:`training_pairs` order, from one generator
+    seeded with ``seed``; the task that sweeps a pair (inline, or in a
+    pool worker of ``executor``, by default a fresh ``SweepExecutor``
+    honouring ``REPRO_WORKERS``) keeps only the optimum and the rows at
+    those indices, so at most one full sweep is alive at a time per
+    process and the result is the same serial or pooled.
     """
     from repro.parallel import SweepExecutor
 
@@ -308,43 +311,32 @@ def build_training_dataset(
         for inst in instances
     }
     pairs = training_pairs(instances, include_self=include_self)
-    missing = [
-        (a, b) for a, b in pairs if (sweeps or {}).get((a.label, b.label)) is None
-    ]
-    computed: dict[tuple[str, str], PairSweepResult] = {}
-    if missing:
-        exec_ = executor if executor is not None else SweepExecutor()
-        for (a, b), sweep in zip(
-            missing, exec_.sweep_pairs(missing, node=node, constants=constants)
-        ):
-            computed[(a.label, b.label)] = sweep
-    X_rows, y_rows, codes = [], [], []
-    for a, b in pairs:
-        key = (a.label, b.label)
-        sweep = (sweeps or {}).get(key)
-        if sweep is None:
-            sweep = computed[key]
-        n = len(sweep.edp)
-        take = min(rows_per_pair, n)
-        idx = rng.choice(n, size=take, replace=False)
-        if sweep.best_index not in idx:
-            idx[0] = sweep.best_index
+    n = len(pair_config_grid(node)[0])
+    take = min(rows_per_pair, n)
+    indices = [rng.choice(n, size=take, replace=False) for _ in pairs]
+    exec_ = executor if executor is not None else SweepExecutor()
+    swept = exec_.sweep_pairs_sampled(pairs, indices, node=node, constants=constants)
+    X = np.empty((len(pairs) * take, N_MODEL_FEATURES))
+    y = np.empty(len(pairs) * take)
+    codes = []
+    for k, ((a, b), (_best, rows)) in enumerate(zip(pairs, swept)):
         da, db = descriptors[a.label], descriptors[b.label]
-        rows = _row_block(
+        block = slice(k * take, (k + 1) * take)
+        X[block] = _row_block(
             da.reduced(), a.data_bytes, db.reduced(), b.data_bytes,
-            sweep.freq_a[idx], sweep.block_a[idx], sweep.mappers_a[idx],
-            sweep.freq_b[idx], sweep.block_b[idx], sweep.mappers_b[idx],
+            rows.freq_a, rows.block_a, rows.mappers_a,
+            rows.freq_b, rows.block_b, rows.mappers_b,
         )
-        X_rows.append(rows)
-        y_rows.append(sweep.edp[idx])
+        y[block] = rows.edp
         codes.extend([pair_code(a.app_class, b.app_class)] * take)
-    return TrainingDataset(
-        X=np.vstack(X_rows),
-        y=np.concatenate(y_rows),
+    dataset = TrainingDataset(
+        X=X,
+        y=y,
         pair_codes=np.array(codes),
         train_features=np.vstack([d.reduced() for d in descriptors.values()]),
         train_sizes=np.array([d.data_bytes for d in descriptors.values()], dtype=float),
     )
+    return database_from_optima([best for best, _rows in swept]), dataset
 
 
 ModelFactory = Callable[[], Regressor]

@@ -1,11 +1,12 @@
 """The offline stage (§6), built once and disk-cached.
 
 The paper's offline stage sweeps the known training pairs once, keeps
-each pair's best configuration as the database, and trains the STP
-and the class centroids on the same sweeps.  :func:`train_pipeline`
-is that stage: every experiment, the CLI, the service and the
-benchmarks read their database, dataset, classifier and fitted STPs
-from the :class:`Pipeline` it returns.
+each pair's best configuration as the database and a sample of its
+grid rows to train the STP, and fits the class centroids on the
+training applications' profiles.  :func:`train_pipeline` is that
+stage: every experiment, the CLI, the service and the benchmarks read
+their database, dataset, classifier and fitted STPs from the
+:class:`Pipeline` it returns.
 
 Cache design
 ------------
@@ -48,8 +49,8 @@ from typing import Any, Callable, Sequence
 
 from repro.analysis.classify import NearestCentroidClassifier
 from repro.analysis.features import build_feature_matrix
-from repro.core.database import ConfigDatabase, build_database
-from repro.core.stp import MLMSTP, SoloSTP, TrainingDataset, build_training_dataset
+from repro.core.database import ConfigDatabase
+from repro.core.stp import MLMSTP, SoloSTP, TrainingDataset, build_offline
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import TRAINING_APPS, instances_for
 
@@ -296,9 +297,8 @@ def train_pipeline(
     }
 
     def build() -> tuple[ConfigDatabase, TrainingDataset, NearestCentroidClassifier]:
-        database, sweeps = build_database(training, keep_sweeps=True)
-        dataset = build_training_dataset(
-            training, sweeps=sweeps, rows_per_pair=rows_per_pair, seed=0
+        database, dataset = build_offline(
+            training, rows_per_pair=rows_per_pair, seed=0
         )
         fm = build_feature_matrix(training, seed=0)
         classifier = NearestCentroidClassifier().fit(

@@ -94,10 +94,9 @@ def run_table2(
         for (code_a, gb_a), (code_b, gb_b) in workloads
     ]
     exec_ = executor if executor is not None else SweepExecutor()
-    oracle_sweeps = exec_.sweep_pairs(pairs, node=node, constants=constants)
+    optima = exec_.sweep_pairs_best(pairs, node=node, constants=constants)
     rows = []
-    for (a, b), sweep in zip(pairs, oracle_sweeps):
-        oracle_cfgs = sweep.best_configs
+    for (a, b), oracle in zip(pairs, optima):
         da = describe_instance(a, node=node, constants=constants, seed=seed)
         db = describe_instance(b, node=node, constants=constants, seed=seed)
         predicted: dict[str, tuple[JobConfig, JobConfig]] = {}
@@ -112,13 +111,13 @@ def run_table2(
                 node=node, constants=constants,
             )
             predicted[name] = (cfg_a, cfg_b)
-            errors[name] = (float(pm.edp) - sweep.best_edp) / sweep.best_edp * 100.0
+            errors[name] = (float(pm.edp) - oracle.best_edp) / oracle.best_edp * 100.0
         cp = "-".join(sorted((a.app_class.value, b.app_class.value)))
         rows.append(
             Table2Row(
                 label=f"{a.label}+{b.label}",
                 class_pair=cp,
-                oracle=oracle_cfgs,
+                oracle=oracle.best_configs,
                 predicted=predicted,
                 errors=errors,
             )

@@ -37,11 +37,12 @@ DRIFT_CODES: tuple[str, ...] = ("km", "cf", "nb")
 DRIFT_SIZES: tuple[int, ...] = (10 * GB,)
 
 
-def pipeline_components(model_kind: str = "reptree"):
-    """(fitted MLM-STP, classifier, training dataset) — artifact-cached."""
+def reduced_pipeline():
+    """The reduced offline pipeline (every ``PIPELINE_CODES`` application
+    at every ``PIPELINE_SIZES`` size, 200 rows per pair) — artifact-cached."""
     from repro.experiments.artifacts import train_pipeline
 
-    pipeline = train_pipeline(
+    return train_pipeline(
         [
             AppInstance(get_app(code), size)
             for code in PIPELINE_CODES
@@ -49,6 +50,11 @@ def pipeline_components(model_kind: str = "reptree"):
         ],
         rows_per_pair=200,
     )
+
+
+def pipeline_components(model_kind: str = "reptree"):
+    """(fitted MLM-STP, classifier, training dataset) — artifact-cached."""
+    pipeline = reduced_pipeline()
     return pipeline.pair_stp(model_kind), pipeline.classifier, pipeline.dataset
 
 

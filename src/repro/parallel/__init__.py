@@ -9,10 +9,13 @@ Public surface:
   repository's only fan-out layer.
 * :func:`worker_count` — ``REPRO_WORKERS`` resolution.
 * :class:`PairSweepBest` — the lightweight per-pair optimum payload.
+* :class:`PairSample` — a pair sweep's knobs and EDP at sampled grid
+  indices (the MLM-STP training rows' payload).
 """
 
 from repro.parallel.executor import (
     WORKERS_ENV,
+    PairSample,
     PairSweepBest,
     SweepExecutor,
     worker_count,
@@ -20,6 +23,7 @@ from repro.parallel.executor import (
 
 __all__ = [
     "WORKERS_ENV",
+    "PairSample",
     "PairSweepBest",
     "SweepExecutor",
     "worker_count",

@@ -18,10 +18,15 @@ while keeping two guarantees the rest of the repository relies on:
 Workers default to the ``REPRO_WORKERS`` environment variable
 (``1`` = serial, ``0``/``auto`` = one per CPU core).
 
-The payload of a full :class:`PairSweepResult` is ~1 MB of metric
-arrays, which can dominate the 1-2 ms its grid takes to evaluate; use
-:meth:`SweepExecutor.sweep_pairs_best` when only the optimum matters
-(database construction) — its per-task payload is under 1 KB.
+A pair task reduces its sweep before it returns.  A full
+:class:`~repro.model.sweep.PairSweepResult` holds ~1 MB of metric
+arrays, while the offline stage reads only each pair's optimum and,
+for the MLM-STP training rows, the knobs and EDP at a few hundred
+sampled grid points.  :meth:`SweepExecutor.sweep_pairs_sampled` ships
+exactly that (about 11 KB per pair at 200 rows) and
+:meth:`SweepExecutor.sweep_pairs_best` the optimum alone (under 1 KB),
+so no full sweep outlives the task that ran it, inline or in a pool
+worker.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.model.sweep import PairSweepResult, SoloSweepResult, sweep_pair, sweep_solo
+from repro.model.sweep import SoloSweepResult, sweep_pair, sweep_solo
 from repro.telemetry.counters import SweepTelemetry
 from repro.telemetry.tracing import NULL_TRACER, SWEEP_PID
 from repro.workloads.base import AppInstance
@@ -91,26 +98,39 @@ def _solo_task(item: tuple[AppInstance, NodeSpec, SimConstants]) -> SoloSweepRes
 
 
 def _pair_task(
-    item: tuple[AppInstance, AppInstance, NodeSpec, SimConstants]
-) -> PairSweepResult:
-    a, b, node, constants = item
-    return sweep_pair(a, b, node=node, constants=constants)
+    item: tuple[AppInstance, AppInstance, NodeSpec, SimConstants, np.ndarray | None]
+) -> tuple[PairSweepBest, PairSample | None]:
+    """Sweep one pair; ship back its optimum and its rows at ``idx``.
 
-
-def _pair_best_task(
-    item: tuple[AppInstance, AppInstance, NodeSpec, SimConstants]
-) -> PairSweepBest:
-    """Sweep one pair but ship back only its optimum."""
-    a, b, node, constants = item
+    With ``idx`` None only the optimum is returned.  Otherwise the
+    optimum's grid index replaces ``idx[0]`` unless ``idx`` already
+    holds it (on a copy), so the training rows always include it.
+    """
+    a, b, node, constants, idx = item
     sweep = sweep_pair(a, b, node=node, constants=constants)
     i = sweep.best_index
-    return PairSweepBest(
+    best = PairSweepBest(
         instance_a=a,
         instance_b=b,
         best_index=i,
         best_edp=float(sweep.edp[i]),
         best_configs=sweep.configs_at(i),
     )
+    if idx is None:
+        return best, None
+    if i not in idx:
+        idx = idx.copy()
+        idx[0] = i
+    sample = PairSample(
+        freq_a=sweep.freq_a[idx],
+        block_a=sweep.block_a[idx],
+        mappers_a=sweep.mappers_a[idx],
+        freq_b=sweep.freq_b[idx],
+        block_b=sweep.block_b[idx],
+        mappers_b=sweep.mappers_b[idx],
+        edp=sweep.edp[idx],
+    )
+    return best, sample
 
 
 @dataclass(frozen=True)
@@ -122,6 +142,19 @@ class PairSweepBest:
     best_index: int
     best_edp: float
     best_configs: tuple[JobConfig, JobConfig]
+
+
+@dataclass(frozen=True, eq=False)
+class PairSample:
+    """One pair sweep's knob columns and EDP at sampled grid indices."""
+
+    freq_a: np.ndarray
+    block_a: np.ndarray
+    mappers_a: np.ndarray
+    freq_b: np.ndarray
+    block_b: np.ndarray
+    mappers_b: np.ndarray
+    edp: np.ndarray
 
 
 class SweepExecutor:
@@ -247,15 +280,28 @@ class SweepExecutor:
         """All 160-point standalone sweeps, one task per instance."""
         return self.map(_solo_task, [(inst, node, constants) for inst in instances])
 
-    def sweep_pairs(
+    def sweep_pairs_sampled(
         self,
         pairs: Sequence[tuple[AppInstance, AppInstance]],
+        indices: Sequence[np.ndarray | None],
         *,
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
-    ) -> list[PairSweepResult]:
-        """Full 2,800-point pair sweeps, one task per pair."""
-        return self.map(_pair_task, [(a, b, node, constants) for a, b in pairs])
+    ) -> list[tuple[PairSweepBest, PairSample | None]]:
+        """Each pair's optimum and its sweep at that pair's grid indices.
+
+        One full 2,800-point sweep per pair, one task per pair; the
+        task keeps the optimum and the rows at ``indices[k]`` (always
+        including the optimum, see :func:`_pair_task`) and drops the
+        sweep.  A None index set ships the optimum alone.
+        """
+        return self.map(
+            _pair_task,
+            [
+                (a, b, node, constants, idx)
+                for (a, b), idx in zip(pairs, indices, strict=True)
+            ],
+        )
 
     def sweep_pairs_best(
         self,
@@ -264,10 +310,10 @@ class SweepExecutor:
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
     ) -> list[PairSweepBest]:
-        """Per-pair optima only — the cheap path for database builds.
-
-        One full-grid sweep per pair, as :meth:`sweep_pairs` runs, but
-        workers ship back under 1 KB per pair instead of the ~1 MB
-        metric arrays.
-        """
-        return self.map(_pair_best_task, [(a, b, node, constants) for a, b in pairs])
+        """Per-pair optima only — the cheap path for database builds."""
+        return [
+            best
+            for best, _ in self.sweep_pairs_sampled(
+                pairs, [None] * len(pairs), node=node, constants=constants
+            )
+        ]

@@ -32,8 +32,7 @@ try:
 except ImportError:  # pragma: no cover - property tests parametrize instead
     pass
 
-from repro.core.database import build_database
-from repro.core.stp import build_training_dataset
+from repro.core.stp import build_offline
 from repro.hardware.node import ATOM_C2758
 from repro.utils.units import GB
 from repro.workloads.base import AppInstance
@@ -137,19 +136,17 @@ def small_training_instances():
 
 
 @pytest.fixture(scope="session")
-def small_database(small_training_instances):
-    db, _sweeps = build_database(small_training_instances)
-    return db
+def small_offline(small_training_instances):
+    """(database, 200-rows-per-pair dataset) from one sweep of the
+    reduced training pairs."""
+    return build_offline(small_training_instances, rows_per_pair=200, seed=0)
 
 
 @pytest.fixture(scope="session")
-def small_database_with_sweeps(small_training_instances):
-    return build_database(small_training_instances, keep_sweeps=True)
+def small_database(small_offline):
+    return small_offline[0]
 
 
 @pytest.fixture(scope="session")
-def small_dataset(small_database_with_sweeps, small_training_instances):
-    _db, sweeps = small_database_with_sweeps
-    return build_training_dataset(
-        small_training_instances, sweeps=sweeps, rows_per_pair=200, seed=0
-    )
+def small_dataset(small_offline):
+    return small_offline[1]

@@ -1,14 +1,43 @@
 """Feature-matrix and classifier tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.classify import NearestCentroidClassifier, RuleBasedClassifier
 from repro.analysis.features import PROFILING_CONFIG, build_feature_matrix, zscore
 from repro.telemetry.profiling import profile_features
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
 from repro.workloads.registry import TESTING_APPS, TRAINING_APPS, instances_for, get_app
+
+
+#: Fits the centroid classifier on the reduced training set and prints
+#: its centroid order and pickle (hex).
+_FIT_AND_DUMP = """
+import pickle
+from repro.analysis.classify import NearestCentroidClassifier
+from repro.analysis.features import build_feature_matrix
+from repro.utils.units import GB
+from repro.workloads.base import AppInstance
+from repro.workloads.registry import get_app
+
+train = [AppInstance(get_app(c), z * GB) for c in ("wc", "st", "ts", "fp") for z in (1, 5)]
+clf = NearestCentroidClassifier().fit(
+    build_feature_matrix(train, seed=0), [i.app_class for i in train]
+)
+print(",".join(c.value for c in clf._centroids), pickle.dumps(clf).hex())
+"""
+
+_SRC_PATH = os.pathsep.join(
+    [str(Path(repro.__file__).resolve().parents[1])]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 class TestZscore:
@@ -100,6 +129,25 @@ class TestClassifiers:
             clf.classify({})
         with pytest.raises(RuntimeError):
             clf.classes_
+
+    def test_centroid_order_ignores_hash_seed(self):
+        """Fits in processes with different hash seeds give the same
+        centroid order (classify's tie-break) and the same pickle."""
+        outs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", _FIT_AND_DUMP],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": _SRC_PATH},
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        order_0, pickle_0 = outs["0"].split()
+        order_1, pickle_1 = outs["1"].split()
+        assert order_0 == order_1 == "C,H,I,M"
+        assert pickle_0 == pickle_1
 
     def test_label_count_mismatch(self):
         tr = instances_for(("wc",))

@@ -265,13 +265,13 @@ class TestPipeline:
         from repro.online.scenario import pipeline_components
 
         sweeps = []
-        build_database = artifacts.build_database
+        build_offline = artifacts.build_offline
 
-        def counting_build_database(*args, **kwargs):
+        def counting_build_offline(*args, **kwargs):
             sweeps.append(1)
-            return build_database(*args, **kwargs)
+            return build_offline(*args, **kwargs)
 
-        monkeypatch.setattr(artifacts, "build_database", counting_build_database)
+        monkeypatch.setattr(artifacts, "build_offline", counting_build_offline)
         lr, _classifier, dataset_a = pipeline_components("lr")
         reptree, _classifier, dataset_b = pipeline_components("reptree")
         assert len(sweeps) == 1

@@ -1,5 +1,7 @@
 """ILAO / COLAO / mapping-policy tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.baselines.mapping import (
     _min_cost_matching,
     evaluate_policy,
 )
+from repro.experiments.scenarios import scenario_instances
 from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
@@ -114,6 +117,18 @@ class TestPolicies:
         for policy in ("SM", "SNM", "CBM"):
             other = evaluate_policy(policy, small_workload, 2)
             assert ub.edp <= other.edp * 1.01
+
+    def test_ub_keeps_only_each_pairs_optimum(self):
+        """UB over WS4's 120 pairs holds three floats per pair, not the
+        pairs' full sweeps (about 1 MiB each)."""
+        workload = scenario_instances("WS4")
+        tracemalloc.start()
+        try:
+            evaluate_policy("UB", workload, 8)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (1 << 20), f"traced peak {peak / (1 << 20):.1f} MiB"
 
     def test_mnm_degenerates_on_single_node(self, small_workload):
         sm = evaluate_policy("SM", small_workload, 1)

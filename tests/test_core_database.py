@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.database import ConfigDatabase, build_database, training_pairs
+from repro.model.sweep import sweep_pair
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
 from repro.workloads.registry import get_app
@@ -50,11 +51,12 @@ def test_entries_for_classes(small_database):
         assert {e.class_a, e.class_b} == {AppClass.COMPUTE, AppClass.MEMORY}
 
 
-def test_best_configs_are_oracle_minima(small_database_with_sweeps):
-    db, sweeps = small_database_with_sweeps
-    for entry in db.entries[:5]:
-        sweep = sweeps[(entry.label_a, entry.label_b)]
+def test_best_configs_are_oracle_minima(small_database, small_training_instances):
+    by_label = {inst.label: inst for inst in small_training_instances}
+    for entry in small_database.entries[:5]:
+        sweep = sweep_pair(by_label[entry.label_a], by_label[entry.label_b])
         assert entry.best_edp == pytest.approx(sweep.best_edp)
+        assert (entry.config_a, entry.config_b) == sweep.best_configs
 
 
 def test_empty_database_rejected():
@@ -70,7 +72,7 @@ def test_build_database_needs_at_least_one_pair():
 
 def test_build_database_single_self_pair():
     insts = [AppInstance(get_app("wc"), 1 * GB)]
-    db, _ = build_database(insts, include_self=True)
+    db = build_database(insts, include_self=True)
     assert len(db) == 1
     entry = db.entries[0]
     assert entry.label_a == entry.label_b == "wc@1GB"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import build_database
-from repro.core.stp import SoloSTP, build_training_dataset
+from repro.core.stp import SoloSTP, build_offline
 from repro.model.sweep import sweep_pair, sweep_solo
 from repro.parallel import WORKERS_ENV, SweepExecutor, worker_count
 from repro.telemetry.counters import SweepTelemetry
@@ -102,14 +102,30 @@ class TestParallelSerialEquivalence:
     """Every result from the pool path == the serial path, bitwise."""
 
     def test_pair_sweeps(self, small_pairs):
-        serial = SweepExecutor(1).sweep_pairs(small_pairs)
-        parallel = SweepExecutor(2).sweep_pairs(small_pairs)
-        for s, p in zip(serial, parallel):
-            assert np.array_equal(s.edp, p.edp)
-            assert np.array_equal(s.metrics.energy, p.metrics.energy)
-            assert np.array_equal(s.metrics.makespan, p.metrics.makespan)
-            assert s.best_index == p.best_index
-            assert s.best_configs == p.best_configs
+        """The sampled pair task ships the same optimum and rows from a
+        pool worker as inline, and they are the full sweep's."""
+        rng = np.random.default_rng(0)
+        indices = [rng.choice(2800, size=50, replace=False) for _ in small_pairs]
+        serial = SweepExecutor(1).sweep_pairs_sampled(small_pairs, indices)
+        parallel = SweepExecutor(2).sweep_pairs_sampled(small_pairs, indices)
+        for (a, b), idx, (s_best, s_rows), (p_best, p_rows) in zip(
+            small_pairs, indices, serial, parallel
+        ):
+            sweep = sweep_pair(a, b)
+            for best in (s_best, p_best):
+                assert best.best_index == sweep.best_index
+                assert best.best_edp == sweep.best_edp
+                assert best.best_configs == sweep.best_configs
+            if sweep.best_index not in idx:
+                idx = idx.copy()
+                idx[0] = sweep.best_index
+            for name in (
+                "freq_a", "block_a", "mappers_a", "freq_b", "block_b", "mappers_b"
+            ):
+                assert np.array_equal(getattr(s_rows, name), getattr(sweep, name)[idx])
+                assert np.array_equal(getattr(p_rows, name), getattr(sweep, name)[idx])
+            assert np.array_equal(s_rows.edp, sweep.edp[idx])
+            assert np.array_equal(p_rows.edp, sweep.edp[idx])
 
     def test_pair_bests(self, small_pairs):
         direct = [sweep_pair(a, b) for a, b in small_pairs]
@@ -128,28 +144,30 @@ class TestParallelSerialEquivalence:
             assert s.best_config == p.best_config
 
     def test_build_database(self, small_instances):
-        db_serial, _ = build_database(small_instances, executor=SweepExecutor(1))
-        db_parallel, _ = build_database(
-            small_instances, executor=SweepExecutor(2)
-        )
+        db_serial = build_database(small_instances, executor=SweepExecutor(1))
+        db_parallel = build_database(small_instances, executor=SweepExecutor(2))
         assert db_serial.entries == db_parallel.entries
 
     def test_build_database_keep_sweeps_same_entries(self, small_instances):
-        db_best, _ = build_database(small_instances)
-        db_full, sweeps = build_database(small_instances, keep_sweeps=True)
-        assert db_best.entries == db_full.entries
-        assert len(sweeps) == len(db_full.entries)
+        """The optimum-only build and ``build_offline``, which also
+        samples rows (once done from kept sweeps), store the same
+        entries."""
+        db_best = build_database(small_instances)
+        db_rows, dataset = build_offline(small_instances, rows_per_pair=50)
+        assert db_best.entries == db_rows.entries
+        assert len(dataset.y) == 50 * len(db_rows.entries)
 
     def test_training_dataset_fixed_seed(self, small_instances):
-        serial = build_training_dataset(
+        db_serial, serial = build_offline(
             small_instances, rows_per_pair=50, seed=0, executor=SweepExecutor(1)
         )
-        parallel = build_training_dataset(
+        db_parallel, parallel = build_offline(
             small_instances,
             rows_per_pair=50,
             seed=0,
             executor=SweepExecutor(2),
         )
+        assert db_serial.entries == db_parallel.entries
         assert np.array_equal(serial.X, parallel.X)
         assert np.array_equal(serial.y, parallel.y)
         assert np.array_equal(serial.pair_codes, parallel.pair_codes)
@@ -192,7 +210,7 @@ class TestExperimentDrivers:
 class TestTelemetry:
     def test_tasks_and_batches_recorded(self, small_pairs):
         tel = SweepTelemetry()
-        SweepExecutor(1, telemetry=tel).sweep_pairs(small_pairs)
+        SweepExecutor(1, telemetry=tel).sweep_pairs_best(small_pairs)
         assert tel.n_tasks == len(small_pairs)
         assert tel.n_batches == 1
         assert tel.task_wall_s > 0.0
@@ -201,7 +219,7 @@ class TestTelemetry:
 
     def test_parallel_workers_visible(self, small_pairs):
         tel = SweepTelemetry()
-        SweepExecutor(2, telemetry=tel).sweep_pairs(small_pairs)
+        SweepExecutor(2, telemetry=tel).sweep_pairs_best(small_pairs)
         assert tel.n_tasks == len(small_pairs)  # one task per pair
         assert tel.task_wall_s > 0.0
 
@@ -236,10 +254,10 @@ class TestSpeedup:
 
         instances = instances_for(TRAINING_APPS)
         t0 = time.perf_counter()
-        db_serial, _ = build_database(instances, executor=SweepExecutor(1))
+        db_serial = build_database(instances, executor=SweepExecutor(1))
         serial_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        db_parallel, _ = build_database(instances, executor=SweepExecutor(4))
+        db_parallel = build_database(instances, executor=SweepExecutor(4))
         parallel_s = time.perf_counter() - t0
         assert db_serial.entries == db_parallel.entries
         assert parallel_s < serial_s

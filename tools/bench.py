@@ -207,22 +207,10 @@ def _op_functional_wordcount():
 def _op_reptree_predict():
     import numpy as np
 
-    from repro.core.database import build_database
-    from repro.core.stp import build_training_dataset
     from repro.ml.reptree import REPTree
-    from repro.utils.units import GB
-    from repro.workloads.base import AppInstance
-    from repro.workloads.registry import get_app
+    from repro.online.scenario import reduced_pipeline
 
-    instances = [
-        AppInstance(get_app(code), size)
-        for code in ("wc", "st", "ts", "fp")
-        for size in (1 * GB, 5 * GB)
-    ]
-    _db, sweeps = build_database(instances, keep_sweeps=True)
-    dataset = build_training_dataset(
-        instances, sweeps=sweeps, rows_per_pair=200, seed=0
-    )
+    dataset = reduced_pipeline().dataset
     tree = REPTree(seed=0).fit(dataset.X, np.log(dataset.y))
     grid = dataset.X[:2800]
 
