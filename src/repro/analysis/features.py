@@ -10,7 +10,7 @@ so unknown applications are projected consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,13 +96,24 @@ def build_feature_matrix(
     seed: SeedLike = 0,
 ) -> FeatureMatrix:
     """Profile every instance and assemble the scaled feature matrix."""
+    return feature_matrix(
+        instances,
+        [
+            profile_features(inst, config, node=node, constants=constants, seed=seed)
+            for inst in instances
+        ],
+    )
+
+
+def feature_matrix(
+    instances: Sequence[AppInstance], features: Sequence[Mapping[str, float]]
+) -> FeatureMatrix:
+    """The scaled feature matrix of instances already profiled:
+    ``features[i]`` is instance ``i``'s profile (say, its STP
+    descriptor's features)."""
     if not instances:
         raise ValueError("need at least one instance")
-    rows = []
-    for inst in instances:
-        feats = profile_features(inst, config, node=node, constants=constants, seed=seed)
-        rows.append(feature_vector(feats))
-    raw = np.vstack(rows)
+    raw = np.vstack([feature_vector(feats) for feats in features])
     scaled, scaler = zscore(raw)
     return FeatureMatrix(
         instances=tuple(instances),

@@ -289,6 +289,7 @@ def build_offline(
     include_self: bool = True,
     seed: SeedLike = 0,
     executor: "SweepExecutor | None" = None,
+    descriptors: Sequence[AppDescriptor] | None = None,
 ) -> tuple[ConfigDatabase, TrainingDataset]:
     """The configuration database and the MLM-STP rows from one sweep
     of every training pair.
@@ -302,14 +303,21 @@ def build_offline(
     honouring ``REPRO_WORKERS``) keeps only the optimum and the rows at
     those indices, so at most one full sweep is alive at a time per
     process and the result is the same serial or pooled.
+
+    ``descriptors``, one per instance in order, are the instances'
+    :func:`describe_instance` profiles under the same ``node``,
+    ``constants`` and ``seed``, for a caller that already has them;
+    by default each instance is profiled here.
     """
     from repro.parallel import SweepExecutor
 
     rng = rng_from(seed)
-    descriptors = {
-        inst.label: describe_instance(inst, node=node, constants=constants, seed=seed)
-        for inst in instances
-    }
+    if descriptors is None:
+        descriptors = [
+            describe_instance(inst, node=node, constants=constants, seed=seed)
+            for inst in instances
+        ]
+    by_label = dict(zip([inst.label for inst in instances], descriptors))
     pairs = training_pairs(instances, include_self=include_self)
     n = len(pair_config_grid(node)[0])
     take = min(rows_per_pair, n)
@@ -320,7 +328,7 @@ def build_offline(
     y = np.empty(len(pairs) * take)
     codes = []
     for k, ((a, b), (_best, rows)) in enumerate(zip(pairs, swept)):
-        da, db = descriptors[a.label], descriptors[b.label]
+        da, db = by_label[a.label], by_label[b.label]
         block = slice(k * take, (k + 1) * take)
         X[block] = _row_block(
             da.reduced(), a.data_bytes, db.reduced(), b.data_bytes,
@@ -333,8 +341,8 @@ def build_offline(
         X=X,
         y=y,
         pair_codes=np.array(codes),
-        train_features=np.vstack([d.reduced() for d in descriptors.values()]),
-        train_sizes=np.array([d.data_bytes for d in descriptors.values()], dtype=float),
+        train_features=np.vstack([d.reduced() for d in by_label.values()]),
+        train_sizes=np.array([d.data_bytes for d in by_label.values()], dtype=float),
     )
     return database_from_optima([best for best, _rows in swept]), dataset
 

@@ -48,9 +48,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.analysis.classify import NearestCentroidClassifier
-from repro.analysis.features import build_feature_matrix
+from repro.analysis.features import feature_matrix
 from repro.core.database import ConfigDatabase
-from repro.core.stp import MLMSTP, SoloSTP, TrainingDataset, build_offline
+from repro.core.stp import MLMSTP, SoloSTP, TrainingDataset, build_offline, describe_instance
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import TRAINING_APPS, instances_for
 
@@ -297,12 +297,15 @@ def train_pipeline(
     }
 
     def build() -> tuple[ConfigDatabase, TrainingDataset, NearestCentroidClassifier]:
+        # One profile per instance feeds both the STP rows and the
+        # classifier's centroids.
+        descriptors = [describe_instance(inst, seed=0) for inst in training]
         database, dataset = build_offline(
-            training, rows_per_pair=rows_per_pair, seed=0
+            training, rows_per_pair=rows_per_pair, seed=0, descriptors=descriptors
         )
-        fm = build_feature_matrix(training, seed=0)
         classifier = NearestCentroidClassifier().fit(
-            fm, [inst.app_class for inst in training]
+            feature_matrix(training, [desc.features for desc in descriptors]),
+            [inst.app_class for inst in training],
         )
         return database, dataset, classifier
 

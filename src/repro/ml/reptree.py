@@ -10,12 +10,30 @@ time") — is a fast decision tree that
    collapsed to a leaf whenever the leaf's held-out squared error is
    no worse than the subtree's (reduced-error pruning, the "REP").
 
+The fit works one depth at a time.  Each feature is argsorted once, at
+the root; every split then stably partitions those per-feature row
+orders, so each node's rows stay sorted by value, ties in row order —
+the order a stable argsort of the node's own rows gives.  All open
+nodes of a depth are scored together, in blocks of (node, feature)
+rows of at most :data:`SPLIT_BLOCK_ELEMENTS` padded elements: each
+row's prefix sums run over that node alone, and a split's squared
+error is read only where the feature's value changes.  Pruning routes
+the pruning set down the grown tree the same way and collapses
+subtrees bottom-up, one depth at a time.
+
+The tree is the one a node-at-a-time search grows, node for node.
+That rests on the same floating-point operations in the same order: a
+node's mean, base squared error and held-out error are ``.sum()``
+reductions over its targets in row order (NumPy sums eight or more
+elements pairwise, so a padded or segmented sum would differ), its
+prefix sums are left-to-right ``cumsum``, ties keep the lowest
+threshold and then the lowest feature, and a NaN gain never wins.
+
 The fitted tree is flat node arrays in preorder: feature, threshold,
 (left, right) children and value; a leaf has feature -1 and is its own
-left and right child.  Prediction moves every row down one level per
-step with NumPy gathers.  Split-point search is vectorised:
-candidate thresholds are scored with prefix-sum statistics in
-O(n log n) per feature, for a block of features at a time.
+left and right child, and a pruned node keeps its grown threshold.
+Prediction moves every row down one level per step with NumPy
+gathers.
 """
 
 from __future__ import annotations
@@ -26,56 +44,215 @@ from repro.ml.base import check_X, check_Xy
 from repro.ml.preprocessing import train_val_split
 from repro.utils.rng import SeedLike
 
-#: Most (rows × features) elements one split-search block may cover.
-#: A block holds about a dozen temporaries of this size, so the cap
-#: bounds the search's scratch memory whatever the node size: 0.8 MiB
-#: on the STP's 7200 x 22 training matrix, no more than scoring one
-#: feature at a time, where all 22 features at once would hold over
-#: 12 MiB.  Larger caps fit no faster.
+#: Most padded elements one scoring block covers: (node, feature) rows
+#: times the widest node's row count.  A block holds about ten
+#: temporaries of this size, about half a MiB at 2^13, so the cap
+#: bounds the fit's scratch memory beside the presorted row orders
+#: (features + 1 small integers per training row) whatever the node
+#: sizes: a whole fit on the STP's 7200 x 22 training matrix peaks at
+#: 2.6 MiB traced.  A node wider than the cap is scored one feature at
+#: a time.  Larger caps fitted no faster.
 SPLIT_BLOCK_ELEMENTS = 1 << 13
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float, float] | None:
-    """(feature, threshold, variance_gain) of the best split, or None.
+def _index_dtype(n: int) -> type:
+    """The smallest signed integer type that indexes ``n`` items."""
+    return np.int16 if n < 2**15 else np.int32 if n < 2**31 else np.int64
 
-    Features are scored in blocks of at most
-    :data:`SPLIT_BLOCK_ELEMENTS` elements, each block vectorised over
-    its features and their candidate thresholds via cumulative sums of
-    the target sorted by each feature.  Ties resolve as a scan of one
-    feature at a time would: the lowest threshold within a feature,
-    then the lowest feature index.
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray, nodes) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` for each node ``i``."""
+    lo, hi = bounds[:-1].tolist(), bounds[1:].tolist()
+    return np.array([values[lo[i] : hi[i]].sum() for i in nodes], dtype=float)
+
+
+def _partition(
+    order: np.ndarray, rows: range, m: int, key: np.ndarray, m_new: int
+) -> None:
+    """Stably sort ``order[j, :m]`` for each ``j`` in ``rows`` by
+    ``key`` of its entries, keeping the first ``m_new``."""
+    for j in rows:
+        line = order[j, :m]
+        order[j, :m_new] = line.take(key.take(line).argsort(kind="stable")[:m_new])
+
+
+def _score(
+    X: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    base: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, position) of the best split of each (node, feature).
+
+    Node ``i`` owns ``order[:, starts[i]:starts[i] + sizes[i]]`` and
+    has base squared error ``base[i]``; nodes come largest first.  Row
+    ``i * d + j`` of the result is node ``i``, feature ``j``: the gain
+    of its lowest best threshold, which lies after sorted position
+    ``position`` (``-inf``, or NaN, where no split is valid).
     """
+    d = X.shape[1]
+    stride = order.shape[1]
+    flat, x_flat = order.ravel(), X.ravel()
+    total = len(sizes) * d
+    gain = np.empty(total)
+    position = np.empty(total, dtype=np.intp)
+    r0 = 0
+    while r0 < total:
+        width = int(sizes[r0 // d])
+        r1 = min(total, r0 + max(1, SPLIT_BLOCK_ELEMENTS // width))
+        node, feat = np.divmod(np.arange(r0, r1), d)
+        n = sizes[node]
+        # Each row padded to the block's widest node with whatever rows
+        # follow it in the order array; nothing past a node's end is read.
+        idx = flat.take((feat * stride + starts[node])[:, None] + np.arange(width))
+        idx = idx.astype(np.intp)
+        ys = y.take(idx)
+        csum = ys.cumsum(axis=1)
+        csq = np.square(ys, out=ys).cumsum(axis=1)
+        idx *= d
+        idx += feat[:, None]
+        xs = x_flat.take(idx)
+        # Split after sorted position p puts k = p + 1 rows left.
+        p = np.arange(width - 1)
+        valid = xs[:, 1:] > xs[:, :-1]
+        valid &= p >= min_leaf - 1
+        valid &= p <= (n - min_leaf - 1)[:, None]
+        r, p = np.divmod(np.flatnonzero(valid), width - 1)
+        k, nr = p + 1, n[r]
+        left_sum, left_sq = csum[r, p], csq[r, p]
+        right_sum = csum[r, nr - 1] - left_sum
+        right_sq = csq[r, nr - 1] - left_sq
+        sse = np.full(valid.shape, np.inf)
+        sse[r, p] = (left_sq - left_sum**2 / k) + (right_sq - right_sum**2 / (nr - k))
+        best = sse.argmin(axis=1)
+        gain[r0:r1] = base[node] - sse[np.arange(len(best)), best]
+        position[r0:r1] = best
+        r0 = r1
+    return gain, position
+
+
+class _Level:
+    """The nodes of one depth, in creation (breadth-first) order.
+
+    ``child[i]`` is the next depth's index of node ``i``'s left child
+    (the right child follows it), or -1 for a leaf.
+    """
+
+    def __init__(self, value: np.ndarray) -> None:
+        self.value = value
+        self.feature = np.full(len(value), -1, dtype=np.intp)
+        self.threshold = np.zeros(len(value))
+        self.child = np.full(len(value), -1, dtype=np.intp)
+
+
+def _split_keys(
+    level: _Level, X: np.ndarray, rows: np.ndarray, bounds: np.ndarray, n_children: int
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """(child bounds, number of child rows, key by row) of one depth's
+    splits.
+
+    ``key[r]`` is the next depth's index of the child row ``r`` goes
+    to, or ``n_children`` for a row of a leaf; ``rows`` are the
+    depth's rows, node after node.
+    """
+    node = np.repeat(np.arange(len(level.value)), np.diff(bounds))
+    child = level.child[node]
+    right = X[rows, level.feature[node]] > level.threshold[node]
+    dest = np.where(child >= 0, child + right, n_children)
+    key = np.empty(X.shape[0], dtype=_index_dtype(n_children + 1))
+    key[rows] = dest
+    counts = np.bincount(dest, minlength=n_children + 1)[:n_children]
+    return np.concatenate(([0], np.cumsum(counts))), int(counts.sum()), key
+
+
+def _grow(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> list[_Level]:
+    """Grow the tree on ``(X, y)`` one depth at a time."""
+    X = np.ascontiguousarray(X)
     n, d = X.shape
-    if n < 2:
-        return None
-    base_sse = float(((y - y.sum() / n) ** 2).sum())
-    # Split after sorted position i puts k = i+1 samples left.
-    k = np.arange(1, n)[:, None]
-    size_ok = (k >= min_leaf) & (n - k >= min_leaf)
-    best = None
-    best_gain = 1e-12
-    width = max(1, SPLIT_BLOCK_ELEMENTS // n)
-    for start in range(0, d, width):
-        block = X[:, start : start + width]
-        cols = np.arange(block.shape[1])
-        order = block.argsort(axis=0, kind="stable")
-        xs = block[order, cols]
-        ys = y[order]
-        csum = ys.cumsum(axis=0)
-        csq = (ys**2).cumsum(axis=0)
-        left_sum, left_sq = csum[:-1], csq[:-1]
-        right_sum = csum[-1] - left_sum
-        right_sq = csq[-1] - left_sq
-        sse = (left_sq - left_sum**2 / k) + (right_sq - right_sum**2 / (n - k))
-        sse[~(size_ok & (xs[1:] > xs[:-1]))] = np.inf
-        rows = sse.argmin(axis=0)
-        gains = (base_sse - sse[rows, cols]).tolist()
-        for c, gain in enumerate(gains):
-            if gain > best_gain:
-                i = rows[c]
-                best_gain = gain
-                best = (start + c, float((xs[i, c] + xs[i + 1, c]) / 2.0), gain)
-    return best
+    # Row d of ``order`` holds each node's rows in row order, and row
+    # j < d the same rows sorted by feature j, ties in row order.  Each
+    # depth keeps its nodes' rows in the first m columns, node after
+    # node.
+    order = np.empty((d + 1, n), dtype=_index_dtype(n))
+    for j in range(d):
+        order[j] = X[:, j].argsort(kind="stable")
+    order[d] = np.arange(n)
+    bounds = np.array([0, n])
+    levels: list[_Level] = []
+    while True:
+        depth = len(levels)
+        counts = np.diff(bounds)
+        m = int(bounds[-1])
+        yo = y.take(order[d, :m])
+        sums = _segment_sums(yo, bounds, range(len(counts)))
+        level = _Level(sums / counts)
+        levels.append(level)
+        if depth >= max_depth:
+            return levels
+        # A node whose targets are all equal stays a leaf.
+        nonempty = np.flatnonzero(counts)
+        lo = bounds[nonempty]
+        varies = np.zeros(len(counts), dtype=bool)
+        varies[nonempty] = np.maximum.reduceat(yo, lo) > np.minimum.reduceat(yo, lo)
+        open_ = np.flatnonzero((counts >= 2 * min_leaf) & varies)
+        if open_.size == 0:
+            return levels
+        open_ = open_[np.argsort(-counts[open_], kind="stable")]
+        sq_dev = (yo - np.repeat(level.value, counts)) ** 2
+        base = _segment_sums(sq_dev, bounds, open_.tolist())
+        starts = bounds[open_]
+        gain, position = _score(X, y, order, starts, counts[open_], base, min_leaf)
+        gain = gain.reshape(-1, d)
+        gain[~(gain > 1e-12)] = -np.inf
+        best = gain.argmax(axis=1)
+        won = np.flatnonzero(gain[np.arange(len(best)), best] > -np.inf)
+        if won.size == 0:
+            return levels
+        node, f = open_[won], best[won]
+        at = starts[won] + position.reshape(-1, d)[won, f]
+        level.feature[node] = f
+        level.threshold[node] = (X[order[f, at], f] + X[order[f, at + 1], f]) / 2.0
+        split = np.sort(node)
+        level.child[split] = 2 * np.arange(len(split))
+        bounds, m_new, key = _split_keys(level, X, order[d, :m], bounds, 2 * len(split))
+        # The last depth's nodes are all leaves: only their rows matter.
+        first = 0 if depth + 1 < max_depth else d
+        _partition(order, range(first, d + 1), m, key, m_new)
+
+
+def _prune(levels: list[_Level], X: np.ndarray, y: np.ndarray) -> None:
+    """Bottom-up reduced-error pruning against ``(X, y)``, turning
+    pruned subtrees' roots into leaves in place."""
+    # Route the pruning rows down the grown tree as _grow routed the
+    # training rows: each depth's rows node after node, in row order.
+    rows = np.arange(len(y), dtype=_index_dtype(len(y)))[None, :]
+    bounds = np.array([0, len(y)])
+    held_out = []
+    for level in levels:
+        counts = np.diff(bounds)
+        m = int(bounds[-1])
+        sq_err = (y.take(rows[0, :m]) - np.repeat(level.value, counts)) ** 2
+        reached = np.flatnonzero(counts)
+        sse = np.zeros(len(level.value))
+        sse[reached] = _segment_sums(sq_err, bounds, reached.tolist())
+        held_out.append(sse)
+        n_split = np.count_nonzero(level.child >= 0)
+        if n_split:
+            bounds, m_new, key = _split_keys(level, X, rows[0, :m], bounds, 2 * n_split)
+            _partition(rows, range(1), m, key, m_new)
+    below = None
+    for level, sse in zip(reversed(levels), reversed(held_out)):
+        inner = np.flatnonzero(level.child >= 0)
+        if inner.size:
+            sub = below[level.child[inner]] + below[level.child[inner] + 1]
+            cut = sse[inner] <= sub
+            level.feature[inner[cut]] = -1
+            level.child[inner[cut]] = -1
+            sse[inner[~cut]] = sub[~cut]
+        below = sse
 
 
 class REPTree:
@@ -109,83 +286,54 @@ class REPTree:
         self.children_: np.ndarray | None = None
         self.value_: np.ndarray | None = None
 
-    # ------------------------------------------------------------ growth
-    def _grow(self, nodes: tuple[list, ...], X: np.ndarray, y: np.ndarray, depth: int) -> int:
-        """Append the subtree grown on (X, y) to the preorder node
-        lists (feature, threshold, left, right, value); return the
-        index of its root."""
-        feature, threshold, left, right, value = nodes
-        i = len(value)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(i)
-        right.append(i)
-        value.append(float(y.sum() / len(y)))
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or y.max() == y.min():
-            return i
-        split = _best_split(X, y, self.min_leaf)
-        if split is None:
-            return i
-        j, thr, _gain = split
-        mask = X[:, j] <= thr
-        feature[i] = j
-        threshold[i] = thr
-        left[i] = self._grow(nodes, X[mask], y[mask], depth + 1)
-        right[i] = self._grow(nodes, X[~mask], y[~mask], depth + 1)
-        return i
-
-    # ----------------------------------------------------------- pruning
-    def _prune(self, nodes: tuple[list, ...], i: int, X: np.ndarray, y: np.ndarray) -> float:
-        """Bottom-up REP of the subtree at node ``i``, turning pruned
-        subtrees' roots into leaves in place; returns the subtree's
-        held-out SSE."""
-        feature, threshold, left, right, value = nodes
-        leaf_sse = float(((y - value[i]) ** 2).sum()) if len(y) else 0.0
-        if feature[i] < 0:
-            return leaf_sse
-        mask = X[:, feature[i]] <= threshold[i]
-        sub_sse = self._prune(nodes, left[i], X[mask], y[mask]) + self._prune(
-            nodes, right[i], X[~mask], y[~mask]
-        )
-        if leaf_sse <= sub_sse:
-            feature[i] = -1
-            left[i] = right[i] = i
-            return leaf_sse
-        return sub_sse
-
-    def _set_nodes(self, nodes: tuple[list, ...]) -> None:
-        """Store the nodes reachable from the root as the fitted arrays.
-
-        Pruning only detaches whole subtrees, so the reachable nodes
-        keep their preorder when renumbered in index order.
-        """
-        feature, threshold, left, right, value = (np.asarray(a) for a in nodes)
-        reached = np.zeros(len(value), dtype=bool)
-        reached[0] = True
-        for i in range(len(value)):
-            if reached[i] and feature[i] >= 0:
-                reached[left[i]] = reached[right[i]] = True
-        keep = np.flatnonzero(reached)
-        renumber = np.cumsum(reached) - 1
-        self.feature_ = feature[keep].astype(np.intp)
-        self.threshold_ = threshold[keep].astype(float)
-        self.children_ = renumber[np.column_stack([left[keep], right[keep]])]
-        self.value_ = value[keep].astype(float)
+    def _set_nodes(self, levels: list[_Level]) -> None:
+        """Store the nodes reachable from the root as the preorder
+        arrays: a left child follows its parent, and the right child
+        follows the left child's subtree."""
+        sizes = []
+        below = None
+        for level in reversed(levels):
+            size = np.ones(len(level.value), dtype=np.intp)
+            inner = np.flatnonzero(level.child >= 0)
+            if inner.size:
+                size[inner] += below[level.child[inner]] + below[level.child[inner] + 1]
+            sizes.append(size)
+            below = size
+        sizes.reverse()
+        total = int(sizes[0][0])
+        self.feature_ = np.empty(total, dtype=np.intp)
+        self.threshold_ = np.empty(total)
+        self.children_ = np.empty((total, 2), dtype=np.intp)
+        self.value_ = np.empty(total)
+        nodes = pre = np.zeros(1, dtype=np.intp)
+        for depth, level in enumerate(levels):
+            self.feature_[pre] = level.feature[nodes]
+            self.threshold_[pre] = level.threshold[nodes]
+            self.value_[pre] = level.value[nodes]
+            self.children_[pre] = pre[:, None]
+            inner = level.child[nodes] >= 0
+            if not inner.any():
+                break
+            left = level.child[nodes[inner]]
+            left_pre = pre[inner] + 1
+            right_pre = left_pre + sizes[depth + 1][left]
+            self.children_[pre[inner]] = np.column_stack([left_pre, right_pre])
+            nodes = np.concatenate([left, left + 1])
+            pre = np.concatenate([left_pre, right_pre])
 
     # --------------------------------------------------------------- API
     def fit(self, X: np.ndarray, y: np.ndarray) -> "REPTree":
         X, y = check_Xy(X, y)
         self.n_features_ = X.shape[1]
-        nodes: tuple[list, ...] = ([], [], [], [], [])
         if self.prune and len(y) >= 8:
             Xt, yt, Xv, yv = train_val_split(
                 X, y, val_fraction=self.prune_fraction, seed=self.seed
             )
-            self._grow(nodes, Xt, yt, depth=0)
-            self._prune(nodes, 0, Xv, yv)
+            levels = _grow(Xt, yt, self.max_depth, self.min_leaf)
+            _prune(levels, Xv, yv)
         else:
-            self._grow(nodes, X, y, depth=0)
-        self._set_nodes(nodes)
+            levels = _grow(X, y, self.max_depth, self.min_leaf)
+        self._set_nodes(levels)
         return self
 
     def _check_fitted(self) -> None:

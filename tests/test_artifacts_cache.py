@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import artifacts
+from repro.workloads.base import AppInstance
 
 
 @pytest.fixture()
@@ -257,6 +258,35 @@ class TestCliWithPoisonedCache:
 
 
 class TestPipeline:
+    def test_build_profiles_each_training_instance_once(
+        self, cache_dir, monkeypatch
+    ):
+        """The STP descriptors' profiles also fit the classifier, which
+        pickles to the same bytes as one fitted on a fresh profiling."""
+        import repro.analysis.features as features
+        import repro.core.stp as stp
+        from repro.analysis.classify import NearestCentroidClassifier
+        from repro.workloads.registry import get_app
+        from repro.utils.units import GB
+
+        training = [AppInstance(get_app(code), GB) for code in ("wc", "st", "ts")]
+        profiled = []
+        profile_features = stp.profile_features
+
+        def counting_profile_features(inst, *args, **kwargs):
+            profiled.append(inst.label)
+            return profile_features(inst, *args, **kwargs)
+
+        monkeypatch.setattr(stp, "profile_features", counting_profile_features)
+        monkeypatch.setattr(features, "profile_features", counting_profile_features)
+        pipeline = artifacts.train_pipeline(training, rows_per_pair=20)
+        assert sorted(profiled) == sorted(inst.label for inst in training)
+        fresh = NearestCentroidClassifier().fit(
+            features.build_feature_matrix(training, seed=0),
+            [inst.app_class for inst in training],
+        )
+        assert pickle.dumps(pipeline.classifier) == pickle.dumps(fresh)
+
     def test_two_model_kinds_build_the_pipeline_once(
         self, cache_dir, monkeypatch
     ):

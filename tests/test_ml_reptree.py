@@ -1,6 +1,7 @@
 """REPTree tests: growth, pruning, prediction invariants, and exact
-agreement with the one-feature-at-a-time split search and per-row tree
-walk the array-backed tree replaced."""
+agreement with the node-at-a-time fit (one feature per split-search
+iteration, recursive growth and pruning) and the per-row tree walk
+that the level-by-level fit and the array-backed tree replaced."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.ml import reptree
 from repro.ml.preprocessing import train_val_split
-from repro.ml.reptree import REPTree, _best_split
+from repro.ml.reptree import REPTree
 
 
 # ------------------------------------------------------------ references
@@ -139,6 +140,22 @@ def _ref_depth(node):
     return 1 + max(_ref_depth(node.left), _ref_depth(node.right))
 
 
+def _stump_split(X, y, min_leaf):
+    """(feature, threshold) of the root of an unpruned depth-1 tree, or
+    None when the root is a leaf."""
+    tree = REPTree(max_depth=1, min_leaf=min_leaf, prune=False).fit(X, y)
+    if tree.feature_[0] < 0:
+        return None
+    return int(tree.feature_[0]), float(tree.threshold_[0])
+
+
+def _assert_same_tree(tree, ref, Q):
+    """Same nodes and bit-identical predictions on ``Q``; ``repr``
+    compares NaN node values (a node no training row reaches) too."""
+    assert repr(_tree_nodes(tree)) == repr(_ref_nodes(ref))
+    assert np.array_equal(tree.predict(Q), _ref_predict(ref, Q), equal_nan=True)
+
+
 @st.composite
 def _training_sets(draw):
     """Small training sets with ties, rounding, constant columns and
@@ -184,16 +201,21 @@ def test_fits_multi_step():
 def test_best_split_maximises_variance_reduction():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
-    j, thr, gain = _best_split(X, y, min_leaf=1)
-    assert j == 0
-    assert 1.0 < thr < 2.0
-    assert gain == pytest.approx(100.0)  # total SSE removed
+    stump = REPTree(max_depth=1, min_leaf=1, prune=False).fit(X, y)
+    assert stump.feature_[0] == 0
+    assert 1.0 < stump.threshold_[0] < 2.0
+    # The split removes the whole SSE of 100.
+    assert ((stump.predict(X) - y) ** 2).sum() == 0.0
 
 
 def test_best_split_none_for_constant_target():
     X = np.arange(10.0)[:, None]
+    assert _stump_split(X, np.ones(10), min_leaf=1) is None
+    # A split must gain strictly more than 1e-12.
     y = np.ones(10)
-    assert _best_split(X, y, min_leaf=1) is None
+    y[-1] += 1e-9
+    assert _ref_best_split(X, y, 1) is None
+    assert _stump_split(X, y, min_leaf=1) is None
 
 
 def test_min_leaf_respected():
@@ -315,9 +337,12 @@ def test_matches_reference_tree_exactly(
     block_elements=st.sampled_from([1, 7, 64, reptree.SPLIT_BLOCK_ELEMENTS]),
 )
 def test_best_split_matches_reference(data, min_leaf, block_elements):
+    """A stump's root split is the reference search's best split."""
     X, y, _rng = data
     with mock.patch.object(reptree, "SPLIT_BLOCK_ELEMENTS", block_elements):
-        assert _best_split(X, y, min_leaf) == _ref_best_split(X, y, min_leaf)
+        split = _stump_split(X, y, min_leaf)
+    ref = _ref_best_split(X, y, min_leaf)
+    assert split == (None if ref is None else ref[:2])
 
 
 def test_matches_reference_on_a_large_noisy_fit():
@@ -333,20 +358,107 @@ def test_matches_reference_on_a_large_noisy_fit():
     assert np.array_equal(tree.predict(Q), _ref_predict(ref, Q))
 
 
-def test_best_split_scratch_memory_is_bounded():
-    """Feature blocks keep the search's scratch memory near 0.8 MiB on
-    the STP's 7200 x 22 training matrix; scoring all features at once
-    would take over 12 MiB."""
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(7200, 22))
-    y = rng.normal(size=7200)
+def _stp_shaped(n, seed):
+    """Rows shaped like the STP's: 22 columns of 2 to 8 distinct values
+    each, so many features tie, and a log-EDP-like target."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(2, 9, size=22)
+    X = np.column_stack(
+        [rng.integers(0, k, size=n) * rng.uniform(0.5, 4.0) for k in levels]
+    )
+    y = X[:, 0] * X[:, 3] - X[:, 7] + np.round(rng.normal(scale=0.3, size=n), 2)
+    return X, y, rng
+
+
+def test_matches_reference_on_stp_shaped_rows():
+    """Thousands of rows whose columns hold few distinct values: every
+    node sees ties between features and within them."""
+    X, y, rng = _stp_shaped(2400, seed=4)
+    tree = REPTree(seed=1).fit(X, y)
+    Q = np.vstack([X, rng.normal(size=(300, 22))])
+    _assert_same_tree(tree, _ref_fit(X, y, seed=1), Q)
+
+
+@pytest.mark.slow
+def test_matches_reference_on_the_pipeline_dataset(small_dataset):
+    """The reduced pipeline's 7200 x 22 log-EDP rows, as the STP fits
+    them."""
+    X, y = small_dataset.X, np.log(small_dataset.y)
+    tree = REPTree(seed=0).fit(X, y)
+    _assert_same_tree(tree, _ref_fit(X, y, seed=0), X)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("prune", [True, False])
+def test_matches_reference_with_overflowing_targets(prune):
+    """Overflow follows the reference wherever it strikes.  Targets near
+    1e155 overflow their squares, so every gain is NaN, none wins, and
+    the tree is one leaf.  Near 1e151 only a large node's squared sums
+    overflow, into -inf squared errors and +inf gains, and the tree
+    still grows 13 deep."""
+    X, y, rng = _stp_shaped(400, seed=2)
+    Q = rng.normal(size=(50, 22))
+    huge = y * 1e155
+    tree = REPTree(prune=prune).fit(X, huge)
+    _assert_same_tree(tree, _ref_fit(X, huge, prune=prune), Q)
+    assert tree.n_leaves == 1
+    large = y * 1e151
+    tree = REPTree(prune=prune).fit(X, large)
+    _assert_same_tree(tree, _ref_fit(X, large, prune=prune), Q)
+    assert tree.depth > 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_gain_never_wins():
+    """Three targets whose squares sum right at the float64 limit: in
+    feature 0's order (the small target first) the sum overflows and
+    every gain is NaN; in feature 1's order it stays finite, and that
+    feature's +inf gain wins."""
+    big, small = 9.480751908109173e153, 3.4694973507528836e146
+    y = np.array([big, big, small])
+    X = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 2.0]])
+    assert np.isinf((y[[2, 0, 1]] ** 2).cumsum()[-1])
+    assert np.isfinite((y**2).cumsum()[-1])
+    assert _ref_best_split(X, y, 1)[:2] == (1, 1.5)
+    assert _stump_split(X, y, min_leaf=1) == (1, 1.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_matches_reference_when_a_midpoint_overflows():
+    """A threshold halfway between two huge values overflows to inf, so
+    every row goes left and the right child has none."""
+    X = np.array([[1e308], [1.5e308]] * 10)
+    y = np.tile([0.0, 1.0], 10)
+    for prune in (True, False):
+        tree = REPTree(max_depth=4, prune=prune).fit(X, y)
+        _assert_same_tree(tree, _ref_fit(X, y, max_depth=4, prune=prune), X)
+    assert np.isnan(tree.value_).any()
+
+
+def _fit_peak_bytes(X, y):
     tracemalloc.start()
     try:
-        _best_split(X, y, 2)
+        REPTree(seed=0).fit(X, y)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    return peak
+
+
+def test_fit_scratch_memory_is_bounded():
+    """A whole fit on a random 7200 x 22 matrix, where every sorted
+    position is a candidate split, peaks near 3 MiB traced; the
+    node-at-a-time fit peaked at 6.85 MiB."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(7200, 22))
+    y = rng.normal(size=7200)
+    assert _fit_peak_bytes(X, y) < 4 * 2**20
+
+
+def test_fit_scratch_memory_on_the_pipeline_dataset(small_dataset):
+    """The STP's own fit peaks near 2.6 MiB traced; the node-at-a-time
+    fit peaked at 4.05 MiB."""
+    assert _fit_peak_bytes(small_dataset.X, np.log(small_dataset.y)) < 3.5 * 2**20
 
 
 def test_validation():

@@ -221,6 +221,22 @@ def _op_reptree_predict():
     return run
 
 
+def _op_reptree_fit():
+    import numpy as np
+
+    from repro.ml.reptree import REPTree
+    from repro.online.scenario import reduced_pipeline
+
+    dataset = reduced_pipeline().dataset
+    X, y = dataset.X, np.log(dataset.y)
+
+    def run():
+        tree = REPTree(seed=0).fit(X, y)
+        assert tree.n_leaves > 1
+
+    return run
+
+
 def _op_steady_state_256node():
     from repro.mapreduce.engine import ClusterEngine
     from repro.workloads.streams import poisson_job_stream
@@ -423,6 +439,7 @@ OPS: dict[str, tuple] = {
     "bench_faulty_steady_state": (_op_faulty_steady_state, True),
     "bench_functional_wordcount": (_op_functional_wordcount, False),
     "bench_reptree_predict": (_op_reptree_predict, False),
+    "bench_reptree_fit": (_op_reptree_fit, False),
     # Scale lane (not in --quick: CI runs these explicitly via --ops).
     "bench_service_ingest_10k": (_op_service_ingest_10k, False),
     "bench_service_http_2k": (_op_service_http_2k, False),
