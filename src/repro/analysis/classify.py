@@ -21,7 +21,8 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.analysis.features import FeatureMatrix, Scaler
+from repro.analysis.features import FeatureMatrix
+from repro.ml.preprocessing import StandardScaler
 from repro.telemetry.profiling import FEATURE_NAMES
 from repro.workloads.base import AppClass
 
@@ -68,7 +69,7 @@ class NearestCentroidClassifier:
 
     def __init__(self) -> None:
         self._centroids: dict[AppClass, np.ndarray] | None = None
-        self._scaler: Scaler | None = None
+        self._scaler: StandardScaler | None = None
 
     def fit(
         self, matrix: FeatureMatrix, labels: Sequence[AppClass]

@@ -3,8 +3,9 @@
 The feature matrix (FM) has one row per profiled application instance
 and one column per collected metric.  The paper normalises "to the
 unit normal distribution" before PCA so no metric dominates through
-its unit; :func:`zscore` implements that and remembers its statistics
-so unknown applications are projected consistently.
+its unit; :func:`zscore` implements that and returns the fitted
+:class:`~repro.ml.preprocessing.StandardScaler`, so unknown
+applications are projected consistently.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.hardware.node import ATOM_C2758, NodeSpec
+from repro.ml.preprocessing import StandardScaler
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.telemetry.profiling import FEATURE_NAMES, feature_vector, profile_features
@@ -27,34 +29,13 @@ from repro.workloads.base import AppInstance
 PROFILING_CONFIG = JobConfig(frequency=2.4 * GHZ, block_size=256 * MB, n_mappers=8)
 
 
-@dataclass(frozen=True)
-class Scaler:
-    """Remembered z-score statistics."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (X - self.mean) / self.std
-
-    def inverse(self, Z: np.ndarray) -> np.ndarray:
-        return np.asarray(Z, dtype=float) * self.std + self.mean
-
-
-def zscore(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
+def zscore(X: np.ndarray) -> tuple[np.ndarray, StandardScaler]:
     """Scale columns to zero mean / unit variance.
 
     Constant columns scale to zero (std is floored at machine epsilon
     scale) rather than dividing by zero.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    scaler = Scaler(mean=mean, std=std)
+    scaler = StandardScaler().fit(X)
     return scaler.transform(X), scaler
 
 
@@ -66,7 +47,7 @@ class FeatureMatrix:
     names: tuple[str, ...]
     raw: np.ndarray  # (n_instances, n_features), unscaled
     scaled: np.ndarray  # unit-normal columns
-    scaler: Scaler
+    scaler: StandardScaler
 
     def row_for(self, label: str) -> np.ndarray:
         """Scaled feature row of the instance with the given label."""

@@ -21,8 +21,8 @@ the discrete-event cluster engine as an online scheduler.
 """
 
 from repro.core.wait_queue import WaitQueue, QueuedApp
-from repro.core.pairing import PairingPolicy, CLASS_PRIORITY, priority_of
-from repro.core.database import ConfigDatabase, DatabaseEntry, build_database
+from repro.core.pairing import PairingPolicy, CLASS_PRIORITY
+from repro.core.database import ConfigDatabase, DatabaseEntry
 from repro.core.stp import (
     LkTSTP,
     MLMSTP,
@@ -37,10 +37,8 @@ __all__ = [
     "QueuedApp",
     "PairingPolicy",
     "CLASS_PRIORITY",
-    "priority_of",
     "ConfigDatabase",
     "DatabaseEntry",
-    "build_database",
     "SelfTuningPredictor",
     "LkTSTP",
     "MLMSTP",

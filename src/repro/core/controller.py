@@ -29,7 +29,6 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import standalone_metrics_scalar
 from repro.telemetry.profiling import profile_features
-from repro.utils.rng import SeedLike
 from repro.workloads.base import AppClass, AppInstance
 
 
@@ -45,7 +44,6 @@ class ECoSTController:
         pairing: PairingPolicy | None = None,
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
-        profiling_seed: SeedLike = 0,
     ) -> None:
         self.cluster = cluster
         self.stp = stp
@@ -53,7 +51,6 @@ class ECoSTController:
         self.pairing = pairing or PairingPolicy()
         self.node = node
         self.constants = constants
-        self.profiling_seed = profiling_seed
         self.queue = WaitQueue()
         #: Submitted applications not yet queued, as a
         #: ``(time, submission seq, instance)`` heap.
@@ -117,8 +114,7 @@ class ECoSTController:
         if feats is None:
             feats = profile_features(
                 instance, PROFILING_CONFIG,
-                node=self.node, constants=self.constants,
-                seed=self.profiling_seed,
+                node=self.node, constants=self.constants, seed=0,
             )
             self._features_memo[instance] = feats
         return feats
@@ -298,10 +294,9 @@ class ECoSTController:
     def notify_completions(self) -> None:
         """Feed newly completed jobs to the online tuner.
 
-        No-op for plain STP backends.  Safe to call from several
-        harvest paths (the scheduler itself and ``repro.service``):
-        the cursor plus the tuner's idempotent completion matching
-        make double delivery harmless.
+        No-op for plain STP backends.  The scheduler calls it first:
+        the engine runs the scheduler right after each completion, so
+        every result reaches the tuner once, the moment it exists.
         """
         if self._online is None:
             return
@@ -448,7 +443,4 @@ class ECoSTController:
         results = self.cluster.run()
         if len(self.queue) or self._arrivals:
             raise RuntimeError("ECoST finished with applications still queued")
-        # Trailing completions (after the last scheduler wake-up) still
-        # count as telemetry for the online tuner.
-        self.notify_completions()
         return results

@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.ml.lookup import LookupTable
-from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
@@ -118,14 +116,14 @@ class ConfigDatabase:
 
 
 def training_pairs(
-    instances: Sequence[AppInstance], *, include_self: bool = True
+    instances: Sequence[AppInstance],
 ) -> list[tuple[AppInstance, AppInstance]]:
-    """Unordered instance pairs in canonical orientation."""
+    """Unordered instance pairs in canonical orientation, then each
+    instance paired with itself."""
     pairs = []
     for a, b in combinations(instances, 2):
         pairs.append((a, b) if _canonical(a, b) else (b, a))
-    if include_self:
-        pairs.extend((a, a) for a in instances)
+    pairs.extend((a, a) for a in instances)
     return pairs
 
 
@@ -146,29 +144,4 @@ def database_from_optima(optima: Sequence["PairSweepBest"]) -> ConfigDatabase:
             )
             for best in optima
         ]
-    )
-
-
-def build_database(
-    instances: Sequence[AppInstance],
-    *,
-    node: NodeSpec = ATOM_C2758,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    include_self: bool = True,
-    executor: "SweepExecutor | None" = None,
-) -> ConfigDatabase:
-    """Sweep every training pair and keep each pair's best configuration.
-
-    This is :func:`repro.core.stp.build_offline` without the training
-    rows: each pair's full sweep runs in one task of ``executor`` (a
-    fresh :class:`repro.parallel.SweepExecutor` honouring
-    ``REPRO_WORKERS`` when omitted), which keeps only the optimum, so
-    the result is the same serial or pooled.
-    """
-    from repro.parallel import SweepExecutor
-
-    exec_ = executor if executor is not None else SweepExecutor()
-    pairs = training_pairs(instances, include_self=include_self)
-    return database_from_optima(
-        exec_.sweep_pairs_best(pairs, node=node, constants=constants)
     )

@@ -20,7 +20,7 @@ reproduction's own Fig. 5 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.wait_queue import QueuedApp, WaitQueue
 from repro.workloads.base import AppClass
@@ -32,11 +32,6 @@ CLASS_PRIORITY: dict[AppClass, int] = {
     AppClass.COMPUTE: 1,
     AppClass.MEMORY: 0,
 }
-
-
-def priority_of(cls: AppClass, priority: Mapping[AppClass, int] | None = None) -> int:
-    table = CLASS_PRIORITY if priority is None else priority
-    return table[cls]
 
 
 def derive_priority(
@@ -102,7 +97,3 @@ class PairingPolicy:
             lambda qa: float(self.priority[qa.app_class]),
             allow_leap=allow_leap,
         )
-
-    def rank_classes(self) -> Sequence[AppClass]:
-        """Classes from most- to least-preferred partner."""
-        return sorted(self.priority, key=lambda c: -self.priority[c])

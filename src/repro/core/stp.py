@@ -8,13 +8,17 @@ EDP?*
 * **LkT-STP** (Fig. 6): scan the offline configuration database for
   the training pair that best resembles the incoming pair (by class
   and input size) and reuse its stored optimum.
-* **MLM-STP** (Fig. 7): select the learned EDP model for the pair's
-  class combination, evaluate it over *all* permutations of the
-  tuning parameters (Step 4), and take the arg-min configuration.
+* **MLM-STP** (Fig. 7): evaluate the learned EDP model over *all*
+  permutations of the tuning parameters (Step 4) and take the arg-min
+  configuration.
 
-The learned models (LR / REPTree / MLP) are trained per class pair on
-rows from the training-pair sweeps: features of both applications,
-their input sizes, the six knobs → EDP.
+The learned models (LR / REPTree / MLP) are trained on rows from the
+training-pair sweeps: features of both applications, their input
+sizes, the six knobs → EDP.  Fig. 7's step 3 selects a model per class
+pair; MLM-STP fits one global model on every class pair's rows
+instead, so the model can interpolate across class boundaries (a
+documented deviation, DESIGN.md).  Table 1 still fits per class pair,
+through :meth:`TrainingDataset.subset`.
 """
 
 from __future__ import annotations
@@ -64,25 +68,18 @@ class SelfTuningPredictor(Protocol):
 
 def describe_instance(
     instance: AppInstance,
-    app_class: AppClass | None = None,
     *,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     seed: SeedLike = 0,
 ) -> AppDescriptor:
-    """Profile an instance (learning period) into an STP descriptor.
-
-    ``app_class`` defaults to the instance's true class; pass the
-    classifier's output to study the end-to-end pipeline including
-    classification error.
-    """
+    """Profile an instance (learning period) into an STP descriptor of
+    its true class."""
     feats = profile_features(
         instance, PROFILING_CONFIG, node=node, constants=constants, seed=seed
     )
     return AppDescriptor(
-        features=feats,
-        app_class=app_class if app_class is not None else instance.app_class,
-        data_bytes=instance.data_bytes,
+        features=feats, app_class=instance.app_class, data_bytes=instance.data_bytes
     )
 
 
@@ -253,7 +250,7 @@ def _validate_edp_targets(y: np.ndarray, context: str) -> None:
 
 @dataclass
 class TrainingDataset:
-    """Per-class-pair training rows for the MLM models."""
+    """Training rows for the MLM models, tagged with their class pair."""
 
     X: np.ndarray
     y: np.ndarray
@@ -286,7 +283,6 @@ def build_offline(
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     rows_per_pair: int = 400,
-    include_self: bool = True,
     seed: SeedLike = 0,
     executor: "SweepExecutor | None" = None,
     descriptors: Sequence[AppDescriptor] | None = None,
@@ -318,7 +314,7 @@ def build_offline(
             for inst in instances
         ]
     by_label = dict(zip([inst.label for inst in instances], descriptors))
-    pairs = training_pairs(instances, include_self=include_self)
+    pairs = training_pairs(instances)
     n = len(pair_config_grid(node)[0])
     take = min(rows_per_pair, n)
     indices = [rng.choice(n, size=take, replace=False) for _ in pairs]
@@ -370,6 +366,17 @@ MODEL_FACTORIES: dict[str, ModelFactory] = {
     "reptree": _make_reptree,
     "mlp": _make_mlp,
 }
+
+
+def model_factory(kind: str) -> ModelFactory:
+    """The :data:`MODEL_FACTORIES` entry of ``kind``, or a ValueError
+    naming the valid kinds."""
+    try:
+        return MODEL_FACTORIES[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown model kind {kind!r}; valid: {sorted(MODEL_FACTORIES)}"
+        ) from None
 
 
 def _column_span(matrix: np.ndarray) -> np.ndarray:
@@ -472,9 +479,8 @@ class MLMSTP:
     * the final configuration comes from :func:`basin_select`, not a
       raw arg-min.
 
-    ``scope`` chooses between one global model (default — lets the
-    model interpolate across class boundaries) and the paper\'s
-    per-class-pair models (``scope="per-class"``).
+    One global model serves every class pair (the paper selects one
+    per class pair; see the module docstring).
 
     Projection maps every descriptor onto one of a few training rows,
     so decisions repeat.  :meth:`predict_configs` memoises the chosen
@@ -484,33 +490,11 @@ class MLMSTP:
     """
 
     def __init__(
-        self,
-        model_kind: str | ModelFactory = "reptree",
-        *,
-        node: NodeSpec = ATOM_C2758,
-        scope: str = "global",
-        project_features: bool = True,
-        basin_eps: float = 0.05,
+        self, model_kind: str = "reptree", *, node: NodeSpec = ATOM_C2758
     ) -> None:
-        if callable(model_kind):
-            self._factory: ModelFactory = model_kind
-            self.model_kind = getattr(model_kind, "__name__", "custom")
-        else:
-            try:
-                self._factory = MODEL_FACTORIES[model_kind]
-            except KeyError:
-                raise ValueError(
-                    f"unknown model kind {model_kind!r}; "
-                    f"valid: {sorted(MODEL_FACTORIES)}"
-                ) from None
-            self.model_kind = model_kind
-        if scope not in ("global", "per-class"):
-            raise ValueError(f"scope must be 'global' or 'per-class', got {scope!r}")
+        self._factory = model_factory(model_kind)
+        self.model_kind = model_kind
         self.node = node
-        self.scope = scope
-        self.project_features = project_features
-        self.basin_eps = basin_eps
-        self.models_: dict[str, Regressor] = {}
         self.global_model_: Regressor | None = None
         self.train_features_: np.ndarray | None = None
         self.train_sizes_: np.ndarray | None = None
@@ -518,19 +502,14 @@ class MLMSTP:
         #: ``(train_features_, its _column_span)``: the manifold the
         #: span was computed for, so it is computed once per manifold.
         self._span: tuple[np.ndarray, np.ndarray] | None = None
-        #: (model, basin_eps, canonical projected rows and sizes) ->
-        #: chosen grid index, least recently used first.
+        #: (model, canonical projected rows and sizes) -> chosen grid
+        #: index, least recently used first.
         self._memo: OrderedDict[tuple, int] = OrderedDict()
 
     def fit(self, dataset: TrainingDataset) -> "MLMSTP":
-        """Train on log-EDP: per class pair and/or the global model."""
+        """Train the global model on log-EDP."""
         _validate_edp_targets(dataset.y, "MLMSTP.fit")
-        y_log = np.log(dataset.y)
-        if self.scope == "per-class":
-            for code in dataset.class_pairs:
-                X, y = dataset.subset(code)
-                self.models_[code] = self._factory().fit(X, np.log(y))
-        self.global_model_ = self._factory().fit(dataset.X, y_log)
+        self.global_model_ = self._factory().fit(dataset.X, np.log(dataset.y))
         self.train_features_ = dataset.train_features
         self.train_sizes_ = dataset.train_sizes
         self.clear_memo()
@@ -566,13 +545,6 @@ class MLMSTP:
         """
         self._memo.clear()
 
-    def _model_for(self, code: str) -> Regressor:
-        if self.scope == "per-class" and code in self.models_:
-            return self.models_[code]
-        if self.global_model_ is None:
-            raise RuntimeError("MLM-STP is not fitted")
-        return self.global_model_
-
     def _pair_grid(self) -> _PairGrid:
         """The pair grid of ``self.node``, built on first use.
 
@@ -593,7 +565,7 @@ class MLMSTP:
         trees route such points like the lookup table would.
         """
         train = self.train_features_
-        if not self.project_features or train is None:
+        if train is None:
             return feat
         if self._span is None or self._span[0] is not train:
             self._span = (train, _column_span(train))
@@ -602,7 +574,7 @@ class MLMSTP:
     def predict_configs(
         self, a: AppDescriptor, b: AppDescriptor
     ) -> tuple[JobConfig, JobConfig]:
-        """Step 3-4 of Fig. 7: pick the model, arg-min over the grid.
+        """Step 4 of Fig. 7: arg-min of the model over the grid.
 
         The decision depends only on the model and on the canonical
         pair's projected features and sizes, so it is memoised on
@@ -615,16 +587,13 @@ class MLMSTP:
         grid = self._pair_grid()
         feat_a = self._project(_finite_features(ca), ca.data_bytes)
         feat_b = self._project(_finite_features(cb), cb.data_bytes)
-        model = self._model_for(pair_code(ca.app_class, cb.app_class))
-        key = (
-            model, self.basin_eps,
-            feat_a.tobytes(), ca.data_bytes, feat_b.tobytes(), cb.data_bytes,
-        )
+        model = self.global_model_
+        key = (model, feat_a.tobytes(), ca.data_bytes, feat_b.tobytes(), cb.data_bytes)
         i = self._memo.get(key)
         if i is None:
             X = _rows_for_knobs(feat_a, ca.data_bytes, feat_b, cb.data_bytes, grid.knobs)
             pred = np.asarray(model.predict(X))
-            i = basin_select(pred, grid.knobs, eps=self.basin_eps, span=grid.span)
+            i = basin_select(pred, grid.knobs, span=grid.span)
             self._memo[key] = i
             if len(self._memo) > DECISION_MEMO_CAP:
                 self._memo.popitem(last=False)
@@ -632,16 +601,6 @@ class MLMSTP:
             self._memo.move_to_end(key)
         cfg_a, cfg_b = grid.job_configs(i)
         return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
-
-    def predict_single_config(self, a: AppDescriptor) -> JobConfig:
-        """Tune a standalone application (the PTM policy of §8).
-
-        Uses the model's pair grid with the application paired against
-        itself and returns the first-slot configuration restricted to
-        the standalone mapper range.
-        """
-        cfg_a, _cfg_b = self.predict_configs(a, a)
-        return cfg_a
 
 
 class SoloSTP:
@@ -654,15 +613,12 @@ class SoloSTP:
 
     def __init__(
         self,
-        model_kind: str | ModelFactory = "reptree",
+        model_kind: str = "reptree",
         *,
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
     ) -> None:
-        if callable(model_kind):
-            self._factory = model_kind
-        else:
-            self._factory = MODEL_FACTORIES[model_kind]
+        self._factory = model_factory(model_kind)
         self.node = node
         self.constants = constants
         self.model_: Regressor | None = None
@@ -683,14 +639,18 @@ class SoloSTP:
     def fit(
         self,
         instances: Sequence[AppInstance],
+        features: np.ndarray,
         *,
-        seed: SeedLike = 0,
         executor: "SweepExecutor | None" = None,
     ) -> "SoloSTP":
         """Train on log-EDP of the full 160-point solo sweeps.
 
-        The per-instance sweeps fan out through ``executor`` (default:
-        a fresh ``SweepExecutor`` honouring ``REPRO_WORKERS``).
+        ``features[i]`` is instance ``i``'s reduced feature vector, its
+        descriptor's :meth:`~AppDescriptor.reduced` (the offline stage
+        keeps them as :attr:`TrainingDataset.train_features`); they are
+        also the projection manifold.  The per-instance sweeps fan out
+        through ``executor`` (default: a fresh ``SweepExecutor``
+        honouring ``REPRO_WORKERS``).
         """
         from repro.parallel import SweepExecutor
 
@@ -698,26 +658,19 @@ class SoloSTP:
         solo_sweeps = exec_.sweep_solos(
             instances, node=self.node, constants=self.constants
         )
-        X_rows, y_rows, feats, sizes = [], [], [], []
-        for inst, sweep in zip(instances, solo_sweeps):
-            desc = describe_instance(
-                inst, node=self.node, constants=self.constants, seed=seed
-            )
-            feats.append(desc.reduced())
-            sizes.append(float(inst.data_bytes))
-            X_rows.append(
-                self._rows(
-                    desc.reduced(), inst.data_bytes,
-                    sweep.freq, sweep.block, sweep.mappers,
-                )
-            )
-            y_rows.append(sweep.edp)
-        y_all = np.concatenate(y_rows)
-        _validate_edp_targets(y_all, "SoloSTP.fit")
-        self.model_ = self._factory().fit(np.vstack(X_rows), np.log(y_all))
-        self._train_features = np.vstack(feats)
-        self._train_sizes = np.asarray(sizes)
-        self._span = _column_span(self._train_features)
+        feats = np.vstack(features)
+        X = np.vstack(
+            [
+                self._rows(feat, inst.data_bytes, sweep.freq, sweep.block, sweep.mappers)
+                for inst, feat, sweep in zip(instances, feats, solo_sweeps, strict=True)
+            ]
+        )
+        y = np.concatenate([sweep.edp for sweep in solo_sweeps])
+        _validate_edp_targets(y, "SoloSTP.fit")
+        self.model_ = self._factory().fit(X, np.log(y))
+        self._train_features = feats
+        self._train_sizes = np.array([float(inst.data_bytes) for inst in instances])
+        self._span = _column_span(feats)
         return self
 
     def _project(self, feat: np.ndarray, size: float) -> np.ndarray:

@@ -31,7 +31,6 @@ class QueuedApp:
     instance: AppInstance
     app_class: AppClass
     arrival_time: float
-    expected_duration: float = 0.0
     features: dict = field(default_factory=dict)
 
     @property
@@ -105,23 +104,3 @@ class WaitQueue:
             if score > best_score:
                 best_i, best_score = i, score
         return best_i
-
-    def peek_best(
-        self,
-        preference: Callable[[QueuedApp], float],
-        *,
-        allow_leap: bool = True,
-    ) -> Optional[QueuedApp]:
-        """The job :meth:`select` would take, without removing it.
-
-        Shares :meth:`select`'s ``allow_leap`` contract: with
-        ``allow_leap=False`` the preview is the head (select always
-        pops the head then), not the preference maximum — a caller
-        previewing a no-leap decision must see the job that decision
-        will actually take.
-        """
-        if not self._items:
-            return None
-        if not allow_leap:
-            return self._items[0]
-        return self._items[self._best_index(preference)]

@@ -260,10 +260,12 @@ class Pipeline:
         )
 
     def solo_stp(self, kind: str) -> SoloSTP:
-        """The standalone-application tuner (PTM backend) of ``kind``."""
+        """The standalone-application tuner (PTM backend) of ``kind``,
+        fitted on the training instances' solo sweeps and the profiles
+        :attr:`dataset` keeps."""
         return cached(
             "solo-stp",
-            lambda: SoloSTP(kind).fit(self.training, seed=0),
+            lambda: SoloSTP(kind).fit(self.training, self.dataset.train_features),
             model_kind=kind,
             **self.key,
         )

@@ -49,6 +49,7 @@ from repro.model.config import JobConfig
 from repro.model.sweep import sweep_pair
 from repro.online.drift import PageHinkley
 from repro.online.updates import OnlineRidge, SlidingWindow
+from repro.parallel.executor import sample_pair_sweep
 from repro.telemetry.counters import OnlineTelemetry
 from repro.utils.rng import SeedLike, rng_from
 from repro.workloads.base import AppInstance
@@ -139,9 +140,9 @@ class PairingBook:
 
     A running application can appear in several successive decisions
     (each partner fill opens a new one); its single completion closes
-    all of them.  Delivery is idempotent — a result re-delivered by a
-    second harvest path (controller *and* service both notify) finds
-    its decisions already closed and is a no-op.
+    all of them.  Delivery is idempotent: the controller delivers each
+    result once, and a result delivered again finds its decisions
+    already closed and is a no-op.
     """
 
     def __init__(self) -> None:
@@ -229,8 +230,6 @@ class OnlineSTP:
     ) -> None:
         if base.global_model_ is None:
             raise RuntimeError("OnlineSTP requires a fitted MLM-STP")
-        if base.scope != "global":
-            raise ValueError("online tuning supports scope='global' only")
         #: The live model — a private copy; the base (champion) stays
         #: frozen for shadow-mode comparison.
         self.stp = copy.deepcopy(base)
@@ -294,9 +293,6 @@ class OnlineSTP:
             self.telemetry.tuned_hits += 1
             return (tuned[1], tuned[0]) if swap else tuned
         return self.stp.predict_configs(a, b)
-
-    def predict_single_config(self, a: AppDescriptor) -> JobConfig:
-        return self.stp.predict_single_config(a)
 
     # ------------------------------------------------- controller hooks
     def note_pairing(
@@ -367,7 +363,7 @@ class OnlineSTP:
         return True
 
     def on_complete(self, result: JobResult) -> None:
-        """Job-completion telemetry (controller/service harvest)."""
+        """Job-completion telemetry, delivered by the controller."""
         for obs in self._book.complete(result):
             self.partial_fit(obs)
 
@@ -476,23 +472,22 @@ class OnlineSTP:
             constants=self.constants,
         )
         n = len(sweep.edp)
-        take = min(self.relearn_rows, n)
-        idx = self._rng.choice(n, size=take, replace=False)
-        if sweep.best_index not in idx:
-            idx[0] = sweep.best_index
+        sample = sample_pair_sweep(
+            sweep, self._rng.choice(n, size=min(self.relearn_rows, n), replace=False)
+        )
         rows = _row_block(
             entry.desc_a.reduced(),
             entry.desc_a.data_bytes,
             entry.desc_b.reduced(),
             entry.desc_b.data_bytes,
-            sweep.freq_a[idx],
-            sweep.block_a[idx],
-            sweep.mappers_a[idx],
-            sweep.freq_b[idx],
-            sweep.block_b[idx],
-            sweep.mappers_b[idx],
+            sample.freq_a,
+            sample.block_a,
+            sample.mappers_a,
+            sample.freq_b,
+            sample.block_b,
+            sample.mappers_b,
         )
-        self._window.extend(rows, np.log(sweep.edp[idx]))
+        self._window.extend(rows, np.log(sample.edp))
         self._tuned[
             (self._desc_key(entry.desc_a), self._desc_key(entry.desc_b))
         ] = sweep.best_configs

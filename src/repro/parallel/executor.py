@@ -44,7 +44,7 @@ import numpy as np
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.model.sweep import SoloSweepResult, sweep_pair, sweep_solo
+from repro.model.sweep import PairSweepResult, SoloSweepResult, sweep_pair, sweep_solo
 from repro.telemetry.counters import SweepTelemetry
 from repro.telemetry.tracing import NULL_TRACER, SWEEP_PID
 from repro.workloads.base import AppInstance
@@ -102,9 +102,8 @@ def _pair_task(
 ) -> tuple[PairSweepBest, PairSample | None]:
     """Sweep one pair; ship back its optimum and its rows at ``idx``.
 
-    With ``idx`` None only the optimum is returned.  Otherwise the
-    optimum's grid index replaces ``idx[0]`` unless ``idx`` already
-    holds it (on a copy), so the training rows always include it.
+    With ``idx`` None only the optimum is returned; otherwise the rows
+    are :func:`sample_pair_sweep`'s.
     """
     a, b, node, constants, idx = item
     sweep = sweep_pair(a, b, node=node, constants=constants)
@@ -116,12 +115,20 @@ def _pair_task(
         best_edp=float(sweep.edp[i]),
         best_configs=sweep.configs_at(i),
     )
-    if idx is None:
-        return best, None
+    return best, None if idx is None else sample_pair_sweep(sweep, idx)
+
+
+def sample_pair_sweep(sweep: PairSweepResult, idx: np.ndarray) -> PairSample:
+    """The sweep's knob columns and EDP at grid indices ``idx``.
+
+    The optimum's grid index replaces ``idx[0]`` unless ``idx`` already
+    holds it (on a copy), so training rows always include the optimum.
+    """
+    i = sweep.best_index
     if i not in idx:
         idx = idx.copy()
         idx[0] = i
-    sample = PairSample(
+    return PairSample(
         freq_a=sweep.freq_a[idx],
         block_a=sweep.block_a[idx],
         mappers_a=sweep.mappers_a[idx],
@@ -130,7 +137,6 @@ def _pair_task(
         mappers_b=sweep.mappers_b[idx],
         edp=sweep.edp[idx],
     )
-    return best, sample
 
 
 @dataclass(frozen=True)
@@ -310,7 +316,8 @@ class SweepExecutor:
         node: NodeSpec = ATOM_C2758,
         constants: SimConstants = DEFAULT_CONSTANTS,
     ) -> list[PairSweepBest]:
-        """Per-pair optima only — the cheap path for database builds."""
+        """Per-pair optima only, for callers that read nothing else
+        (Table 2)."""
         return [
             best
             for best, _ in self.sweep_pairs_sampled(

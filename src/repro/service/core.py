@@ -233,10 +233,6 @@ class ClusterService:
                 self.tenants.get(name).on_complete()
         self._harvested = n
         self.telemetry.record_complete(fresh)
-        if self.controller is not None:
-            # Live ECoST path: completion telemetry also feeds the
-            # online self-tuner (no-op for plain STP backends).
-            self.controller.notify_completions()
 
     def pump(self) -> int:
         """Wall-mode tick: dispatch buffered jobs, advance to now.

@@ -47,7 +47,7 @@ class TestZscore:
         Z, scaler = zscore(X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-10)
-        assert np.allclose(scaler.inverse(Z), X)
+        assert np.allclose(scaler.inverse_transform(Z), X)
 
     def test_constant_column_safe(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])

@@ -287,6 +287,39 @@ class TestPipeline:
         )
         assert pickle.dumps(pipeline.classifier) == pickle.dumps(fresh)
 
+    @pytest.mark.parametrize("kind", ["lr", "reptree"])
+    def test_solo_stp_fits_on_the_dataset_profiles(
+        self, cache_dir, monkeypatch, kind
+    ):
+        """``solo_stp`` profiles nothing: it fits on the profiles the
+        dataset keeps, to the same model, manifold and span as a fit on
+        freshly profiled instances."""
+        import repro.analysis.features as features
+        import repro.core.stp as stp
+        from repro.online.scenario import reduced_pipeline
+
+        pipeline = reduced_pipeline()
+        profiled = []
+        profile_features = stp.profile_features
+
+        def counting_profile_features(inst, *args, **kwargs):
+            profiled.append(inst.label)
+            return profile_features(inst, *args, **kwargs)
+
+        monkeypatch.setattr(stp, "profile_features", counting_profile_features)
+        monkeypatch.setattr(features, "profile_features", counting_profile_features)
+        solo = pipeline.solo_stp(kind)
+        assert profiled == []
+        fresh = stp.SoloSTP(kind).fit(
+            pipeline.training,
+            [stp.describe_instance(inst).reduced() for inst in pipeline.training],
+        )
+        assert pickle.dumps(solo.model_) == pickle.dumps(fresh.model_)
+        for name in ("_train_features", "_train_sizes", "_span"):
+            got, want = getattr(solo, name), getattr(fresh, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
     def test_two_model_kinds_build_the_pipeline_once(
         self, cache_dir, monkeypatch
     ):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.database import ConfigDatabase, build_database, training_pairs
+from repro.core.database import ConfigDatabase, database_from_optima, training_pairs
+from repro.core.stp import build_offline
 from repro.model.sweep import sweep_pair
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
@@ -10,11 +11,10 @@ from repro.workloads.registry import get_app
 
 
 def test_training_pairs_canonical_and_counted(small_training_instances):
-    pairs = training_pairs(small_training_instances, include_self=False)
-    # C(8, 2) = 28 unordered pairs.
-    assert len(pairs) == 28
-    with_self = training_pairs(small_training_instances, include_self=True)
-    assert len(with_self) == 36
+    pairs = training_pairs(small_training_instances)
+    # C(8, 2) = 28 unordered pairs, then the 8 self-pairs.
+    assert len(pairs) == 36
+    assert pairs[28:] == [(a, a) for a in small_training_instances]
 
 
 def test_database_entry_count(small_database, small_training_instances):
@@ -65,14 +65,14 @@ def test_empty_database_rejected():
 
 
 def test_build_database_needs_at_least_one_pair():
-    insts = [AppInstance(get_app("wc"), 1 * GB)]
-    with pytest.raises(ValueError):
-        build_database(insts, include_self=False)
+    assert training_pairs([]) == []
+    with pytest.raises(ValueError, match="at least one entry"):
+        database_from_optima([])
 
 
 def test_build_database_single_self_pair():
     insts = [AppInstance(get_app("wc"), 1 * GB)]
-    db = build_database(insts, include_self=True)
+    db = build_offline(insts, rows_per_pair=20)[0]
     assert len(db) == 1
     entry = db.entries[0]
     assert entry.label_a == entry.label_b == "wc@1GB"

@@ -32,13 +32,13 @@ from repro.workloads.registry import get_app
 MiB = 1 << 20
 
 
-def reference_offline(instances, *, rows_per_pair, include_self=True, seed=0):
+def reference_offline(instances, *, rows_per_pair, seed=0):
     """Every pair's full sweep first, then the per-pair sampling loop."""
     rng = rng_from(seed)
     descriptors = {
         inst.label: describe_instance(inst, seed=seed) for inst in instances
     }
-    pairs = training_pairs(instances, include_self=include_self)
+    pairs = training_pairs(instances)
     sweeps = [sweep_pair(a, b) for a, b in pairs]
     entries, X_rows, y_rows, codes = [], [], [], []
     for (a, b), sweep in zip(pairs, sweeps):
@@ -93,28 +93,19 @@ def assert_same_offline(built, reference):
 
 
 @pytest.fixture(scope="module")
-def references(small_training_instances):
-    return {
-        include_self: reference_offline(
-            small_training_instances, rows_per_pair=200, include_self=include_self
-        )
-        for include_self in (True, False)
-    }
+def reference(small_training_instances):
+    return reference_offline(small_training_instances, rows_per_pair=200)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("include_self", [True, False])
-def test_reduced_set_matches_reference(
-    small_training_instances, references, include_self, workers
-):
+def test_reduced_set_matches_reference(small_training_instances, reference, workers):
     built = build_offline(
         small_training_instances,
         rows_per_pair=200,
-        include_self=include_self,
         seed=0,
         executor=SweepExecutor(workers),
     )
-    assert_same_offline(built, references[include_self])
+    assert_same_offline(built, reference)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pairing import CLASS_PRIORITY, PairingPolicy, derive_priority, priority_of
+from repro.core.pairing import CLASS_PRIORITY, PairingPolicy, derive_priority
 from repro.core.wait_queue import QueuedApp, WaitQueue
 from repro.utils.units import GB
 from repro.workloads.base import AppClass, AppInstance
@@ -20,10 +20,6 @@ def test_paper_priority_order():
     assert CLASS_PRIORITY[AppClass.IO] > CLASS_PRIORITY[AppClass.HYBRID]
     assert CLASS_PRIORITY[AppClass.HYBRID] >= CLASS_PRIORITY[AppClass.COMPUTE]
     assert CLASS_PRIORITY[AppClass.COMPUTE] > CLASS_PRIORITY[AppClass.MEMORY]
-
-
-def test_priority_of_defaults():
-    assert priority_of(AppClass.IO) == CLASS_PRIORITY[AppClass.IO]
 
 
 def test_choose_partner_prefers_io():
@@ -51,12 +47,6 @@ def test_choose_partner_empty_node_takes_head():
 def test_choose_partner_empty_queue():
     assert PairingPolicy().choose_partner(WaitQueue(), AppClass.IO) is None
     assert PairingPolicy().choose_partner(WaitQueue(), None) is None
-
-
-def test_rank_classes():
-    order = PairingPolicy().rank_classes()
-    assert order[0] is AppClass.IO
-    assert order[-1] is AppClass.MEMORY
 
 
 def test_derive_priority_from_fig5_data():

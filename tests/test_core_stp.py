@@ -50,11 +50,6 @@ def test_describe_instance_defaults_to_true_class():
     assert d.reduced().shape == (7,)
 
 
-def test_describe_instance_accepts_classifier_output():
-    d = describe_instance(AppInstance(get_app("st"), 5 * GB), AppClass.HYBRID)
-    assert d.app_class is AppClass.HYBRID
-
-
 class TestBasinSelect:
     def test_picks_central_point_of_flat_basin(self):
         pred = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
@@ -150,15 +145,6 @@ class TestMLM:
         with pytest.raises(ValueError, match="unknown model kind"):
             MLMSTP("forest")
 
-    def test_invalid_scope(self):
-        with pytest.raises(ValueError, match="scope"):
-            MLMSTP("lr", scope="everything")
-
-    def test_per_class_scope_trains_submodels(self, small_dataset):
-        stp = MLMSTP("lr", scope="per-class").fit(small_dataset)
-        assert stp.models_
-        assert set(stp.models_) == set(small_dataset.class_pairs)
-
 
 def _reference_predict_configs(stp, a, b):
     """MLM-STP's decision with the grid, rows and knob matrix rebuilt
@@ -171,11 +157,11 @@ def _reference_predict_configs(stp, a, b):
         stp._project(cb.reduced(), cb.data_bytes), cb.data_bytes,
         f1, b1, m1, f2, b2, m2,
     )
-    pred = stp._model_for(pair_code(ca.app_class, cb.app_class)).predict(X)
+    pred = stp.global_model_.predict(X)
     knobs = np.column_stack(
         [f1 / GHZ, np.log2(b1 / MB), m1, f2 / GHZ, np.log2(b2 / MB), m2]
     )
-    i = basin_select(pred, knobs, eps=stp.basin_eps)
+    i = basin_select(pred, knobs)
     cfg_a = JobConfig(frequency=float(f1[i]), block_size=int(b1[i]), n_mappers=int(m1[i]))
     cfg_b = JobConfig(frequency=float(f2[i]), block_size=int(b2[i]), n_mappers=int(m2[i]))
     return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
@@ -234,7 +220,10 @@ class TestPairGridReuse:
 
 class TestSoloSTP:
     def test_predicts_reasonable_solo_config(self, small_training_instances):
-        stp = SoloSTP("reptree").fit(small_training_instances)
+        stp = SoloSTP("reptree").fit(
+            small_training_instances,
+            [describe_instance(inst).reduced() for inst in small_training_instances],
+        )
         inst = AppInstance(get_app("wc"), 5 * GB)
         cfg = stp.predict_config(describe_instance(inst))
         cfg.validate_for(ATOM_C2758)
@@ -252,6 +241,14 @@ class TestSoloSTP:
             SoloSTP("lr").predict_config(
                 describe_instance(AppInstance(get_app("wc"), 1 * GB))
             )
+
+    def test_unknown_model_kind_raises_as_mlm_stp_does(self):
+        with pytest.raises(ValueError) as mlm:
+            MLMSTP("forest")
+        with pytest.raises(ValueError) as solo:
+            SoloSTP("forest")
+        assert str(solo.value) == str(mlm.value)
+        assert "unknown model kind 'forest'" in str(solo.value)
 
 
 def _reference_project(stp, feat, size):

@@ -64,16 +64,6 @@ def test_select_empty_returns_none():
     assert WaitQueue().select(lambda _: 0.0, allow_leap=True) is None
 
 
-def test_peek_best_does_not_remove():
-    q = WaitQueue()
-    a = qa("st", AppClass.IO)
-    q.push(qa("wc"))
-    q.push(a)
-    got = q.peek_best(lambda item: 1.0 if item.app_class is AppClass.IO else 0.0)
-    assert got is a
-    assert len(q) == 2
-
-
 def test_iteration_and_len():
     q = WaitQueue()
     items = [qa(), qa(), qa()]
@@ -81,38 +71,6 @@ def test_iteration_and_len():
         q.push(item)
     assert list(q) == items
     assert len(q) == 3
-
-
-def test_peek_best_respects_allow_leap():
-    q = WaitQueue()
-    head = qa("wc", AppClass.COMPUTE)
-    best = qa("st", AppClass.IO)
-    q.push(head)
-    q.push(best)
-    pref = lambda item: 1.0 if item.app_class is AppClass.IO else 0.0
-    # Without leaping the head reservation holds: peek must show the
-    # head, exactly as select would pop it.
-    assert q.peek_best(pref, allow_leap=False) is head
-    assert q.peek_best(pref, allow_leap=True) is best
-    assert len(q) == 2  # peeking never removes
-
-
-def test_peek_best_agrees_with_select():
-    for allow_leap in (False, True):
-        q = WaitQueue()
-        q.push(qa("wc", AppClass.COMPUTE, t=0.0))
-        q.push(qa("km", AppClass.MEMORY, t=1.0))
-        q.push(qa("st", AppClass.IO, t=2.0))
-        pref = lambda item: {"C": 0.0, "M": 2.0, "I": 1.0}[item.app_class.value]
-        peeked = q.peek_best(pref, allow_leap=allow_leap)
-        popped = q.select(pref, allow_leap=allow_leap)
-        assert peeked is popped
-
-
-def test_peek_best_empty_returns_none():
-    q = WaitQueue()
-    assert q.peek_best(lambda item: 0.0, allow_leap=False) is None
-    assert q.peek_best(lambda item: 0.0, allow_leap=True) is None
 
 
 def test_deque_backend_preserves_fifo_under_mixed_ops():

@@ -103,12 +103,6 @@ class TestSerialPairEdp:
 
 
 class TestMlmOptions:
-    def test_projection_can_be_disabled(self, small_dataset):
-        stp = MLMSTP("lr", project_features=False).fit(small_dataset)
-        a = describe_instance(AppInstance(get_app("nb"), 1 * GB))
-        feat = a.reduced()
-        assert np.allclose(stp._project(feat, a.data_bytes), feat)
-
     def test_projection_snaps_to_training_rows(self, small_dataset):
         stp = MLMSTP("lr").fit(small_dataset)
         a = describe_instance(AppInstance(get_app("nb"), 1 * GB))
@@ -117,18 +111,6 @@ class TestMlmOptions:
             np.allclose(projected, row) for row in stp.train_features_
         )
         assert found
-
-    def test_custom_factory_callable(self, small_dataset):
-        from repro.ml.linreg import LinearRegression
-
-        def my_factory():
-            return LinearRegression(ridge=1.0)
-
-        stp = MLMSTP(my_factory).fit(small_dataset)
-        assert stp.model_kind == "my_factory"
-        a = describe_instance(AppInstance(get_app("nb"), 1 * GB))
-        cfg_a, cfg_b = stp.predict_configs(a, a)
-        assert cfg_a.n_mappers + cfg_b.n_mappers == 8
 
 
 class TestJobMetricsScalar:

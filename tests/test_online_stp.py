@@ -21,10 +21,12 @@ from repro.analysis.classify import NearestCentroidClassifier
 from repro.analysis.features import build_feature_matrix
 from repro.core.controller import ECoSTController
 from repro.core.stp import MLMSTP, describe_instance
+from repro.faults import FaultEvent, FaultInjector, InjectionPlan
 from repro.mapreduce.engine import ClusterEngine
 from repro.model.costmodel import pair_metrics
 from repro.model.sweep import sweep_pair
 from repro.online import OnlineSTP, PairObservation
+from repro.service import ClusterService, ServiceConfig
 from repro.utils.units import GB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
@@ -71,14 +73,6 @@ class TestOnlineSTPBasics:
     def test_requires_fitted_base(self):
         with pytest.raises(RuntimeError, match="fitted"):
             OnlineSTP(MLMSTP("reptree"))
-
-    def test_rejects_per_class_scope(self, fitted_stp):
-        import copy
-
-        stale = copy.deepcopy(fitted_stp)
-        stale.scope = "per-class"
-        with pytest.raises(ValueError, match="global"):
-            OnlineSTP(stale)
 
     def test_lr_mode_needs_dataset(self, small_dataset):
         lr = MLMSTP("lr").fit(small_dataset)
@@ -294,3 +288,68 @@ class TestControllerRelearnSeam:
         engine = cluster.nodes[0]
         assert engine.alive and not engine.running
         assert ctrl._running_descriptor(engine) is None
+
+
+class TestCompletionDelivery:
+    """The scheduler is the one path from the engine's results to
+    ``OnlineSTP.on_complete``: the engine runs it after every
+    completion, crash and recovery included."""
+
+    CODES = ("wc", "st", "km", "ts", "fp", "nb", "cf", "svm")
+    N_JOBS = 24
+
+    def _recording_online(self, fitted_stp, small_dataset):
+        online = OnlineSTP(fitted_stp, dataset=small_dataset, relearn_rows=32)
+        delivered = []
+        on_complete = online.on_complete
+
+        def recording(result):
+            delivered.append(result.spec.job_id)
+            on_complete(result)
+
+        online.on_complete = recording
+        return online, delivered
+
+    def _arrivals(self):
+        return [
+            (40.0 * k, self.CODES[k % len(self.CODES)], (5 if k % 3 == 0 else 1) * GB)
+            for k in range(self.N_JOBS)
+        ]
+
+    @staticmethod
+    def _crash_and_recovery(cluster, controller):
+        plan = InjectionPlan(
+            events=(
+                FaultEvent(300.0, "node_crash", 1),
+                FaultEvent(1500.0, "node_recover", 1),
+            )
+        )
+        FaultInjector(cluster, plan, controller=controller).install()
+
+    def test_offline_run(self, fitted_stp, small_dataset, classifier):
+        online, delivered = self._recording_online(fitted_stp, small_dataset)
+        cluster = ClusterEngine(n_nodes=3)
+        ctrl = ECoSTController(cluster, online, classifier)
+        for t, code, size in self._arrivals():
+            ctrl.submit(AppInstance(get_app(code), size), t)
+        self._crash_and_recovery(cluster, ctrl)
+        results = ctrl.run()
+        assert ctrl.relearn_count == 2
+        assert len(results) == self.N_JOBS
+        assert sorted(delivered) == sorted(r.spec.job_id for r in results)
+
+    def test_virtual_clock_service(self, fitted_stp, small_dataset, classifier):
+        online, delivered = self._recording_online(fitted_stp, small_dataset)
+        service = ClusterService(
+            ServiceConfig(n_nodes=3, scheduler="ecost", clock="virtual"),
+            controller_factory=lambda cluster: ECoSTController(
+                cluster, online, classifier
+            ),
+        )
+        self._crash_and_recovery(service.cluster, service.controller)
+        for t, code, size in self._arrivals():
+            ack = service.submit_request({"time": t, "code": code, "data_bytes": size})
+            assert ack["accepted"], ack
+        assert service.drain()["completed"] == self.N_JOBS
+        assert service.controller.relearn_count == 2
+        assert sorted(delivered) == sorted(r.spec.job_id for r in service.results)

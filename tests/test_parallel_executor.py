@@ -13,8 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.database import build_database
-from repro.core.stp import SoloSTP, build_offline
+from repro.core.stp import SoloSTP, build_offline, describe_instance
 from repro.model.sweep import sweep_pair, sweep_solo
 from repro.parallel import WORKERS_ENV, SweepExecutor, worker_count
 from repro.telemetry.counters import SweepTelemetry
@@ -144,18 +143,13 @@ class TestParallelSerialEquivalence:
             assert s.best_config == p.best_config
 
     def test_build_database(self, small_instances):
-        db_serial = build_database(small_instances, executor=SweepExecutor(1))
-        db_parallel = build_database(small_instances, executor=SweepExecutor(2))
+        db_serial = build_offline(
+            small_instances, rows_per_pair=50, executor=SweepExecutor(1)
+        )[0]
+        db_parallel = build_offline(
+            small_instances, rows_per_pair=50, executor=SweepExecutor(2)
+        )[0]
         assert db_serial.entries == db_parallel.entries
-
-    def test_build_database_keep_sweeps_same_entries(self, small_instances):
-        """The optimum-only build and ``build_offline``, which also
-        samples rows (once done from kept sweeps), store the same
-        entries."""
-        db_best = build_database(small_instances)
-        db_rows, dataset = build_offline(small_instances, rows_per_pair=50)
-        assert db_best.entries == db_rows.entries
-        assert len(dataset.y) == 50 * len(db_rows.entries)
 
     def test_training_dataset_fixed_seed(self, small_instances):
         db_serial, serial = build_offline(
@@ -173,15 +167,13 @@ class TestParallelSerialEquivalence:
         assert np.array_equal(serial.pair_codes, parallel.pair_codes)
 
     def test_solo_stp_fit(self, small_instances):
-        a = AppInstance(get_app("nb"), 1 * GB)
-        from repro.core.stp import describe_instance
-
-        desc = describe_instance(a, seed=0)
+        desc = describe_instance(AppInstance(get_app("nb"), 1 * GB), seed=0)
+        features = [describe_instance(i, seed=0).reduced() for i in small_instances]
         cfg_serial = (
-            SoloSTP("lr").fit(small_instances, seed=0, executor=SweepExecutor(1))
+            SoloSTP("lr").fit(small_instances, features, executor=SweepExecutor(1))
         ).predict_config(desc)
         cfg_parallel = (
-            SoloSTP("lr").fit(small_instances, seed=0, executor=SweepExecutor(2))
+            SoloSTP("lr").fit(small_instances, features, executor=SweepExecutor(2))
         ).predict_config(desc)
         assert cfg_serial == cfg_parallel
 
@@ -254,10 +246,10 @@ class TestSpeedup:
 
         instances = instances_for(TRAINING_APPS)
         t0 = time.perf_counter()
-        db_serial = build_database(instances, executor=SweepExecutor(1))
+        db_serial = build_offline(instances, executor=SweepExecutor(1))[0]
         serial_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        db_parallel = build_database(instances, executor=SweepExecutor(4))
+        db_parallel = build_offline(instances, executor=SweepExecutor(4))[0]
         parallel_s = time.perf_counter() - t0
         assert db_serial.entries == db_parallel.entries
         assert parallel_s < serial_s
