@@ -20,7 +20,7 @@ from typing import Sequence
 from repro.analysis.classify import AppClassifier
 from repro.analysis.features import PROFILING_CONFIG
 from repro.core.pairing import PairingPolicy
-from repro.core.stp import AppDescriptor, SelfTuningPredictor
+from repro.core.stp import AppDescriptor, LRUMemo, SelfTuningPredictor
 from repro.core.wait_queue import QueuedApp, WaitQueue
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.engine import ClusterEngine, NodeEngine
@@ -56,12 +56,18 @@ class ECoSTController:
         #: ``(time, submission seq, instance)`` heap.
         self._arrivals: list[tuple[float, int, AppInstance]] = []
         self._arrival_seq = itertools.count()
-        self._features_memo: dict[AppInstance, dict[str, float]] = {}
+        # Per-application memos, each LRU-capped like MLM-STP's (a
+        # tenant may send any input size).  Profiling is deterministic
+        # (seed 0), so an eviction only costs a re-profile.
+        #: Each application's learning-period features.
+        self._features_memo = LRUMemo()
         #: Each profiled application's class, cleared with the features.
-        self._class_memo: dict[AppInstance, AppClass] = {}
-        #: Memoized per-(node spec, application) solo-EDP scores used to
-        #: rank empty nodes on heterogeneous rosters.
-        self._class_edp_memo: dict[tuple[int, AppInstance], float] = {}
+        self._class_memo = LRUMemo()
+        #: Each application's STP descriptor, cleared with the features.
+        self._descriptor_memo = LRUMemo()
+        #: Per-(node spec, application) solo-EDP scores used to rank
+        #: empty nodes on heterogeneous rosters.
+        self._class_edp_memo = LRUMemo()
         self.decisions: list[str] = []  # human-readable scheduling log
         #: Nodes the fault layer reported as flapping — never scheduled.
         self.blacklisted: set[int] = set()
@@ -116,7 +122,7 @@ class ECoSTController:
                 instance, PROFILING_CONFIG,
                 node=self.node, constants=self.constants, seed=0,
             )
-            self._features_memo[instance] = feats
+            self._features_memo.put(instance, feats)
         return feats
 
     def _class_of(self, instance: AppInstance) -> AppClass:
@@ -124,7 +130,7 @@ class ECoSTController:
         cls = self._class_memo.get(instance)
         if cls is None:
             cls = self.classifier.classify(self._features(instance))
-            self._class_memo[instance] = cls
+            self._class_memo.put(instance, cls)
         return cls
 
     def _classify(self, instance: AppInstance) -> QueuedApp:
@@ -150,12 +156,23 @@ class ECoSTController:
             features=dict(feats),
         )
 
+    def _memo_descriptor(
+        self, instance: AppInstance, features: dict[str, float], app_class: AppClass
+    ) -> AppDescriptor:
+        """The application's STP descriptor, built from the given
+        profile on a miss and reused, reduced vector and all, by every
+        later decision.  Profiling is deterministic, so each profile of
+        one application builds the same descriptor."""
+        desc = self._descriptor_memo.get(instance)
+        if desc is None:
+            desc = AppDescriptor(
+                features=features, app_class=app_class, data_bytes=instance.data_bytes
+            )
+            self._descriptor_memo.put(instance, desc)
+        return desc
+
     def _descriptor(self, qa: QueuedApp) -> AppDescriptor:
-        return AppDescriptor(
-            features=qa.features,
-            app_class=qa.app_class,
-            data_bytes=qa.instance.data_bytes,
-        )
+        return self._memo_descriptor(qa.instance, qa.features, qa.app_class)
 
     def _running_descriptor(self, engine: NodeEngine) -> AppDescriptor | None:
         """Descriptor of the node's single running job.
@@ -168,10 +185,8 @@ class ECoSTController:
         if not engine.running:
             return None
         instance = engine.running[0].spec.instance
-        return AppDescriptor(
-            features=self._features(instance),
-            app_class=self._class_of(instance),
-            data_bytes=instance.data_bytes,
+        return self._memo_descriptor(
+            instance, self._features(instance), self._class_of(instance)
         )
 
     # ------------------------------------------------------- degradation
@@ -202,6 +217,7 @@ class ECoSTController:
         """
         self._features_memo.clear()
         self._class_memo.clear()
+        self._descriptor_memo.clear()
         self.relearn_count += 1
         refit = getattr(self.stp, "refit", None)
         refitted = callable(refit) and bool(refit(t=t, reason="cluster-change"))
@@ -241,7 +257,7 @@ class ECoSTController:
                 node=spec,
                 constants=self.constants,
             ).edp
-            self._class_edp_memo[key] = hit
+            self._class_edp_memo.put(key, hit)
         return hit
 
     def _empty_node_order(self, cluster: ClusterEngine) -> list[NodeEngine]:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -48,14 +49,30 @@ _CLASS_CODE = {AppClass.COMPUTE: 0, AppClass.HYBRID: 1, AppClass.IO: 2, AppClass
 
 @dataclass(frozen=True)
 class AppDescriptor:
-    """What STP knows about one application at scheduling time."""
+    """What STP knows about one application at scheduling time.
+
+    A snapshot: the reduced vector and its finiteness are computed on
+    first use and kept, so ``features`` must not change afterwards.
+    """
 
     features: Mapping[str, float]  # 14-feature profiling dict
     app_class: AppClass
     data_bytes: int
 
+    @cached_property
+    def _reduced(self) -> np.ndarray:
+        vec = reduced_vector(self.features)
+        vec.flags.writeable = False
+        return vec
+
+    @cached_property
+    def _first_non_finite(self) -> int | None:
+        bad = np.flatnonzero(~np.isfinite(self._reduced))
+        return int(bad[0]) if bad.size else None
+
     def reduced(self) -> np.ndarray:
-        return reduced_vector(dict(self.features))
+        """The :data:`REDUCED_FEATURE_NAMES` vector (read-only)."""
+        return self._reduced
 
 
 class SelfTuningPredictor(Protocol):
@@ -417,15 +434,29 @@ def _finite_features(desc: AppDescriptor) -> np.ndarray:
     configuration.
     """
     feat = desc.reduced()
-    bad = np.flatnonzero(~np.isfinite(feat))
-    if bad.size:
-        i = int(bad[0])
+    i = desc._first_non_finite
+    if i is not None:
         raise ValueError(
             f"MLMSTP.predict_configs: descriptor feature "
             f"{REDUCED_FEATURE_NAMES[i]!r} is {float(feat[i])!r}; "
             f"features must be finite"
         )
     return feat
+
+
+def _column_median(points: np.ndarray) -> np.ndarray:
+    """``np.median(points, axis=0)`` of finite points, bit for bit, by
+    sorting: the middle row, or the mean of the two middle ones.
+
+    ``np.median`` imports ``numpy.ma`` on first use (14-19 ms and 2 MiB
+    of RSS on a 2-core host), which the first ECoST decision of a
+    process would pay.
+    """
+    ranked = np.sort(points, axis=0)
+    mid = len(ranked) // 2
+    if len(ranked) % 2:
+        return ranked[mid]
+    return np.mean(ranked[mid - 1 : mid + 1], axis=0)
 
 
 def basin_select(
@@ -448,18 +479,55 @@ def basin_select(
     """
     pred_log = np.asarray(pred_log, dtype=float)
     basin = np.flatnonzero(pred_log <= pred_log.min() + eps)
-    med = np.median(knob_matrix[basin], axis=0)
+    points = knob_matrix[basin]
+    med = _column_median(points)
     if span is None:
         span = _column_span(knob_matrix)
-    d = np.linalg.norm((knob_matrix[basin] - med) / span, axis=1)
+    d = np.linalg.norm((points - med) / span, axis=1)
     return int(basin[np.argmin(d)])
 
 
-#: Most pair decisions one :class:`MLMSTP` remembers.  A workload's
-#: decisions project onto a few dozen distinct model inputs (32 on a
-#: 288-job stream of eleven applications at two sizes); a full memo
-#: holds about 0.4 MB.
+#: Most entries any one per-decision memo keeps: MLM-STP's decisions
+#: and projections, the controller's per-application memos and the
+#: shadow scorer's prices.  A workload's decisions project onto a few
+#: dozen distinct model inputs (32 on a 288-job stream of eleven
+#: applications at two sizes); a full decision memo holds about 0.4 MB.
 DECISION_MEMO_CAP = 1024
+
+
+class LRUMemo:
+    """A memo of at most :data:`DECISION_MEMO_CAP` entries that drops
+    the least recently used one first.  The cap is read on each store,
+    so patching the module constant caps every memo."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key: Hashable):
+        """The value stored under ``key`` (now the most recently used),
+        or None."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Hashable, value) -> None:
+        """Store a non-None ``value``, dropping the least recently used
+        entry past the cap."""
+        self._entries[key] = value
+        if len(self._entries) > DECISION_MEMO_CAP:
+            self._entries.popitem(last=False)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 class MLMSTP:
@@ -484,9 +552,10 @@ class MLMSTP:
 
     Projection maps every descriptor onto one of a few training rows,
     so decisions repeat.  :meth:`predict_configs` memoises the chosen
-    grid index per model input (LRU, :data:`DECISION_MEMO_CAP`
-    entries); :meth:`fit`, a node change and :meth:`revise` drop the
-    memo.
+    grid index per model input, and :meth:`_project` the projected row
+    per (reduced features, size) on the current manifold (both LRU,
+    :data:`DECISION_MEMO_CAP` entries); :meth:`fit`, a node change,
+    :meth:`revise` and :meth:`clear_memo` drop both memos.
     """
 
     def __init__(
@@ -499,12 +568,15 @@ class MLMSTP:
         self.train_features_: np.ndarray | None = None
         self.train_sizes_: np.ndarray | None = None
         self._grid: _PairGrid | None = None
-        #: ``(train_features_, its _column_span)``: the manifold the
-        #: span was computed for, so it is computed once per manifold.
-        self._span: tuple[np.ndarray, np.ndarray] | None = None
+        #: ``(train_features_, train_sizes_, _column_span(train_features_))``
+        #: of the manifold ``_proj_memo`` holds rows of, so the span is
+        #: computed once per manifold.
+        self._manifold: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None
         #: (model, canonical projected rows and sizes) -> chosen grid
-        #: index, least recently used first.
-        self._memo: OrderedDict[tuple, int] = OrderedDict()
+        #: index.
+        self._memo = LRUMemo()
+        #: (reduced feature bytes, size) -> projected training row.
+        self._proj_memo = LRUMemo()
 
     def fit(self, dataset: TrainingDataset) -> "MLMSTP":
         """Train the global model on log-EDP."""
@@ -538,12 +610,14 @@ class MLMSTP:
         self.clear_memo()
 
     def clear_memo(self) -> None:
-        """Forget every memoised pair decision.
+        """Forget every memoised pair decision and projection.
 
-        The next decision on each pair evaluates the model over the
-        whole grid again, which is what Fig. 8 times.
+        The next decision on each pair projects both applications and
+        evaluates the model over the whole grid again, which is what
+        Fig. 8 times.
         """
         self._memo.clear()
+        self._proj_memo.clear()
 
     def _pair_grid(self) -> _PairGrid:
         """The pair grid of ``self.node``, built on first use.
@@ -564,12 +638,21 @@ class MLMSTP:
         (features, size) point lies exactly on the training manifold —
         trees route such points like the lookup table would.
         """
-        train = self.train_features_
+        train, sizes = self.train_features_, self.train_sizes_
         if train is None:
             return feat
-        if self._span is None or self._span[0] is not train:
-            self._span = (train, _column_span(train))
-        return _nearest_row(train, self.train_sizes_, self._span[1], feat, size)
+        manifold = self._manifold
+        if manifold is None or manifold[0] is not train or manifold[1] is not sizes:
+            # A replaced manifold: the memoised rows are of the old one.
+            self._proj_memo.clear()
+            manifold = self._manifold = (train, sizes, _column_span(train))
+        key = (feat.tobytes(), size)
+        row = self._proj_memo.get(key)
+        if row is None:
+            row = _nearest_row(train, sizes, manifold[2], feat, size)
+            row.flags.writeable = False
+            self._proj_memo.put(key, row)
+        return row
 
     def predict_configs(
         self, a: AppDescriptor, b: AppDescriptor
@@ -578,7 +661,8 @@ class MLMSTP:
 
         The decision depends only on the model and on the canonical
         pair's projected features and sizes, so it is memoised on
-        those: a repeat costs two projections and a lookup.
+        those: a repeat costs two projection-memo lookups and a
+        decision-memo lookup.
         """
         if self.global_model_ is None:
             raise RuntimeError("MLM-STP is not fitted; call fit() first")
@@ -594,11 +678,7 @@ class MLMSTP:
             X = _rows_for_knobs(feat_a, ca.data_bytes, feat_b, cb.data_bytes, grid.knobs)
             pred = np.asarray(model.predict(X))
             i = basin_select(pred, grid.knobs, span=grid.span)
-            self._memo[key] = i
-            if len(self._memo) > DECISION_MEMO_CAP:
-                self._memo.popitem(last=False)
-        else:
-            self._memo.move_to_end(key)
+            self._memo.put(key, i)
         cfg_a, cfg_b = grid.job_configs(i)
         return (cfg_b, cfg_a) if swapped else (cfg_a, cfg_b)
 

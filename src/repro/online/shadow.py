@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stp import AppDescriptor
+from repro.core.stp import AppDescriptor, LRUMemo
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.job import JobResult
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
@@ -39,9 +39,11 @@ class PairScorer:
     """Closed-form EDP pricing of pairing choices, with a grid cache.
 
     ``score`` prices one concrete (cfg_a, cfg_b) choice for an
-    instance pair; ``optimum`` is the best EDP over the full 2,800-
-    point pair grid, swept once per distinct (app, size) pair and
-    cached — the regret baseline.
+    instance pair, memoised per (ordered pair, cfg_a, cfg_b) (LRU,
+    :data:`~repro.core.stp.DECISION_MEMO_CAP` entries): a stream's
+    decisions repeat a few dozen choices.  ``optimum`` is the best EDP
+    over the full 2,800-point pair grid, swept once per distinct (app,
+    size) pair and cached — the regret baseline.
     """
 
     def __init__(
@@ -53,6 +55,7 @@ class PairScorer:
         self.node = node
         self.constants = constants
         self._optima: dict[tuple, float] = {}
+        self._scores = LRUMemo()
 
     @staticmethod
     def _key(inst: AppInstance) -> tuple:
@@ -80,21 +83,26 @@ class PairScorer:
         cfg_b: JobConfig,
     ) -> float:
         """The pair EDP of one concrete configuration choice."""
-        metrics = pair_metrics(
-            inst_a.profile,
-            inst_a.data_bytes,
-            [cfg_a.frequency],
-            [cfg_a.block_size],
-            [cfg_a.n_mappers],
-            inst_b.profile,
-            inst_b.data_bytes,
-            [cfg_b.frequency],
-            [cfg_b.block_size],
-            [cfg_b.n_mappers],
-            node=self.node,
-            constants=self.constants,
-        )
-        return float(np.asarray(metrics.edp).reshape(-1)[0])
+        key = (inst_a, inst_b, cfg_a, cfg_b)
+        edp = self._scores.get(key)
+        if edp is None:
+            metrics = pair_metrics(
+                inst_a.profile,
+                inst_a.data_bytes,
+                [cfg_a.frequency],
+                [cfg_a.block_size],
+                [cfg_a.n_mappers],
+                inst_b.profile,
+                inst_b.data_bytes,
+                [cfg_b.frequency],
+                [cfg_b.block_size],
+                [cfg_b.n_mappers],
+                node=self.node,
+                constants=self.constants,
+            )
+            edp = float(np.asarray(metrics.edp).reshape(-1)[0])
+            self._scores.put(key, edp)
+        return edp
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,10 @@ class ServiceClient:
         return decoded
 
     def _connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        # A str host goes through the IDNA codec (importing encodings.idna,
+        # stringprep and unicodedata); an ASCII one needs no encoding.
+        host = self.host.encode("ascii") if self.host.isascii() else self.host
+        sock = socket.create_connection((host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock, self._reader = sock, sock.makefile("rb")
 

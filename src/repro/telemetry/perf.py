@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
-from repro.model.costmodel import standalone_metrics
+from repro.model.costmodel import standalone_metrics_scalar
 from repro.utils.rng import SeedLike, rng_from
 from repro.workloads.base import AppInstance
 
@@ -33,6 +33,9 @@ PMU_EVENTS: tuple[tuple[str, ...], ...] = (
     ("branch-misses", "L1-dcache-load-misses"),
     ("context-switches", "page-faults"),
 )
+
+#: Every event of :data:`PMU_EVENTS`, group by group.
+_EVENTS: tuple[str, ...] = tuple(event for group in PMU_EVENTS for event in group)
 
 
 @dataclass(frozen=True)
@@ -78,29 +81,26 @@ class PerfSampler:
                             block_size: int, n_mappers: int) -> dict[str, float]:
         """True per-second event rates from the cost kernel."""
         p = instance.profile
-        jm = standalone_metrics(
+        jm = standalone_metrics_scalar(
             p, instance.data_bytes, frequency, block_size, n_mappers,
             node=self.node, constants=self.constants,
         )
-        duration = float(np.asarray(jm.duration))
+        duration = jm.duration
         instr_total = instance.data_bytes * (
             p.instructions_per_byte + p.shuffle_factor * p.reduce_instr_per_byte
         )
         instr_rate = instr_total / duration
-        ipc_eff = self.node.core.effective_ipc(
-            frequency, p.cpi0, float(np.asarray(jm.mpki_eff))
-        )
-        m_eff = float(np.asarray(jm.m_eff))
-        u_cpu = float(np.asarray(jm.u_cpu))
-        cycle_rate = frequency * m_eff * u_cpu
+        ipc_eff = self.node.core.effective_ipc(frequency, p.cpi0, jm.mpki_eff)
+        m_eff = jm.m_eff
+        cycle_rate = frequency * m_eff * jm.u_cpu
         return {
             "instructions": instr_rate,
             "cycles": instr_rate / float(ipc_eff),
-            "LLC-load-misses": instr_rate * float(np.asarray(jm.mpki_eff)) / 1000.0,
+            "LLC-load-misses": instr_rate * jm.mpki_eff / 1000.0,
             "L1-icache-load-misses": instr_rate * p.icache_mpki / 1000.0,
             "branch-misses": instr_rate * p.branch_mpki / 1000.0,
             "L1-dcache-load-misses": instr_rate * (p.llc_mpki0 * 2.5 + 1.0) / 1000.0,
-            "context-switches": 120.0 * m_eff + 400.0 * float(np.asarray(jm.u_disk)),
+            "context-switches": 120.0 * m_eff + 400.0 * jm.u_disk,
             "page-faults": 30.0 * m_eff + instance.profile.footprint_per_task / 2**22,
             "_cycle_rate": cycle_rate,
             "_duration": duration,
@@ -120,7 +120,9 @@ class PerfSampler:
 
         Each PMU group is live for ``1/len(PMU_EVENTS)`` of the window;
         reported totals are the scaled estimates with multiplexing
-        noise that shrinks as ``1/sqrt(observed_time)``.
+        noise that shrinks as ``1/sqrt(observed_time)``.  The noise is
+        one draw of every event's error, in :data:`PMU_EVENTS` order:
+        the same stream and values as one draw per event.
         """
         rng = rng_from(seed)
         rates = self._ground_truth_rates(instance, frequency, block_size, n_mappers)
@@ -131,12 +133,12 @@ class PerfSampler:
             raise ValueError("observation window must be positive")
         n_groups = len(PMU_EVENTS)
         observed = window / n_groups
-        counts: dict[str, float] = {}
-        for group in PMU_EVENTS:
-            for event in group:
-                true_total = rates[event] * window
-                rel_err = self.noise_sigma / np.sqrt(max(observed, 1e-9))
-                counts[event] = max(true_total * (1.0 + rng.normal(0.0, rel_err)), 0.0)
+        rel_err = self.noise_sigma / np.sqrt(max(observed, 1e-9))
+        noise = rng.normal(0.0, rel_err, size=len(_EVENTS)).tolist()
+        counts = {
+            event: max(rates[event] * window * (1.0 + err), 0.0)
+            for event, err in zip(_EVENTS, noise)
+        }
         return PerfReport(
             duration_s=window, counts=counts, enabled_fraction=1.0 / n_groups
         )

@@ -14,7 +14,7 @@ import numpy as np
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.telemetry.dstat import DstatMonitor, average_rows
+from repro.telemetry.dstat import DstatMonitor
 from repro.telemetry.perf import PerfSampler
 from repro.utils.rng import SeedLike, derive_rng, rng_from
 from repro.utils.units import MB
@@ -62,20 +62,22 @@ def profile_features(
 
     Deterministic for a given ``(instance, config, seed)`` triple: the
     perf/dstat noise streams are derived from the identity of the run.
+    Both samplers run the cost kernel's scalar twin, which tests hold
+    bit-identical to the array kernel.
     """
     base = rng_from(seed)
-    perf_rng = derive_rng(int(base.integers(2**31)), "perf", instance.label, config.label)
-    dstat_rng = derive_rng(int(base.integers(2**31)), "dstat", instance.label, config.label)
+    label, config_label = instance.label, config.label
+    perf_rng = derive_rng(int(base.integers(2**31)), "perf", label, config_label)
+    dstat_rng = derive_rng(int(base.integers(2**31)), "dstat", label, config_label)
 
     perf = PerfSampler(node, constants=constants).sample(
         instance, config.frequency, config.block_size, config.n_mappers,
         seed=perf_rng,
     )
-    rows = DstatMonitor(node, constants=constants).sample_run(
+    avg = DstatMonitor(node, constants=constants).sample_means(
         instance, config.frequency, config.block_size, config.n_mappers,
         seed=dstat_rng,
     )
-    avg = average_rows(rows)
     window = perf.duration_s
     return {
         "cpu_user": avg["cpu_user"],

@@ -2,12 +2,13 @@
 
 import pytest
 
+import repro.core.stp as stp_module
 from repro.analysis.classify import NearestCentroidClassifier
 from repro.analysis.features import build_feature_matrix
 from repro.core.controller import ECoSTController
 from repro.core.stp import MLMSTP
 from repro.mapreduce.engine import ClusterEngine
-from repro.utils.units import GB
+from repro.utils.units import GB, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 
@@ -184,3 +185,35 @@ def test_each_application_classified_once(pipeline):
     assert len(calls) == len(instances)
     ctrl.on_cluster_change(1e6, [0, 1])
     assert not ctrl._features_memo and not ctrl._class_memo
+
+
+@pytest.mark.hetero
+def test_per_application_memos_stay_at_the_cap(pipeline, monkeypatch):
+    """A tenant may send any input size: more distinct (application,
+    size) arrivals than the cap keep every per-application memo at the
+    cap, and the decisions equal those of a run that evicts nothing."""
+    from repro.hardware import roster_from_classes
+
+    stp, classifier = pipeline
+    instances = [
+        AppInstance(get_app(code), (2 + k) * 256 * MB)
+        for k in range(8)
+        for code in ("wc", "st")
+    ]
+
+    def run():
+        stp.clear_memo()
+        cluster = ClusterEngine(roster=roster_from_classes(("atom", "xeon")))
+        ctrl = ECoSTController(cluster, stp, classifier)
+        for i, inst in enumerate(instances * 2):
+            ctrl.submit(inst, arrival_time=40.0 * i)
+        assert len(ctrl.run()) == 2 * len(instances)
+        return ctrl
+
+    reference = run()
+    memos = ("_features_memo", "_class_memo", "_descriptor_memo", "_class_edp_memo")
+    assert all(len(getattr(reference, m)) > 5 for m in memos)
+    monkeypatch.setattr(stp_module, "DECISION_MEMO_CAP", 5)
+    capped = run()
+    assert capped.decisions == reference.decisions
+    assert [len(getattr(capped, m)) for m in memos] == [5] * len(memos)

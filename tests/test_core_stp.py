@@ -1,9 +1,16 @@
 """Self-tuning prediction tests (on the small fixture pipeline)."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import repro.core.stp as stp_module
 from repro.core.stp import (
@@ -13,6 +20,9 @@ from repro.core.stp import (
     SoloSTP,
     TrainingDataset,
     _canonical_order,
+    _column_median,
+    _column_span,
+    _nearest_row,
     _row_block,
     basin_select,
     describe_instance,
@@ -31,7 +41,7 @@ from repro.online.scenario import (
     PIPELINE_SIZES,
     pipeline_components,
 )
-from repro.online.stp import OnlineSTP, PairObservation
+from repro.online.stp import OnlineSTP, PairObservation, _RecentPair
 from repro.online.updates import OnlineRidge
 from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppClass, AppInstance
@@ -66,6 +76,78 @@ class TestBasinSelect:
         knobs = np.arange(4.0)[:, None]
         assert basin_select(pred, knobs, eps=0.001) == 0
         assert basin_select(pred, knobs, eps=0.05) == 1  # median of {0,1,2}
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # Few distinct predictions and knob values: basins of
+                # every size, one point included, and tied knobs.
+                st.sampled_from([0.0, 0.01, 0.04, 0.05, 0.3, 2.0]),
+                st.lists(
+                    st.sampled_from([0.5, 1.0, 1.2, 2.4, 3.0, 6.0, 7.5]),
+                    min_size=3, max_size=3,
+                ),
+            ),
+            min_size=1, max_size=40,
+        )
+    )
+    @example(rows=[(0.0, [1.0, 2.4, 3.0])])
+    @example(rows=[(0.0, [1.0, 2.4, 3.0]), (0.01, [1.2, 6.0, 0.5])])
+    @example(rows=[(0.0, [1.0, 2.4, 3.0]), (0.3, [1.2, 6.0, 0.5])])
+    def test_median_as_np_median(self, rows):
+        """The basin's knob median is ``np.median``'s, bit for bit, and
+        so is the selected point."""
+        pred = np.array([p for p, _ in rows])
+        knobs = np.array([k for _, k in rows])
+        basin = np.flatnonzero(pred <= pred.min() + 0.05)
+        want = np.median(knobs[basin], axis=0)
+        assert _column_median(knobs[basin]).tobytes() == want.tobytes()
+        d = np.linalg.norm((knobs[basin] - want) / _column_span(knobs), axis=1)
+        assert basin_select(pred, knobs) == int(basin[np.argmin(d)])
+
+    def test_median_of_even_count_is_the_mean_of_the_middle_two(self):
+        points = np.array([[3.0, 0.1], [1.0, 0.2], [2.0, 0.7], [9.0, 0.3]])
+        assert _column_median(points).tolist() == [2.5, (0.2 + 0.3) / 2]
+
+
+def test_descriptor_reduces_once_read_only():
+    d = describe_instance(AppInstance(get_app("wc"), 1 * GB))
+    vec = d.reduced()
+    assert d.reduced() is vec
+    assert not vec.flags.writeable
+    assert vec.tolist() == [d.features[name] for name in stp_module.REDUCED_FEATURE_NAMES]
+
+
+def test_one_decision_leaves_numpy_ma_unimported():
+    """The first ECoST decision of a process imports no ``numpy.ma``
+    (``np.median`` would)."""
+    script = """
+import json, sys
+from repro.core.controller import ECoSTController
+from repro.mapreduce.engine import ClusterEngine
+from repro.online.scenario import pipeline_components
+from repro.utils.units import GB
+from repro.workloads.base import AppInstance
+from repro.workloads.registry import get_app
+
+stp, classifier, _dataset = pipeline_components("reptree")
+before = "numpy.ma" in sys.modules
+cluster = ClusterEngine(n_nodes=1)
+controller = ECoSTController(cluster, stp, classifier)
+controller.submit(AppInstance(get_app("wc"), 1 * GB))
+controller.submit(AppInstance(get_app("st"), 5 * GB))
+controller.run()
+print(json.dumps([before, "numpy.ma" in sys.modules, len(controller.decisions)]))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=600, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, False, 2]
 
 
 class TestLkT:
@@ -488,6 +570,27 @@ class TestDecisionMemo:
             stp.predict_configs(a, b)
         assert counting.rows == 4 * len(stp._pair_grid().knobs)
 
+    def test_hit_projects_nothing(self, small_dataset, descs, monkeypatch):
+        """A repeated decision costs memo lookups: no projection and no
+        model evaluation."""
+        stp = MLMSTP("reptree").fit(small_dataset)
+        a, b = descs[0], descs[-1]
+        first = stp.predict_configs(a, b)
+        calls = []
+        nearest = stp_module._nearest_row
+        monkeypatch.setattr(
+            stp_module, "_nearest_row",
+            lambda *args: calls.append(args) or nearest(*args),
+        )
+        # A new model object misses the decision memo; the projections
+        # (same manifold) still hit theirs.
+        counting = _CountingModel(stp.global_model_)
+        stp.global_model_ = counting
+        stp.predict_configs(a, b)
+        assert calls == [] and counting.rows == len(stp._pair_grid().knobs)
+        assert stp.predict_configs(a, b) == stp.predict_configs(b, a)[::-1] == first
+        assert calls == [] and counting.rows == len(stp._pair_grid().knobs)
+
     def test_non_finite_feature_refused_before_projection(
         self, small_dataset, descs
     ):
@@ -504,3 +607,82 @@ class TestDecisionMemo:
         with pytest.raises(ValueError, match="must be finite"):
             stp.predict_configs(good, bad)
         assert len(stp._memo) == 1
+
+
+class TestProjectionMemo:
+    @pytest.fixture(scope="class")
+    def descs(self):
+        return _drift_descriptors()
+
+    @staticmethod
+    def _nearest(stp, d):
+        span = _column_span(stp.train_features_)
+        return _nearest_row(
+            stp.train_features_, stp.train_sizes_, span, d.reduced(), d.data_bytes
+        )
+
+    def test_rows_are_the_nearest_rows(self, small_dataset, descs):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        for d in descs:
+            row = stp._project(d.reduced(), d.data_bytes)
+            assert row.tobytes() == self._nearest(stp, d).tobytes()
+            assert stp._project(d.reduced(), d.data_bytes) is row
+            assert not row.flags.writeable
+        keys = {(d.reduced().tobytes(), d.data_bytes) for d in descs}
+        assert len(stp._proj_memo) == len(keys)
+
+    def test_capped_like_the_decision_memo(self, small_dataset, descs, monkeypatch):
+        monkeypatch.setattr(stp_module, "DECISION_MEMO_CAP", 3)
+        stp = MLMSTP("reptree").fit(small_dataset)
+        for d in descs:
+            assert stp._project(d.reduced(), d.data_bytes).tobytes() == (
+                self._nearest(stp, d).tobytes()
+            )
+            assert len(stp._proj_memo) <= 3
+        assert len(stp._proj_memo) == 3
+
+    def test_clear_memo_fit_and_revise_drop_it(self, small_dataset, descs):
+        stp = MLMSTP("reptree").fit(small_dataset)
+        drops = (
+            stp.clear_memo,
+            lambda: stp.fit(small_dataset),
+            lambda: stp.revise(model=stp.global_model_),
+        )
+        for drop in drops:
+            for d in descs:
+                stp._project(d.reduced(), d.data_bytes)
+            assert len(stp._proj_memo) > 0
+            drop()
+            assert len(stp._proj_memo) == 0
+
+    def test_manifold_extension_drops_it(self, descs):
+        base, _classifier, dataset = pipeline_components("reptree")
+        online = OnlineSTP(base, dataset=dataset, window=512)
+        stp = online.stp
+        before = {}
+        for i, d in enumerate(descs):
+            before[i] = stp._project(d.reduced(), d.data_bytes)
+        assert len(stp._proj_memo) > 0
+        drift = [
+            AppInstance(get_app(code), size)
+            for code in DRIFT_CODES
+            for size in DRIFT_SIZES
+        ]
+        rows = len(stp.train_features_)
+        online._extend_manifold(
+            _RecentPair(
+                desc_a=describe_instance(drift[0]),
+                desc_b=describe_instance(drift[1]),
+                inst_a=drift[0],
+                inst_b=drift[1],
+            )
+        )
+        assert len(stp.train_features_) == rows + 2
+        assert len(stp._proj_memo) == 0
+        moved = 0
+        for i, d in enumerate(descs):
+            row = stp._project(d.reduced(), d.data_bytes)
+            assert row.tobytes() == self._nearest(stp, d).tobytes()
+            moved += row.tobytes() != before[i].tobytes()
+        # The two drift applications now project onto their own rows.
+        assert moved >= 2

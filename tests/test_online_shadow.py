@@ -9,15 +9,19 @@ and are marked ``slow`` — CI's ``online`` lane selects them with
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.core.stp as stp_module
+import repro.online.shadow as shadow_module
 from repro.core.stp import MLMSTP, describe_instance
+from repro.model.config import JobConfig
 from repro.model.sweep import sweep_pair
 from repro.online import OnlineSTP, PromotionPolicy, ShadowSTP
 from repro.online.shadow import PairScorer
 from repro.online.scenario import run_drift_scenario
 from repro.telemetry.registry import MetricsRegistry, attach_online
-from repro.utils.units import GB
+from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import get_app
 
@@ -53,6 +57,36 @@ class TestPairScorer:
         assert scorer.score(a, b, cfg_a, cfg_b) == pytest.approx(
             sweep.best_edp, rel=1e-9
         )
+
+    def test_score_memoised_per_ordered_pair_and_configs(self, monkeypatch):
+        calls = []
+        pair_metrics = shadow_module.pair_metrics
+        monkeypatch.setattr(
+            shadow_module, "pair_metrics",
+            lambda *args, **kw: calls.append(args) or pair_metrics(*args, **kw),
+        )
+        scorer = PairScorer()
+        a = AppInstance(get_app("wc"), 1 * GB)
+        b = AppInstance(get_app("st"), 5 * GB)
+        cfg_a = JobConfig(frequency=2.0 * GHZ, block_size=256 * MB, n_mappers=3)
+        cfg_b = JobConfig(frequency=1.2 * GHZ, block_size=64 * MB, n_mappers=5)
+        for x, y, cx, cy in ((a, b, cfg_a, cfg_b), (b, a, cfg_b, cfg_a), (a, b, cfg_b, cfg_a)):
+            fresh = pair_metrics(
+                x.profile, x.data_bytes, [cx.frequency], [cx.block_size], [cx.n_mappers],
+                y.profile, y.data_bytes, [cy.frequency], [cy.block_size], [cy.n_mappers],
+            )
+            want = float(np.asarray(fresh.edp).reshape(-1)[0])
+            assert scorer.score(x, y, cx, cy).hex() == want.hex()
+            assert scorer.score(x, y, cx, cy).hex() == want.hex()
+        assert len(calls) == 3 and len(scorer._scores) == 3
+
+    def test_memos_change_no_regret_curve(self, monkeypatch):
+        """Every per-decision memo only saves work: with all of them
+        capped at zero entries the drift run is the same, curves and
+        promotion included."""
+        memoised = run_drift_scenario(n_jobs=24, seed=0).as_dict()
+        monkeypatch.setattr(stp_module, "DECISION_MEMO_CAP", 0)
+        assert run_drift_scenario(n_jobs=24, seed=0).as_dict() == memoised
 
 
 # --------------------------------------------------- promotion policy

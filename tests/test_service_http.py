@@ -88,6 +88,46 @@ def test_healthz_and_status(server):
     assert status["requests"] == 0
 
 
+def test_client_connects_without_the_idna_codec(server):
+    """An ASCII host reaches ``getaddrinfo`` as bytes, so a fresh
+    process's first round trip imports no ``encodings.idna``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from repro.service.client import ServiceClient\n"
+        f"with ServiceClient(port={server.port}) as client:\n"
+        "    assert client.healthz() == {'ok': True}\n"
+        "print('encodings.idna' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["False"]
+
+
+def test_client_keeps_idna_for_non_ascii_hosts(monkeypatch):
+    seen = []
+
+    def refuse(address, timeout=None):
+        seen.append(address[0])
+        raise ConnectionRefusedError
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    for host in ("127.0.0.1", "bücher.example"):
+        with pytest.raises(ConnectionRefusedError):
+            ServiceClient(host=host, port=1).healthz()
+    assert seen == [b"127.0.0.1", "bücher.example"]
+
+
 def test_submit_roundtrip_and_metrics(server):
     client = server.client
     ack = client.submit({"code": "wc", "data_bytes": 10**9, "time": 0.0})

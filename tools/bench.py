@@ -237,6 +237,31 @@ def _op_reptree_fit():
     return run
 
 
+def _op_profile_features():
+    from repro.analysis.features import PROFILING_CONFIG
+    from repro.telemetry.profiling import profile_features
+    from repro.utils.units import GB
+    from repro.workloads.base import AppInstance
+    from repro.workloads.registry import ALL_APPS, get_app
+
+    # ECoST's learning period (§5) as the controller runs it on a cold
+    # features memo: one profile of each of the 22 registry instances
+    # (11 applications at 1 and 5 GB), perf and dstat windows included.
+    kinds = [
+        AppInstance(get_app(code), size)
+        for code in ALL_APPS
+        for size in (1 * GB, 5 * GB)
+    ]
+
+    def run():
+        profiles = [
+            profile_features(inst, PROFILING_CONFIG, seed=0) for inst in kinds
+        ]
+        assert len(profiles) == 22
+
+    return run
+
+
 def _op_steady_state_256node():
     from repro.mapreduce.engine import ClusterEngine
     from repro.workloads.streams import poisson_job_stream
@@ -440,6 +465,7 @@ OPS: dict[str, tuple] = {
     "bench_functional_wordcount": (_op_functional_wordcount, False),
     "bench_reptree_predict": (_op_reptree_predict, False),
     "bench_reptree_fit": (_op_reptree_fit, False),
+    "bench_profile_features": (_op_profile_features, False),
     # Scale lane (not in --quick: CI runs these explicitly via --ops).
     "bench_service_ingest_10k": (_op_service_ingest_10k, False),
     "bench_service_http_2k": (_op_service_http_2k, False),
