@@ -2,9 +2,10 @@
 
 Extension artefact: the paper's §5 queue is exercised the way a
 datacenter actually sees it — a Poisson stream of unknown
-applications — validating that the head reservation prevents
-starvation even though the decision tree de-prioritises memory-bound
-applications.
+applications — checking that no class starves even though the
+decision tree de-prioritises memory-bound applications.  Partner fills
+take no head reservation today and the queue head takes every empty
+node; the reservation rule is an open ROADMAP item.
 """
 
 from repro.experiments.artifacts import train_pipeline
@@ -26,14 +27,14 @@ def test_steady_state(benchmark, save):
     ecost, fifo = report.runs
     assert ecost.n_jobs == fifo.n_jobs == 40
 
-    # No starvation: the head reservation bounds every job's wait well
-    # below the horizon, for both pairing policies.
+    # No starvation: every job's wait stays well below the horizon,
+    # for both pairing policies.
     for run in report.runs:
         assert run.max_wait_s < run.makespan * 0.75
         # Every class got scheduled and measured.
         assert len(run.mean_wait_by_class) == 4
 
-    # De-prioritising M cannot starve it: the between-class mean-wait
-    # spread stays a small fraction of the horizon (leap-forward is
-    # guarded by the head reservation).
+    # De-prioritising M does not starve it: the between-class
+    # mean-wait spread stays a small fraction of the horizon.  No
+    # reservation guards the leaps; the head takes every empty node.
     assert ecost.fairness_spread_s() < ecost.makespan * 0.25

@@ -46,10 +46,11 @@ from repro.utils.units import GHZ, MB
 from repro.workloads.base import AppInstance
 
 #: Stock defaults for the [NT] (not-tuned) policies: Hadoop 1.x's
-#: 64 MB block size and the microserver's shipping powersave governor
-#: (lowest DVFS point — see repro.hardware.governor: even ondemand
-#: settles at the bottom for the I/O-heavy duty cycles these nodes
-#: see).  Mapper count is set per policy (SNM: all cores; CBM: half).
+#: 64 MB block size and the microserver's shipping powersave governor,
+#: which holds the lowest DVFS point.  An ondemand governor would
+#: settle there too: the I/O-heavy duty cycles these nodes see rarely
+#: keep a core busy enough to raise the clock.  Mapper count is set
+#: per policy (SNM: all cores; CBM: half).
 #: These are the "running without tuning the studied parameters"
 #: baselines of §8.
 DEFAULT_UNTUNED_CONFIG = dict(frequency=1.2 * GHZ, block_size=64 * MB)

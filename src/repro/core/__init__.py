@@ -4,8 +4,9 @@ The Energy-efficient Co-locating and Self-Tuning pipeline:
 
 1. **Classify** each unknown incoming application from a learning-
    period counter profile (:mod:`repro.analysis.classify`).
-2. **Queue** it in a FIFO wait queue with head reservation and
-   small-job leap-forward (:mod:`repro.core.wait_queue`).
+2. **Queue** it in a FIFO wait queue whose head takes every empty
+   node; partner fills may leap the head and take no reservation
+   (:mod:`repro.core.wait_queue`).
 3. **Pair** it with the application already running on a node using
    the class-priority decision tree distilled from the Fig. 5 offline
    analysis (:mod:`repro.core.pairing`).

@@ -2,7 +2,7 @@
 
 Drives a :class:`~repro.mapreduce.engine.ClusterEngine` as its
 scheduler: incoming applications are profiled for a learning period
-and classified, wait in the reservation FIFO, are paired onto nodes by
+and classified, wait in the FIFO wait queue, are paired onto nodes by
 the class-priority decision tree, and receive self-tuned
 configurations from an STP backend.  Two applications share each node
 in steady state; when one finishes, the freed slot is refilled from
@@ -29,7 +29,7 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import standalone_metrics_scalar
 from repro.telemetry.profiling import profile_features
-from repro.workloads.base import AppClass, AppInstance
+from repro.workloads.base import AppInstance
 
 
 class ECoSTController:
@@ -59,11 +59,8 @@ class ECoSTController:
         # Per-application memos, each LRU-capped like MLM-STP's (a
         # tenant may send any input size).  Profiling is deterministic
         # (seed 0), so an eviction only costs a re-profile.
-        #: Each application's learning-period features.
-        self._features_memo = LRUMemo()
-        #: Each profiled application's class, cleared with the features.
-        self._class_memo = LRUMemo()
-        #: Each application's STP descriptor, cleared with the features.
+        #: Each profiled application's STP descriptor: its
+        #: learning-period features and class.
         self._descriptor_memo = LRUMemo()
         #: Per-(node spec, application) solo-EDP scores used to rank
         #: empty nodes on heterogeneous rosters.
@@ -107,37 +104,38 @@ class ECoSTController:
         if notify:
             self.cluster.notify_at(arrival_time)
 
-    def _features(self, instance: AppInstance) -> dict[str, float]:
-        """Learning-period features, profiled once per application.
+    def _describe(self, instance: AppInstance) -> AppDescriptor:
+        """Step 1: learning-period profiling + classification."""
+        feats = profile_features(
+            instance, PROFILING_CONFIG,
+            node=self.node, constants=self.constants, seed=0,
+        )
+        return AppDescriptor(
+            features=feats,
+            app_class=self.classifier.classify(feats),
+            data_bytes=instance.data_bytes,
+        )
+
+    def _descriptor(self, instance: AppInstance) -> AppDescriptor:
+        """The application's descriptor, profiled once per application.
 
         ``profile_features`` is deterministic for a given
         ``(instance, config, seed)``, and the scheduler re-derives a
         running job's descriptor on every partner-fill round — without
-        memoization a steady-state stream re-profiles the same
-        application hundreds of times.
+        the memo a steady-state stream re-profiles the same
+        application hundreds of times.  Every later decision reuses
+        the descriptor, reduced vector and all.
         """
-        feats = self._features_memo.get(instance)
-        if feats is None:
-            feats = profile_features(
-                instance, PROFILING_CONFIG,
-                node=self.node, constants=self.constants, seed=0,
-            )
-            self._features_memo.put(instance, feats)
-        return feats
-
-    def _class_of(self, instance: AppInstance) -> AppClass:
-        """The application's class, classified once per profile."""
-        cls = self._class_memo.get(instance)
-        if cls is None:
-            cls = self.classifier.classify(self._features(instance))
-            self._class_memo.put(instance, cls)
-        return cls
+        desc = self._descriptor_memo.get(instance)
+        if desc is None:
+            desc = self._describe(instance)
+            self._descriptor_memo.put(instance, desc)
+        return desc
 
     def _classify(self, instance: AppInstance) -> QueuedApp:
-        """Step 1: learning-period profiling + classification."""
-        newly_profiled = instance not in self._features_memo
-        feats = self._features(instance)
-        cls = self._class_of(instance)
+        """Queue an arrival with its descriptor."""
+        newly_profiled = instance not in self._descriptor_memo
+        desc = self._descriptor(instance)
         if self.tracer.enabled:
             self.tracer.instant(
                 "classify",
@@ -145,34 +143,16 @@ class ECoSTController:
                 self.cluster.now,
                 args={
                     "app": instance.label,
-                    "class": cls.value,
+                    "class": desc.app_class.value,
                     "learning_period": newly_profiled,
                 },
             )
         return QueuedApp(
             instance=instance,
-            app_class=cls,
+            app_class=desc.app_class,
             arrival_time=self.cluster.now,
-            features=dict(feats),
+            descriptor=desc,
         )
-
-    def _memo_descriptor(
-        self, instance: AppInstance, features: dict[str, float], app_class: AppClass
-    ) -> AppDescriptor:
-        """The application's STP descriptor, built from the given
-        profile on a miss and reused, reduced vector and all, by every
-        later decision.  Profiling is deterministic, so each profile of
-        one application builds the same descriptor."""
-        desc = self._descriptor_memo.get(instance)
-        if desc is None:
-            desc = AppDescriptor(
-                features=features, app_class=app_class, data_bytes=instance.data_bytes
-            )
-            self._descriptor_memo.put(instance, desc)
-        return desc
-
-    def _descriptor(self, qa: QueuedApp) -> AppDescriptor:
-        return self._memo_descriptor(qa.instance, qa.features, qa.app_class)
 
     def _running_descriptor(self, engine: NodeEngine) -> AppDescriptor | None:
         """Descriptor of the node's single running job.
@@ -184,10 +164,7 @@ class ECoSTController:
         """
         if not engine.running:
             return None
-        instance = engine.running[0].spec.instance
-        return self._memo_descriptor(
-            instance, self._features(instance), self._class_of(instance)
-        )
+        return self._descriptor(engine.running[0].spec.instance)
 
     # ------------------------------------------------------- degradation
     def _schedulable(self, engine: NodeEngine) -> bool:
@@ -209,14 +186,14 @@ class ECoSTController:
 
         The learning-period features were measured against the old
         cluster shape, so the controller re-enters the learning period:
-        the memoized profiles are dropped and every queued or future
-        application is re-profiled before its next pairing decision.
+        the memoized descriptors are dropped, and running and future
+        applications are re-profiled before their next pairing
+        decision.  A queued application keeps the descriptor it was
+        queued with.
         When the STP backend can relearn (``repro.online``), its model
         state is refit too — the log below used to claim a relearn
         while the model silently stayed stale.
         """
-        self._features_memo.clear()
-        self._class_memo.clear()
         self._descriptor_memo.clear()
         self.relearn_count += 1
         refit = getattr(self.stp, "refit", None)
@@ -245,7 +222,7 @@ class ECoSTController:
         key = (id(spec), qa.instance)
         hit = self._class_edp_memo.get(key)
         if hit is None:
-            d = self._descriptor(qa)
+            d = qa.descriptor
             cfg, _ = self.stp.predict_configs(d, d)
             cfg = self._cap_mappers(cfg, spec.n_cores - 1)
             hit = standalone_metrics_scalar(
@@ -390,7 +367,7 @@ class ECoSTController:
                     # The running job's knobs are already committed; the
                     # newcomer takes its side of the predicted pair
                     # configuration, capped to the free cores.
-                    partner_desc = self._descriptor(partner)
+                    partner_desc = partner.descriptor
                     _cfg_run, cfg_new = self.stp.predict_configs(
                         run_desc, partner_desc
                     )
@@ -427,8 +404,8 @@ class ECoSTController:
                                     "partner_class": partner.app_class.value,
                                 },
                             )
-                        head_desc = self._descriptor(head)
-                        partner_desc = self._descriptor(partner)
+                        head_desc = head.descriptor
+                        partner_desc = partner.descriptor
                         cfg_a, cfg_b = self.stp.predict_configs(
                             head_desc, partner_desc
                         )
@@ -448,7 +425,7 @@ class ECoSTController:
                     else:
                         # Last lonely job: tune it as a pair with itself
                         # (it may later receive a partner anyway).
-                        d = self._descriptor(head)
+                        d = head.descriptor
                         cfg_a, _ = self.stp.predict_configs(d, d)
                         self._place(head, cfg_a, engine.node_id, t)
                     progress = True

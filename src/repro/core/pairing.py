@@ -9,8 +9,9 @@ ECoST distils that into a priority over the co-runner's class:
     I  >  H  ≥  C  >  M
 
 The scheduler, asked to fill the second slot of a node currently
-running a job, walks the wait queue (head-reservation respected) and
-takes the highest-priority class available.
+running a job, walks the wait queue and takes the highest-priority
+class available.  It takes no head reservation: the head's guarantee
+is that it takes every empty node.
 
 :func:`derive_priority` re-derives the ranking from sweep data rather
 than hard-coding it, so the decision tree provably follows from the
@@ -69,10 +70,9 @@ class PairingPolicy:
     """Selects which queued application to co-locate next (Fig. 4).
 
     The decision tree: given the class of the running application,
-    prefer an I-class partner, then H, then C, then M — restricted by
-    the wait queue's head reservation.  When the node is empty the
-    head of the queue starts (its reservation is what guarantees
-    progress).
+    prefer an I-class partner, then H, then C, then M.  When the node
+    is empty the head of the queue starts, which is what guarantees
+    progress: partner fills take no reservation for the head.
     """
 
     priority: dict[AppClass, int] = field(
@@ -89,7 +89,7 @@ class PairingPolicy:
         """Pop the queued app to co-locate with a ``running_class`` job.
 
         With an empty node (``running_class is None``) the head is
-        taken unconditionally — reservations first.
+        taken unconditionally.
         """
         if running_class is None:
             return queue.pop_head() if len(queue) else None

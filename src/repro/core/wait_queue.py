@@ -1,27 +1,28 @@
 """The ECoST wait queue (§5, Fig. 4).
 
-Arriving jobs join the tail of a FIFO.  The job at the head holds a
-*reservation*: it cannot starve, because any job scheduled out of
-order ("leaping forward") must not delay it.  ECoST's pairing step
-may prefer a job other than the head (e.g. an I-class job to pair
-with a running application); the queue permits that leap only when
-the head's reservation is not violated — the backfill rule of
-[Sabin et al., JSSPP'03 / ICPP'04] the paper cites.
+Arriving jobs join the tail of a FIFO.  ECoST's pairing step may
+prefer a job other than the head (e.g. an I-class job to pair with a
+running application), so a job can leave the queue out of order
+("leaping forward").  The paper guards such leaps with a head
+reservation, the backfill rule of [Sabin et al., JSSPP'03 / ICPP'04]
+it cites: a leap must not delay the head.
 
-Our admissible-leap criterion: a non-head job may leave the queue
-only if at least one other node slot remains available for the head
-(so the head could be placed no later than it would have been), or if
-the head itself is unplaceable right now and the leaper is strictly
-smaller (shorter expected occupancy).
+Partner fills take no reservation today: the controller lets every
+leap through (``allow_leap=True``), and the head's only guarantee is
+that it takes every empty node.  The reservation rule is an open
+ROADMAP item; ``allow_leap`` is the seam it will use.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.workloads.base import AppClass, AppInstance
+
+if TYPE_CHECKING:
+    from repro.core.stp import AppDescriptor
 
 
 @dataclass
@@ -31,7 +32,9 @@ class QueuedApp:
     instance: AppInstance
     app_class: AppClass
     arrival_time: float
-    features: dict = field(default_factory=dict)
+    #: The STP descriptor it was queued with; a cluster change does not
+    #: re-profile a queued application.
+    descriptor: AppDescriptor | None = None
 
     @property
     def label(self) -> str:
@@ -39,7 +42,7 @@ class QueuedApp:
 
 
 class WaitQueue:
-    """FIFO with head reservation and guarded leap-forward.
+    """FIFO whose non-head items may leap forward when allowed.
 
     Backed by a :class:`collections.deque`: a steady-state stream pops
     the head on every placement round, and ``list.pop(0)`` shifts the
@@ -80,9 +83,9 @@ class WaitQueue:
 
         ``preference`` returns a score (higher = more preferred).  The
         head is always eligible.  A non-head candidate is taken only
-        when ``allow_leap`` is true — the caller asserts the head's
-        reservation holds (another slot remains for it, or the head
-        cannot run right now anyway).  Ties go to FIFO order.
+        when ``allow_leap`` is true; the queue checks no reservation
+        itself, so the caller decides whether a leap may delay the
+        head.  Ties go to FIFO order.
         """
         if not self._items:
             return None

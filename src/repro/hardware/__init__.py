@@ -4,21 +4,23 @@ Models the paper's testbed — an Intel Atom C2758 microserver node with
 8 cores, a shared last-level cache, one DDR3-1600 memory channel and a
 local disk — as a set of small, stateless, calibrated component models.
 Mutable execution state lives in the MapReduce engine; these classes
-answer questions like "what is the effective IPC at this frequency with
-this much cache?" and "what does the node draw at this utilisation?".
+hold each component's calibration and answer the per-component
+questions the cost kernel asks ("what is the effective IPC at this
+frequency with this much cache?").
 
-The paper measures whole-system power with a Wattsup meter; our
-:class:`~repro.hardware.power.PowerModel` produces the equivalent
-whole-node figure (idle + active cores + memory + disk activity).
+The paper measures whole-system power with a Wattsup meter.
+:class:`~repro.hardware.power.PowerModel` holds the parameters of the
+equivalent whole-node figure (idle + active cores + memory + disk
+activity); the cost kernel (:mod:`repro.model.costmodel`) computes
+that figure from them.
 """
 
 from repro.hardware.frequency import DVFS_LEVELS, DvfsTable, OperatingPoint
-from repro.hardware.governor import DvfsGovernor, GOVERNOR_KINDS
 from repro.hardware.cpu import CoreModel
-from repro.hardware.cache import SharedCacheModel, CacheAllocation
+from repro.hardware.cache import SharedCacheModel
 from repro.hardware.memorybw import MemoryBandwidthModel
 from repro.hardware.disk import DiskModel
-from repro.hardware.power import PowerModel, PowerBreakdown
+from repro.hardware.power import PowerModel
 from repro.hardware.node import NodeSpec, ATOM_C2758
 from repro.hardware.classes import (
     ATOM,
@@ -36,15 +38,11 @@ __all__ = [
     "DVFS_LEVELS",
     "DvfsTable",
     "OperatingPoint",
-    "DvfsGovernor",
-    "GOVERNOR_KINDS",
     "CoreModel",
     "SharedCacheModel",
-    "CacheAllocation",
     "MemoryBandwidthModel",
     "DiskModel",
     "PowerModel",
-    "PowerBreakdown",
     "NodeSpec",
     "ATOM_C2758",
     "NodeClass",

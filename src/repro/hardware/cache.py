@@ -8,7 +8,9 @@ ingredients:
    cache proportional to its *pressure* — the product of its intrinsic
    cache demand and how many of its mapper tasks are active.  This is
    the steady state that pseudo-LRU insertion converges to under
-   competing reference streams.
+   competing reference streams.  The cost kernel computes the shares
+   (:mod:`repro.model.costmodel`, floored at
+   ``SimConstants.cache_share_floor``).
 
 2. **Power-law miss curve.**  An application's miss rate as a function
    of its allocated capacity ``c`` follows ``MPKI(c) = MPKI0 ·
@@ -24,21 +26,11 @@ cache interference becomes time and energy in this reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.utils.units import MB
 from repro.utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class CacheAllocation:
-    """Resolved cache share for one co-runner."""
-
-    share_bytes: float
-    share_fraction: float
-    mpki_scale: float
 
 
 @dataclass(frozen=True)
@@ -62,27 +54,6 @@ class SharedCacheModel:
         if self.max_inflation < 1.0:
             raise ValueError("max_inflation must be >= 1")
 
-    def partition(self, pressures: Sequence[float]) -> list[float]:
-        """Split capacity proportionally to each co-runner's pressure.
-
-        A zero-pressure entry (an app whose working set fits in its
-        private caches) receives a nominal sliver rather than zero so
-        the miss-curve math stays defined.
-        """
-        p = np.asarray(list(pressures), dtype=float)
-        if p.size == 0:
-            return []
-        if np.any(p < 0):
-            raise ValueError("pressures must be non-negative")
-        total = p.sum()
-        if total <= 0:
-            shares = np.full(p.size, 1.0 / p.size)
-        else:
-            floor = 0.02
-            shares = np.maximum(p / total, floor)
-            shares = shares / shares.sum()
-        return [float(s) for s in shares]
-
     def mpki_inflation(self, share_fraction, alpha) -> np.ndarray:
         """MPKI multiplier for a co-runner holding ``share_fraction`` of LLC.
 
@@ -97,22 +68,3 @@ class SharedCacheModel:
             raise ValueError("alpha must be non-negative")
         scale = np.power(np.minimum(share, 1.0), -alpha)
         return np.clip(scale, 1.0, self.max_inflation)
-
-    def allocate(
-        self, pressures: Sequence[float], alphas: Sequence[float]
-    ) -> list[CacheAllocation]:
-        """Full contention resolution for a set of co-runners."""
-        if len(pressures) != len(alphas):
-            raise ValueError("pressures and alphas must have equal length")
-        shares = self.partition(pressures)
-        out = []
-        for share, alpha in zip(shares, alphas):
-            scale = float(self.mpki_inflation(share, alpha))
-            out.append(
-                CacheAllocation(
-                    share_bytes=share * self.capacity_bytes,
-                    share_fraction=share,
-                    mpki_scale=scale,
-                )
-            )
-        return out

@@ -45,8 +45,6 @@ XEON_DVFS_LEVELS: tuple[OperatingPoint, ...] = (
     OperatingPoint(frequency=2.4 * GHZ, voltage=1.20),
 )
 
-_XEON_DVFS = DvfsTable(XEON_DVFS_LEVELS)
-
 #: A dual-socket-era Xeon E5 node per arXiv:1408.2284's "big core"
 #: column: 16 out-of-order cores, 32 GB DDR3, a 20 MB shared LLC, a
 #: faster disk — and a power envelope that idles at roughly twice the
@@ -67,9 +65,8 @@ XEON_E5 = NodeSpec(
         stall_power_fraction=0.55,
         mem_max_power=6.0,
         disk_max_power=4.0,
-        dvfs=_XEON_DVFS,
     ),
-    dvfs=_XEON_DVFS,
+    dvfs=DvfsTable(XEON_DVFS_LEVELS),
 )
 
 

@@ -78,18 +78,11 @@ class CoreModel:
         spi = self.seconds_per_instruction(frequency, cpi_core, llc_mpki)
         return 1.0 / (np.asarray(frequency, dtype=float) * spi)
 
-    def compute_seconds(self, instructions, frequency, cpi_core, llc_mpki):
-        """Wall seconds of pure compute for ``instructions`` retired."""
-        instructions = np.asarray(instructions, dtype=float)
-        if np.any(instructions < 0):
-            raise ValueError("instructions must be non-negative")
-        return instructions * self.seconds_per_instruction(frequency, cpi_core, llc_mpki)
-
     def stall_fraction(self, frequency, cpi_core, llc_mpki):
         """Fraction of execution time spent in memory stalls.
 
-        Used by the power model (stalled cores draw less than busy
-        cores) and by the dstat-like telemetry to split user time.
+        Used by the cost kernel's power figure: stalled cores draw less
+        than busy cores.
         """
         spi = self.seconds_per_instruction(frequency, cpi_core, llc_mpki)
         stall = (np.asarray(llc_mpki, dtype=float) / 1000.0) * self.effective_latency_s

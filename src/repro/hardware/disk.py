@@ -1,4 +1,4 @@
-"""Local-disk model: sequential efficiency, stream sharing, seeks.
+"""Local-disk model: sequential efficiency and stream interleaving.
 
 HDFS reads and writes are large and mostly sequential within a block,
 so the dominant effects are:
@@ -15,7 +15,9 @@ so the dominant effects are:
   ``1 / (1 + seek_penalty · (k - 1))``.
 
 * **Fluid sharing.**  Like memory bandwidth, the (possibly degraded)
-  aggregate bandwidth is split across demanding streams proportionally.
+  aggregate bandwidth is shared by the node's jobs through one fluid
+  stretch (:func:`repro.model.costmodel.fluid_stretch`), not per-stream
+  water-filling.
 
 Defaults approximate a 7.2k-rpm SATA disk of the paper's era.
 """
@@ -23,7 +25,6 @@ Defaults approximate a 7.2k-rpm SATA disk of the paper's era.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,52 +65,3 @@ class DiskModel:
         eff = self.sequential_efficiency(extent_bytes)
         interleave = 1.0 / (1.0 + self.seek_penalty * np.maximum(k - 1.0, 0.0))
         return np.where(k > 0, self.peak_bw * eff * interleave, 0.0)
-
-    def share(self, demands: Sequence[float] | np.ndarray, extent_bytes) -> np.ndarray:
-        """Per-stream achieved bandwidth given demands (bytes/s).
-
-        Streams never receive more than they demand; leftover bandwidth
-        from under-demanding streams is redistributed to saturated ones
-        (max-min fairness, solved by the standard water-filling loop).
-        """
-        d = np.asarray(demands, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("share() expects a 1-D demand vector")
-        if np.any(d < 0):
-            raise ValueError("demands must be non-negative")
-        active = d > 0
-        k = int(active.sum())
-        if k == 0:
-            return np.zeros_like(d)
-        capacity = float(self.aggregate_bw(k, extent_bytes))
-        alloc = np.zeros_like(d)
-        remaining = capacity
-        todo = list(np.flatnonzero(active))
-        # Water-filling: satisfy the smallest demands first.  A cursor
-        # walks the sorted order instead of popping the head — each
-        # ``list.pop(0)`` shifts the whole remainder, turning the loop
-        # O(k²) for k active streams.
-        todo.sort(key=lambda i: d[i])
-        head = 0
-        while head < len(todo):
-            fair = remaining / (len(todo) - head)
-            i = todo[head]
-            if d[i] <= fair:
-                alloc[i] = d[i]
-                remaining -= d[i]
-                head += 1
-            else:
-                for j in todo[head:]:
-                    alloc[j] = fair
-                break
-        return alloc
-
-    def utilization(self, demands: Sequence[float] | np.ndarray, extent_bytes) -> float:
-        """Disk utilisation in [0, 1] for a demand vector."""
-        d = np.asarray(demands, dtype=float)
-        active = d > 0
-        k = int(active.sum())
-        if k == 0:
-            return 0.0
-        capacity = float(self.aggregate_bw(k, extent_bytes))
-        return float(min(d.sum() / capacity, 1.0))

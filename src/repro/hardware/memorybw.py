@@ -5,6 +5,9 @@ with realistic access streams).  Bandwidth is a *fluid* resource: when
 the co-scheduled tasks' aggregate demand exceeds the achievable
 bandwidth, every consumer is throttled by the same factor (memory
 controllers arbitrate roughly fairly between cores at equal priority).
+The cost kernel applies that throttle: a job's own compute stretches
+when its DRAM traffic would exceed the channel, and co-located jobs
+share one fluid stretch (:func:`repro.model.costmodel.fluid_stretch`).
 
 This is the mechanism that makes memory-bound (M) applications poor
 co-location partners in the reproduction: two M apps oversubscribe the
@@ -15,9 +18,6 @@ come last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.utils.units import GB
 from repro.utils.validation import check_positive
@@ -31,25 +31,3 @@ class MemoryBandwidthModel:
 
     def __post_init__(self) -> None:
         check_positive("achievable_bw", self.achievable_bw)
-
-    def throttle_factor(self, demands: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Per-consumer rate multiplier given bandwidth demands (bytes/s).
-
-        Returns 1.0 for every consumer when total demand fits, else
-        ``capacity / total_demand`` for all (proportional fair share).
-        Broadcasts: ``demands`` may be an array whose last axis indexes
-        consumers, enabling vectorised sweep evaluation.
-        """
-        d = np.asarray(demands, dtype=float)
-        if np.any(d < 0):
-            raise ValueError("demands must be non-negative")
-        total = d.sum(axis=-1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(total > self.achievable_bw, self.achievable_bw / np.where(total > 0, total, 1.0), 1.0)
-        return np.broadcast_to(factor, d.shape).copy()
-
-    def utilization(self, demands: Sequence[float] | np.ndarray) -> float | np.ndarray:
-        """Channel utilisation in [0, 1] given raw demands."""
-        d = np.asarray(demands, dtype=float)
-        total = d.sum(axis=-1)
-        return np.minimum(total / self.achievable_bw, 1.0)

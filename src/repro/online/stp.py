@@ -9,12 +9,12 @@ The wrapper owns a deep copy of a fitted
   an exact Sherman–Morrison update (:class:`~repro.online.updates.
   OnlineRidge`); the tree/MLP models buffer it in a bounded
   :class:`~repro.online.updates.SlidingWindow` and refresh every
-  ``refresh_every`` rows.
+  :data:`REFRESH_EVERY` rows.
 * **drift detection** — the |log-EDP residual| of each observation
   feeds a :class:`~repro.online.drift.PageHinkley` test; an alarm
   triggers :meth:`refit`.
 * **refit** — re-enters the paper's learning period: the most recent
-  distinct pairings are re-swept (bounded by ``relearn_pairs``, each
+  distinct pairings are re-swept (bounded by :data:`RELEARN_PAIRS`, each
   contributing ``relearn_rows`` sampled grid rows including the
   optimum), their descriptors extend the projection manifold, and the
   model is refit on the window.  Budget the recent pairs leave
@@ -53,6 +53,13 @@ from repro.parallel.executor import sample_pair_sweep
 from repro.telemetry.counters import OnlineTelemetry
 from repro.utils.rng import SeedLike, rng_from
 from repro.workloads.base import AppInstance
+
+#: Synchronized observations between two refits of a tree or MLP
+#: model on the window.
+REFRESH_EVERY = 64
+#: Most recent distinct pairings one refit re-sweeps; it also bounds
+#: the learning period's sweep budget.
+RELEARN_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -219,11 +226,8 @@ class OnlineSTP:
         *,
         dataset=None,
         window: int = 6144,
-        refresh_every: int = 64,
         detector: PageHinkley | None = None,
-        relearn_pairs: int = 8,
         relearn_rows: int = 160,
-        ridge_lam: float = 1e-6,
         seed: SeedLike = 0,
         constants: SimConstants = DEFAULT_CONSTANTS,
         telemetry: OnlineTelemetry | None = None,
@@ -234,10 +238,7 @@ class OnlineSTP:
         #: frozen for shadow-mode comparison.
         self.stp = copy.deepcopy(base)
         self.constants = constants
-        self.refresh_every = refresh_every
-        self.relearn_pairs = relearn_pairs
         self.relearn_rows = relearn_rows
-        self.ridge_lam = ridge_lam
         self.detector = detector if detector is not None else PageHinkley()
         self.telemetry = telemetry if telemetry is not None else OnlineTelemetry()
         self.mode = "rls" if self.stp.model_kind == "lr" else "window"
@@ -271,7 +272,7 @@ class OnlineSTP:
                     "the recursive least-squares state"
                 )
             X, y = self._window.arrays()
-            self._ridge = OnlineRidge(lam=self.ridge_lam).fit(X, y)
+            self._ridge = OnlineRidge().fit(X, y)
             self.stp.revise(model=self._ridge)
 
     # ------------------------------------------------------- prediction
@@ -425,7 +426,7 @@ class OnlineSTP:
                 self.stp.revise(model=self._ridge)
             else:
                 self._since_refresh += 1
-                if self._since_refresh >= self.refresh_every:
+                if self._since_refresh >= REFRESH_EVERY:
                     self._refresh()
         if alarm:
             self.telemetry.drift_alarms += 1
@@ -437,7 +438,7 @@ class OnlineSTP:
         """Re-enter the learning period and refresh the model.
 
         The most recent distinct pairings (bounded by
-        ``relearn_pairs``) are re-swept — the simulator's equivalent
+        :data:`RELEARN_PAIRS`) are re-swept — the simulator's equivalent
         of the paper's learning-period profiling — and their sampled
         grid rows join the window; the observed descriptors extend the
         projection manifold so future queries for the drifted
@@ -445,8 +446,8 @@ class OnlineSTP:
         Any budget the recent pairs leave unspent stays open for
         first-sight sweeps (:meth:`observe_pair`).
         """
-        self._learning_budget = self.relearn_pairs
-        recent = list(self._recent.values())[-self.relearn_pairs :]
+        self._learning_budget = RELEARN_PAIRS
+        recent = list(self._recent.values())[-RELEARN_PAIRS:]
         for entry in recent:
             if self._learning_budget <= 0:
                 break
@@ -519,7 +520,7 @@ class OnlineSTP:
             return
         X, y = self._window.arrays()
         if self.mode == "rls":
-            self._ridge = OnlineRidge(lam=self.ridge_lam).fit(X, y)
+            self._ridge = OnlineRidge().fit(X, y)
             self.stp.revise(model=self._ridge)
         else:
             self.stp.revise(model=self._factory().fit(X, y))

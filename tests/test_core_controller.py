@@ -161,9 +161,9 @@ def test_nan_arrival_time_refused(pipeline):
 
 
 def test_each_application_classified_once(pipeline):
-    """A running job's class is remembered with its profile, not
+    """A running job's class is remembered in its descriptor, not
     re-derived in every partner-fill round; a cluster change forgets
-    both."""
+    the descriptors."""
     _, ctrl, cluster = _controller(pipeline, n_nodes=2)
     calls = []
     classify = ctrl.classifier.classify
@@ -184,7 +184,7 @@ def test_each_application_classified_once(pipeline):
     assert len(cluster.results) == 24
     assert len(calls) == len(instances)
     ctrl.on_cluster_change(1e6, [0, 1])
-    assert not ctrl._features_memo and not ctrl._class_memo
+    assert not ctrl._descriptor_memo
 
 
 @pytest.mark.hetero
@@ -211,9 +211,69 @@ def test_per_application_memos_stay_at_the_cap(pipeline, monkeypatch):
         return ctrl
 
     reference = run()
-    memos = ("_features_memo", "_class_memo", "_descriptor_memo", "_class_edp_memo")
+    memos = ("_descriptor_memo", "_class_edp_memo")
     assert all(len(getattr(reference, m)) > 5 for m in memos)
     monkeypatch.setattr(stp_module, "DECISION_MEMO_CAP", 5)
     capped = run()
     assert capped.decisions == reference.decisions
     assert [len(getattr(capped, m)) for m in memos] == [5] * len(memos)
+
+
+
+def test_profiling_across_a_cluster_change(pipeline, monkeypatch):
+    """Crash and recovery each drop the learning-period profiles.  A
+    queued application keeps the profile it was queued with, while a
+    running job and a new arrival are profiled again, once per
+    application; every profile is classified once.
+
+    Node 1's crash at 60 s finds cf and km queued.  Both are placed
+    without a profile; km is profiled again at 194 s only as a lone
+    running job, and cf not at all before the recovery at 350 s.  The
+    re-executed wc is profiled again as a running job.  After the
+    recovery, the wc, hmm and st arrivals are profiled (the second wc
+    hits the memo), and so is the running cf."""
+    import repro.core.controller as controller_module
+    from repro.faults import FaultEvent, FaultInjector, InjectionPlan
+
+    _, ctrl, cluster = _controller(pipeline, n_nodes=2)
+    profiled, classified = [], []
+    profile = controller_module.profile_features
+    classify = ctrl.classifier.classify
+
+    def counting_profile(instance, *args, **kwargs):
+        profiled.append((cluster.now, instance.code))
+        return profile(instance, *args, **kwargs)
+
+    def counting_classify(features):
+        classified.append(cluster.now)
+        return classify(features)
+
+    monkeypatch.setattr(controller_module, "profile_features", counting_profile)
+    ctrl.classifier = type(
+        "Counting", (), {"classify": staticmethod(counting_classify)}
+    )()
+    for code in ("svm", "st", "wc", "nb", "cf", "km"):
+        ctrl.submit(AppInstance(get_app(code), 1 * GB), arrival_time=0.0)
+    for t, code in ((400.0, "wc"), (450.0, "hmm"), (500.0, "wc"), (550.0, "st")):
+        ctrl.submit(AppInstance(get_app(code), 1 * GB), arrival_time=t)
+    crash, recovery = 60.0, 350.0
+    plan = InjectionPlan(
+        events=(
+            FaultEvent(crash, "node_crash", 1),
+            FaultEvent(recovery, "node_recover", 1),
+        )
+    )
+    FaultInjector(cluster, plan, controller=ctrl).install()
+    assert len(ctrl.run()) == 10
+    assert ctrl.relearn_count == 2
+
+    def phase(t):
+        return (t >= crash) + (t >= recovery)
+
+    by_phase = [[code for t, code in profiled if phase(t) == k] for k in range(3)]
+    assert by_phase == [
+        ["svm", "st", "wc", "nb", "cf", "km"],
+        ["wc", "km"],
+        ["wc", "cf", "hmm", "st"],
+    ]
+    assert [phase(t) for t in classified] == [phase(t) for t, _ in profiled]

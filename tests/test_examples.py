@@ -18,7 +18,6 @@ _FAST_EXAMPLES = [
     "quickstart.py",
     "colocation_study.py",
     "characterize_app.py",
-    "hdfs_job_anatomy.py",
     "iterative_analytics.py",
 ]
 

@@ -22,7 +22,6 @@ from repro.faults import (
 from repro.hdfs.filesystem import MiniHdfs
 from repro.mapreduce.engine import ClusterEngine
 from repro.mapreduce.job import JobSpec
-from repro.mapreduce.tasks import TaskJobRunner
 from repro.model.config import JobConfig
 from repro.utils.units import GB, GHZ, MB
 from repro.workloads.base import AppInstance
@@ -334,37 +333,6 @@ class TestNameNodeFailure:
         with pytest.raises(ValueError):
             hdfs.write_file("x", 256 * MB, 256 * MB, writer_node=1)
         assert hdfs.namenode.effective_replication() == 2
-
-
-# --------------------------------------------- task-level re-execution
-class TestTaskRunnerFaultHook:
-    def _setup(self):
-        hdfs = MiniHdfs(n_nodes=4, replication=2)
-        hdfs.write_file("in.dat", 1 * GB, 256 * MB)
-        return hdfs, get_app("wc")
-
-    def test_failed_attempts_retried_elsewhere(self):
-        hdfs, app = self._setup()
-        runner = TaskJobRunner(hdfs, n_workers=4)
-        healthy, healthy_counters, _ = runner.run(app, "in.dat")
-
-        hdfs2, _ = self._setup()
-        runner2 = TaskJobRunner(hdfs2, n_workers=4)
-        out, counters, attempts = runner2.run(
-            app, "in.dat", fault_hook=lambda task, attempt: task == 0 and attempt == 0
-        )
-        assert counters.failed_map_attempts == 1
-        assert counters.n_map_tasks == healthy_counters.n_map_tasks
-        failed = [a for a in attempts if not a.succeeded]
-        assert len(failed) == 1 and failed[0].task_id == 0
-        assert failed[0].n_records_out == 0
-        assert sorted(map(repr, out)) == sorted(map(repr, healthy))
-
-    def test_exhausted_attempts_fail_the_job(self):
-        hdfs, app = self._setup()
-        runner = TaskJobRunner(hdfs, n_workers=4, max_attempts=2)
-        with pytest.raises(RuntimeError, match="failed 2 attempts"):
-            runner.run(app, "in.dat", fault_hook=lambda task, attempt: True)
 
 
 # -------------------------------------------------------- determinism

@@ -11,33 +11,6 @@ def cache():
     return SharedCacheModel()
 
 
-def test_partition_proportional(cache):
-    shares = cache.partition([1.0, 3.0])
-    assert shares[0] == pytest.approx(0.25)
-    assert shares[1] == pytest.approx(0.75)
-    assert sum(shares) == pytest.approx(1.0)
-
-
-def test_partition_zero_pressure_gets_floor(cache):
-    shares = cache.partition([0.0, 1.0])
-    assert shares[0] > 0
-    assert sum(shares) == pytest.approx(1.0)
-
-
-def test_partition_all_zero_splits_evenly(cache):
-    shares = cache.partition([0.0, 0.0, 0.0])
-    assert shares == pytest.approx([1 / 3] * 3)
-
-
-def test_partition_empty(cache):
-    assert cache.partition([]) == []
-
-
-def test_partition_negative_rejected(cache):
-    with pytest.raises(ValueError):
-        cache.partition([-0.1, 1.0])
-
-
 def test_mpki_inflation_full_share_is_one(cache):
     assert float(cache.mpki_inflation(1.0, 0.5)) == pytest.approx(1.0)
 
@@ -61,20 +34,6 @@ def test_mpki_inflation_invalid_share(cache):
         cache.mpki_inflation(0.0, 0.5)
     with pytest.raises(ValueError):
         cache.mpki_inflation(1.5, 0.5)
-
-
-def test_allocate_end_to_end(cache):
-    allocs = cache.allocate([2.0, 2.0], [0.3, 0.6])
-    assert len(allocs) == 2
-    assert allocs[0].share_fraction == pytest.approx(0.5)
-    # Same share, higher alpha -> more inflation.
-    assert allocs[1].mpki_scale > allocs[0].mpki_scale
-    assert allocs[0].share_bytes == pytest.approx(cache.capacity_bytes / 2)
-
-
-def test_allocate_length_mismatch(cache):
-    with pytest.raises(ValueError):
-        cache.allocate([1.0], [0.2, 0.3])
 
 
 def test_constructor_validation():

@@ -46,12 +46,6 @@ def test_stall_fraction_bounds_and_monotonicity(core):
     assert np.all(f < 1.0)
 
 
-def test_compute_seconds_additive(core):
-    one = core.compute_seconds(1e9, 2.0 * GHZ, 1.0, 2.0)
-    two = core.compute_seconds(2e9, 2.0 * GHZ, 1.0, 2.0)
-    assert two == pytest.approx(2 * one)
-
-
 def test_broadcasting_over_frequency_grid(core):
     freqs = np.array([1.2, 1.6, 2.0, 2.4]) * GHZ
     spi = core.seconds_per_instruction(freqs, 1.0, 2.0)
@@ -62,8 +56,6 @@ def test_broadcasting_over_frequency_grid(core):
 def test_invalid_inputs(core):
     with pytest.raises(ValueError):
         core.seconds_per_instruction(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        core.compute_seconds(-5.0, 1 * GHZ, 1.0, 1.0)
     with pytest.raises(ValueError):
         CoreModel(mem_latency_s=-1e-9)
     with pytest.raises(ValueError):

@@ -1,9 +1,7 @@
-"""Disk model tests, including water-filling share properties."""
+"""Disk model tests: sequential efficiency and stream interleaving."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.hardware.disk import DiskModel
 from repro.utils.units import MB
@@ -38,96 +36,8 @@ def test_aggregate_bw_never_exceeds_peak(disk):
     assert float(disk.aggregate_bw(1, 10_000 * MB)) < disk.peak_bw
 
 
-def test_share_satisfies_small_demands_first(disk):
-    alloc = disk.share(np.array([1 * MB, 500 * MB]), 256 * MB)
-    assert alloc[0] == pytest.approx(1 * MB)
-    assert alloc[1] < 500 * MB  # capped at remaining capacity
-
-
-def test_share_zero_demand_gets_zero(disk):
-    alloc = disk.share(np.array([0.0, 50 * MB]), 256 * MB)
-    assert alloc[0] == 0.0
-    assert alloc[1] == pytest.approx(50 * MB)
-
-
-def test_share_rejects_2d(disk):
-    with pytest.raises(ValueError):
-        disk.share(np.zeros((2, 2)), 256 * MB)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    demands=st.lists(
-        st.floats(min_value=0, max_value=400 * MB, allow_nan=False),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_share_invariants(demands):
-    """Water-filling: never exceed demand, never exceed capacity, and
-    the allocation is work-conserving (either all demand met or the
-    capacity exhausted)."""
-    disk = DiskModel()
-    d = np.asarray(demands)
-    alloc = disk.share(d, 256 * MB)
-    assert np.all(alloc <= d + 1e-6)
-    k = int((d > 0).sum())
-    if k:
-        cap = float(disk.aggregate_bw(k, 256 * MB))
-        assert alloc.sum() <= cap + 1e-6
-        # Work conservation: leftover capacity implies all demands met.
-        if alloc.sum() < cap - 1e-3:
-            assert np.allclose(alloc, d)
-
-
-def test_utilization_bounds(disk):
-    assert disk.utilization([0.0], 256 * MB) == 0.0
-    assert disk.utilization([1e12], 256 * MB) == 1.0
-
-
 def test_constructor_validation():
     with pytest.raises(ValueError):
         DiskModel(peak_bw=0)
     with pytest.raises(ValueError):
         DiskModel(seek_penalty=1.5)
-
-
-def test_share_cursor_matches_pop_reference(disk):
-    """The index-cursor water-filling equals the legacy pop(0) loop.
-
-    The cursor rewrite must perform the same arithmetic in the same
-    order, so allocations are bit-identical, not just close.
-    """
-
-    def share_pop0(demands, extent):
-        d = np.asarray(demands, dtype=float)
-        active = d > 0
-        k = int(active.sum())
-        if k == 0:
-            return np.zeros_like(d)
-        capacity = float(disk.aggregate_bw(k, extent))
-        alloc = np.zeros_like(d)
-        remaining = capacity
-        todo = list(np.flatnonzero(active))
-        todo.sort(key=lambda i: d[i])
-        while todo:
-            fair = remaining / len(todo)
-            i = todo.pop(0)
-            if d[i] <= fair:
-                alloc[i] = d[i]
-                remaining -= d[i]
-            else:
-                alloc[i] = fair
-                for j in todo:
-                    alloc[j] = fair
-                break
-        return alloc
-
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        n = int(rng.integers(1, 12))
-        d = rng.uniform(0.0, 400 * MB, size=n)
-        d[rng.random(n) < 0.25] = 0.0
-        got = disk.share(d, 256 * MB)
-        want = share_pop0(d, 256 * MB)
-        assert np.array_equal(got, want)

@@ -1,48 +1,8 @@
-"""Memory-bandwidth fluid-sharing tests."""
+"""Memory-bandwidth model tests."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.memorybw import MemoryBandwidthModel
-from repro.utils.units import GB
-
-
-@pytest.fixture
-def mem():
-    return MemoryBandwidthModel(achievable_bw=10 * GB)
-
-
-def test_no_throttle_under_capacity(mem):
-    f = mem.throttle_factor([3 * GB, 4 * GB])
-    assert np.all(f == 1.0)
-
-
-def test_throttle_proportional_over_capacity(mem):
-    f = mem.throttle_factor([8 * GB, 12 * GB])
-    assert np.all(f == pytest.approx(0.5))
-
-
-def test_throttle_zero_demand(mem):
-    f = mem.throttle_factor([0.0, 0.0])
-    assert np.all(f == 1.0)
-
-
-def test_throttle_negative_rejected(mem):
-    with pytest.raises(ValueError):
-        mem.throttle_factor([-1.0])
-
-
-def test_throttle_batched_last_axis(mem):
-    demands = np.array([[4 * GB, 4 * GB], [8 * GB, 12 * GB]])
-    f = mem.throttle_factor(demands)
-    assert f.shape == demands.shape
-    assert np.all(f[0] == 1.0)
-    assert np.all(f[1] == pytest.approx(0.5))
-
-
-def test_utilization_capped_at_one(mem):
-    assert mem.utilization([20 * GB]) == pytest.approx(1.0)
-    assert mem.utilization([5 * GB]) == pytest.approx(0.5)
 
 
 def test_constructor_validation():

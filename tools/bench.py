@@ -245,7 +245,7 @@ def _op_profile_features():
     from repro.workloads.registry import ALL_APPS, get_app
 
     # ECoST's learning period (§5) as the controller runs it on a cold
-    # features memo: one profile of each of the 22 registry instances
+    # descriptor memo: one profile of each of the 22 registry instances
     # (11 applications at 1 and 5 GB), perf and dstat windows included.
     kinds = [
         AppInstance(get_app(code), size)
