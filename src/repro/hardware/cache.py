@@ -40,7 +40,10 @@ class SharedCacheModel:
     Parameters
     ----------
     capacity_bytes:
-        Total shared LLC capacity.
+        Total shared LLC capacity, recorded for reference: no simulated
+        number reads it.  The cost kernel's cache coupling uses only the
+        co-runners' pressures and miss-curve exponents, the cache
+        modules their cores share, and ``max_inflation``.
     max_inflation:
         Upper bound on the MPKI multiplier; real caches bottom out once
         the working set no longer fits at all.

@@ -16,10 +16,17 @@ Both presets share the same four studied DVFS frequencies (1.2, 1.6,
 2.0, 2.4 GHz) so any :class:`~repro.model.config.JobConfig` validates
 on any node — what differs is the voltage curve, core count,
 micro-architecture (out-of-order Xeon cores hide far more memory
-latency), cache and memory capacity, disk, and above all the power
-envelope: the Xeon draws roughly twice the Atom's wall power at idle
-and ~4x per busy core, reproducing the energy-vs-runtime trade the
-two cited papers measure.
+latency), memory capacity, disk, and above all the power envelope:
+the Xeon draws roughly twice the Atom's wall power at idle and ~4x per
+busy core, reproducing the energy-vs-runtime trade the two cited
+papers measure.
+
+The Xeon preset also records its 20 MB LLC, but that changes no
+simulated number: nothing reads
+:attr:`~repro.hardware.cache.SharedCacheModel.capacity_bytes`.  The
+cost kernel's cache coupling uses only the co-runners' cache
+pressures and miss-curve exponents, the cache modules their cores
+share, and ``max_inflation``, which is 3.0 on both presets.
 """
 
 from __future__ import annotations
@@ -46,9 +53,10 @@ XEON_DVFS_LEVELS: tuple[OperatingPoint, ...] = (
 )
 
 #: A dual-socket-era Xeon E5 node per arXiv:1408.2284's "big core"
-#: column: 16 out-of-order cores, 32 GB DDR3, a 20 MB shared LLC, a
-#: faster disk — and a power envelope that idles at roughly twice the
-#: Atom's whole-system draw with ~4x the per-core busy power.
+#: column: 16 out-of-order cores, 32 GB DDR3, a faster disk — and a
+#: power envelope that idles at roughly twice the Atom's whole-system
+#: draw with ~4x the per-core busy power.  Its 20 MB shared LLC is
+#: recorded for reference only (see the module docstring).
 XEON_E5 = NodeSpec(
     name="xeon-e5",
     n_cores=16,

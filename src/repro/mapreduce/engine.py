@@ -62,6 +62,7 @@ from repro.model.costmodel import (
 )
 from repro.telemetry.counters import EngineTelemetry
 from repro.telemetry.tracing import NULL_TRACER
+from repro.workloads.base import AppProfile
 
 
 # ------------------------------------------------------------- recorders
@@ -306,7 +307,8 @@ def make_recorder(mode: str):
 
 
 # --------------------------------------------------------- metrics cache
-#: One running job's identity inside a recontext key.
+#: One running job's identity inside a recontext key:
+#: ``(profile id, data bytes, frequency, block size, mappers)``.
 _JobKey = tuple
 
 #: A cache key: ("set", *identities) or ("job", identity, context).
@@ -330,6 +332,15 @@ class RecontextCache:
       members have still been seen under the same context before
       (this is the ``(profile, config, co-runner context)`` key).
 
+    A job's identity names its :class:`~repro.workloads.base.AppProfile`
+    by an integer the cache interns once per distinct profile
+    (:meth:`job_identity`, called at submit): equal profiles get equal
+    ids, so two keys are equal exactly when the profiles themselves
+    would be, and a lookup hashes a tuple of numbers instead of the
+    profile's fields.  The intern table belongs to the cache and lives
+    as long as it does (:meth:`clear` keeps it, so running jobs' keys
+    stay valid).
+
     Entries store an *echo* of their key next to the value: a slot
     whose echo disagrees with the lookup key (a poisoned or corrupted
     entry) is discarded and recomputed rather than trusted, and the
@@ -345,9 +356,20 @@ class RecontextCache:
         self._data: OrderedDict[RecontextKey, tuple[RecontextKey, object]] = (
             OrderedDict()
         )
+        self._profile_ids: dict[AppProfile, int] = {}
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def job_identity(self, spec: JobSpec) -> _JobKey:
+        """``spec``'s identity inside this cache's keys."""
+        profile = spec.instance.profile
+        ids = self._profile_ids
+        pid = ids.get(profile)
+        if pid is None:
+            pid = ids[profile] = len(ids)
+        cfg = spec.config
+        return (pid, spec.instance.data_bytes, cfg.frequency, cfg.block_size, cfg.n_mappers)
 
     def clear(self) -> None:
         self._data.clear()
@@ -374,21 +396,11 @@ class RecontextCache:
             self._data.popitem(last=False)
 
 
-def _running_key(r: "_Running") -> _JobKey:
-    spec = r.spec
-    cfg = spec.config
-    return (
-        spec.instance.profile,
-        spec.instance.data_bytes,
-        cfg.frequency,
-        cfg.block_size,
-        cfg.n_mappers,
-    )
-
-
 @dataclass
 class _Running:
     spec: JobSpec
+    #: The job's identity in recontext keys, built once at submit.
+    key: _JobKey
     start_time: float
     metrics: ScalarJobMetrics | None  # under the current context
     remaining: float  # remaining standalone seconds under current context
@@ -570,7 +582,7 @@ class NodeEngine:
         cache = self.cache
         telemetry = self.telemetry
         tag = self.class_tag
-        ids = tuple(_running_key(r) for r in running)
+        ids = tuple([r.key for r in running])
         set_key = ("set",) + ids if tag == 0 else ("set", tag) + ids
         metrics = cache.get(set_key)
         if metrics is not None:
@@ -665,7 +677,13 @@ class NodeEngine:
             )
         spec.config.validate_for(self.node)
         self.running.append(
-            _Running(spec=spec, start_time=t, metrics=None, remaining=0.0)
+            _Running(
+                spec=spec,
+                key=self.cache.job_identity(spec),
+                start_time=t,
+                metrics=None,
+                remaining=0.0,
+            )
         )
         self._recontext()
 

@@ -2,11 +2,14 @@
 
 A :class:`ServiceClient` keeps one persistent HTTP/1.1 connection on
 a plain socket with ``TCP_NODELAY``.  It sends each request in one
-``sendall`` and reads the reply's status line, its ``Content-Length``
-and ``Connection`` headers, and exactly the body.  The connection
-opens on the first request and stays open until :meth:`close` or
-until the server answers ``Connection: close``; the next request then
-opens a new one.
+``sendall`` and reads the reply with ``recv`` into one buffer: one
+call usually brings the whole reply.  Once the buffer holds the head
+(up to the first blank line) it parses it once, taking the status
+line, ``Content-Length`` and ``Connection``, and then reads exactly
+the body.  Bytes past the body stay buffered as the start of the next
+reply.  The connection opens on the first request and stays open
+until :meth:`close` or until the server answers ``Connection:
+close``; the next request then opens a new one.
 
 The server closes a connection that sits idle past its read deadline.
 A reused connection that closes before the first byte of the reply
@@ -16,8 +19,11 @@ reply the error is raised, so a POST is never applied twice.
 
 All methods return the decoded JSON payload.  Non-2xx responses raise
 :class:`ServiceClientError` carrying the server's error message; a
-malformed reply raises :class:`ServiceClientError` with status 0, and
-a refused, reset, closed or timed-out connection an :class:`OSError`.
+malformed reply (a bad status line, or a head line longer than
+:data:`_MAX_LINE` bytes with its line ending) raises
+:class:`ServiceClientError` with status 0, a reply without a valid
+``Content-Length`` one with the reply's status, and a refused, reset,
+closed or timed-out connection an :class:`OSError`.
 
 A client is one connection, so it must not be shared across threads:
 give each thread its own.
@@ -28,7 +34,8 @@ from __future__ import annotations
 import json
 import socket
 
-#: Longest status or header line read from the server.
+#: Longest status or header line read from the server, its line ending
+#: included.
 _MAX_LINE = 64 * 1024
 
 
@@ -51,14 +58,15 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self._sock: socket.socket | None = None
-        self._reader = None
+        #: Bytes received past the last reply: the start of the next.
+        self._rest = b""
 
     def close(self) -> None:
         """Close the connection; a later request opens a new one."""
         if self._sock is not None:
-            self._reader.close()
             self._sock.close()
-            self._sock = self._reader = None
+            self._sock = None
+            self._rest = b""
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -97,41 +105,68 @@ class ServiceClient:
         host = self.host.encode("ascii") if self.host.isascii() else self.host
         sock = socket.create_connection((host, self.port), timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock, self._reader = sock, sock.makefile("rb")
+        self._sock = sock
 
     def _exchange(self, data: bytes) -> tuple[int, bytes] | None:
         """Send one request on the open connection and read the reply:
         ``(status, body)``, or None when the connection closes before
-        the reply's first line.  Any failure closes the connection."""
+        the reply's first byte.  Any failure closes the connection."""
         try:
             try:
                 self._sock.sendall(data)
-                line = self._reader.readline(_MAX_LINE)
             except ConnectionError:
-                line = b""
-            if not line:
-                self.close()
-                return None
-            return self._read_reply(line)
+                reply = None
+            else:
+                reply = self._read_reply()
         except BaseException:
             self.close()
             raise
+        if reply is None:
+            self.close()
+        return reply
 
-    def _read_reply(self, status_line: bytes) -> tuple[int, bytes]:
-        reader = self._reader
+    def _read_reply(self) -> tuple[int, bytes] | None:
+        """Receive until the head is whole, parse it once, then take
+        exactly the body; None when the connection closes before the
+        reply's first byte."""
+        sock = self._sock
+        buf = self._rest
+        while True:
+            # The head ends at the first blank line after the status line.
+            first = buf.find(b"\n")
+            if first >= 0:
+                crlf = buf.find(b"\n\r\n", first)
+                lf = buf.find(b"\n\n", first, len(buf) if crlf < 0 else crlf + 1)
+                if lf >= 0:
+                    blank, body_at = lf + 1, lf + 2
+                    break
+                if crlf >= 0:
+                    blank, body_at = crlf + 1, crlf + 3
+                    break
+            if len(buf) - buf.rfind(b"\n") - 1 >= _MAX_LINE:
+                raise ServiceClientError(0, f"reply head line longer than {_MAX_LINE} bytes")
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionError:
+                if buf:
+                    raise
+                chunk = b""
+            if not chunk:
+                if not buf:
+                    return None
+                raise ConnectionError("connection closed inside the reply head")
+            buf += chunk
+        status_line, *lines, _ = buf[:blank].split(b"\n")
+        if max(map(len, (status_line, *lines))) >= _MAX_LINE:
+            raise ServiceClientError(0, f"reply head line longer than {_MAX_LINE} bytes")
         version, _, rest = status_line.partition(b" ")
         code = rest[:3]
         if not version.startswith(b"HTTP/") or not code.isdigit():
-            raise ServiceClientError(0, f"malformed status line: {status_line[:200]!r}")
+            raise ServiceClientError(0, f"malformed status line: {buf[:first + 1][:200]!r}")
         status = int(code)
         close = version == b"HTTP/1.0"
         length = None
-        while True:
-            line = reader.readline(_MAX_LINE)
-            if line in (b"\r\n", b"\n"):
-                break
-            if line[-1:] != b"\n":
-                raise ConnectionError("connection closed inside the reply head")
+        for line in lines:
             name, _, value = line.partition(b":")
             name = name.strip().lower()
             if name == b"content-length":
@@ -143,9 +178,20 @@ class ServiceClient:
                 close = b"close" in value.lower()
         if length is None:
             raise ServiceClientError(status, "reply has no Content-Length")
-        body = reader.read(length)
-        if len(body) < length:
-            raise ConnectionError("connection closed inside the reply body")
+        end = body_at + length
+        if len(buf) >= end:
+            body, self._rest = buf[body_at:end], buf[end:]
+        else:
+            whole = bytearray(length)
+            have = len(buf) - body_at
+            whole[:have] = buf[body_at:]
+            with memoryview(whole) as view:
+                while have < length:
+                    n = sock.recv_into(view[have:])
+                    if not n:
+                        raise ConnectionError("connection closed inside the reply body")
+                    have += n
+            body, self._rest = bytes(whole), b""
         if close:
             self.close()
         return status, body

@@ -38,6 +38,7 @@ layer exactly as in batch runs.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from typing import Callable
 
@@ -46,7 +47,7 @@ from repro.mapreduce.job import JobSpec
 from repro.service.admission import AdmissionController
 from repro.service.clock import make_clock
 from repro.service.config import ServiceConfig
-from repro.service.requests import JobRequest, RequestError, parse_request
+from repro.service.requests import RequestError, parse_request
 from repro.service.tenants import TenantRegistry
 from repro.telemetry.counters import ServiceTelemetry
 from repro.telemetry.registry import MetricsRegistry, service_registry
@@ -157,15 +158,8 @@ class ClusterService:
         if not self._auto_advance:
             # Wall mode: the service stamps arrivals itself, never
             # behind an engine a drain has run ahead of the wall clock.
-            req = JobRequest(
-                tenant=req.tenant,
-                time=max(self.clock.now(), self._last_arrival, self.cluster.now),
-                code=req.code,
-                data_bytes=req.data_bytes,
-                frequency=req.frequency,
-                block_size=req.block_size,
-                n_mappers=req.n_mappers,
-                job_id=req.job_id,
+            req = dataclasses.replace(
+                req, time=max(self.clock.now(), self._last_arrival, self.cluster.now)
             )
         t = req.time
         self._last_arrival = max(self._last_arrival, t)

@@ -53,34 +53,27 @@ class RequestError(ValueError):
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One validated submission request."""
+    """One validated submission request.
+
+    ``config`` is the knob triple :func:`parse_request` validated; the
+    spec :meth:`build_spec` returns carries that same object.
+    """
 
     tenant: str
     time: float
     code: str
     data_bytes: int
-    frequency: float
-    block_size: int
-    n_mappers: int
+    config: JobConfig
     job_id: int | None = None
 
     def build_spec(self) -> JobSpec:
         """The engine-side job this request describes."""
-        app = get_app(self.code)
-        config = JobConfig(
-            frequency=self.frequency,
-            block_size=self.block_size,
-            n_mappers=self.n_mappers,
-        )
+        instance = AppInstance(get_app(self.code), self.data_bytes)
         if self.job_id is None:
-            return JobSpec(
-                instance=AppInstance(app, self.data_bytes),
-                config=config,
-                submit_time=self.time,
-            )
+            return JobSpec(instance=instance, config=self.config, submit_time=self.time)
         return JobSpec(
-            instance=AppInstance(app, self.data_bytes),
-            config=config,
+            instance=instance,
+            config=self.config,
             submit_time=self.time,
             job_id=self.job_id,
         )
@@ -167,9 +160,7 @@ def parse_request(
         time=float(t),
         code=code,
         data_bytes=int(data_bytes),
-        frequency=config.frequency,
-        block_size=config.block_size,
-        n_mappers=config.n_mappers,
+        config=config,
         job_id=job_id,
     )
 

@@ -1,15 +1,23 @@
 """Asyncio HTTP front end over a :class:`ClusterService`.
 
-A deliberately small HTTP/1.1 implementation on raw asyncio streams —
-no third-party web framework, JSON in and JSON out.  Connections are
-persistent: one connection serves requests in turn, and the server
-closes it after a reply only when the client asked for that
-(``Connection: close``, or HTTP/1.0 without ``keep-alive``), when the
-request broke the framing, after ``/shutdown``, or when the server is
-stopping.  Every reply says which: ``Connection: keep-alive`` or
-``Connection: close``.  Enough protocol for the CLI client, ``curl``,
-and the test suite; the deterministic logic all lives in the
-transport-agnostic core.
+A deliberately small HTTP/1.1 implementation on :class:`asyncio.Protocol`
+— no third-party web framework, JSON in and JSON out.  Each connection
+is one protocol object.  It buffers the bytes as they arrive, checks
+each head line once as it completes, parses the header lines once the
+blank line ending the head is there, then waits for exactly
+``Content-Length`` body bytes, answers the request synchronously and
+writes the reply with one ``transport.write``.  Pipelined requests are
+answered in order.
+
+Connections are persistent: one connection serves requests in turn,
+and the server closes it after a reply only when the client asked for
+that (``Connection: close``, or HTTP/1.0 without ``keep-alive``), when
+the request broke the framing, after ``/shutdown``, or when the server
+is stopping.  Every reply says which: ``Connection: keep-alive`` or
+``Connection: close``.  :meth:`ServiceServer.stop` closes every open
+connection and waits until each is gone.  Enough protocol for the CLI
+client, ``curl``, and the test suite; the deterministic logic all
+lives in the transport-agnostic core.
 
 A malformed or stalled request ends in a named 4xx reply or a close,
 never a 500 or a hang:
@@ -17,9 +25,13 @@ never a 500 or a hang:
 * each request must arrive whole within :data:`READ_DEADLINE_S` of
   the server starting to wait for it.  A connection that sends no
   byte of a new request in that time is closed without a reply; a
-  partly sent request gets a 408.
+  partly sent request gets a 408.  One timer per connection keeps
+  the deadline: each reply stores the next request's deadline time,
+  and a timer that fires before that time re-arms itself for it.
 * a request line or header line longer than :data:`LINE_LIMIT`
-  bytes, or more than :data:`MAX_HEADERS` header lines, gets a 431;
+  bytes, or more than :data:`MAX_HEADERS` header lines, gets a 431
+  as soon as the bytes received show it, an unterminated line
+  included;
 * a ``Content-Length`` that is not a non-negative integer gets a 400,
   one over :data:`MAX_BODY_BYTES` a 413, and ``Transfer-Encoding`` a
   400.
@@ -28,6 +40,11 @@ Each of these errors closes the connection after the reply, because
 the request's framing is lost.  A body that is not JSON, or holds
 ``NaN``, an infinity or a number beyond the double range, gets a 400
 and keeps the connection.
+
+A client that sends requests faster than it reads the replies is held
+back: while the transport's write buffer is above its high-water mark
+the connection neither reads nor answers, and no read deadline runs;
+both resume once the buffer drains.
 
 Endpoints
 ---------
@@ -65,7 +82,7 @@ from repro.service.core import ClusterService
 
 #: Largest accepted request body (a 64 MiB batch is ~100k requests).
 MAX_BODY_BYTES = 64 * 1024 * 1024
-#: Longest request line or header line (the stream reader's limit).
+#: Longest request line or header line, in bytes before its newline.
 LINE_LIMIT = 64 * 1024
 #: Most header lines one request may carry.
 MAX_HEADERS = 100
@@ -93,69 +110,6 @@ class HttpError(Exception):
         self.message = message
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, bytes, bool] | None:
-    """Read one request: ``(method, path, body, keep_alive)``.
-
-    Returns None when the stream ends before the request's first byte.
-    Raises :class:`EOFError` when it ends partway through the request,
-    and :class:`HttpError` when the request breaks the framing.
-    """
-    try:
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        if request_line[-1:] != b"\n":
-            raise EOFError
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise HttpError(400, "malformed request line")
-        headers: dict[str, str] = {}
-        n_lines = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if line[-1:] != b"\n":
-                raise EOFError
-            n_lines += 1
-            if n_lines > MAX_HEADERS:
-                raise HttpError(431, f"more than {MAX_HEADERS} header lines")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-    except ValueError:  # StreamReader: a line longer than its limit
-        raise HttpError(
-            431, f"request line or header line longer than {LINE_LIMIT} bytes"
-        ) from None
-    if "transfer-encoding" in headers:
-        raise HttpError(400, "Transfer-Encoding is not supported; send Content-Length")
-    try:
-        length = int(headers.get("content-length", 0))
-    except ValueError:
-        length = -1
-    if length < 0:
-        raise HttpError(400, "bad Content-Length")
-    if length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    method, target, version = parts
-    connection = headers.get("connection", "").lower()
-    if version == b"HTTP/1.0":
-        keep_alive = "keep-alive" in connection
-    else:
-        keep_alive = "close" not in connection
-    path = target.split(b"?", 1)[0].decode("latin-1")
-    return method.decode("latin-1").upper(), path, body, keep_alive
-
-
-def _expire(reader: asyncio.StreamReader, transport: asyncio.Transport) -> None:
-    """The read deadline: stop reading and end the stream, so the
-    pending read returns what arrived — nothing, or part of a request."""
-    transport.pause_reading()
-    reader.feed_eof()
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if math.isinf(value):
@@ -173,19 +127,228 @@ def _refuse_constant(text: str):
     raise ValueError(f"{text} is not a JSON number")
 
 
+#: The request-body decoder, built once: ``json.loads`` with these
+#: hooks would build a new one per body.
+_DECODER = json.JSONDecoder(
+    parse_float=_finite_float,
+    parse_int=_bounded_int,
+    parse_constant=_refuse_constant,
+)
+
+
 def _json_body(body: bytes):
     """Decode a JSON body whose numbers are all finite doubles."""
     if not body:
         raise HttpError(400, "missing JSON body")
     try:
-        return json.loads(
-            body,
-            parse_float=_finite_float,
-            parse_int=_bounded_int,
-            parse_constant=_refuse_constant,
-        )
+        # What json.loads does with bytes, on the shared decoder.
+        return _DECODER.decode(body.decode(json.detect_encoding(body), "surrogatepass"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
         raise HttpError(400, f"invalid JSON body: {exc}") from None
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests out of its byte stream
+    and answers them in order, synchronously."""
+
+    def __init__(self, server: "ServiceServer") -> None:
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport | None = None
+        #: Done once the connection is lost; :meth:`ServiceServer.stop`
+        #: waits for it.
+        self.closed = self._loop.create_future()
+        self._buf = bytearray()
+        self._eof = False  # the client closed its side
+        self._paused = False  # write buffer above its high-water mark
+        #: Loop time by which the awaited request must be whole.
+        self._deadline = 0.0
+        self._timer: asyncio.TimerHandle | None = None
+        # Framing state of the request being read: the buffer offset of
+        # the next head line to check, the header lines checked so far,
+        # and, once the head is whole, (method, path, keep_alive, body
+        # offset, body length).
+        self._scan = 0
+        self._n_headers = 0
+        self._head: tuple | None = None
+
+    # ----------------------------------------------------------- transport
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._server._connections.add(self)
+        if self._server._stop.is_set():
+            transport.close()
+        else:
+            self._await_request()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve()
+        return True  # stay open for the replies still due; _serve closes
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        if not self._eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self.transport.is_closing():
+            return
+        if not self._eof:
+            self.transport.resume_reading()
+        self._await_request()
+        self._serve()
+
+    # ------------------------------------------------------------ deadline
+    def _await_request(self) -> None:
+        """Start the read deadline of the next request."""
+        deadline = self._deadline = self._loop.time() + READ_DEADLINE_S
+        timer = self._timer
+        if timer is None or timer.when() > deadline:
+            if timer is not None:
+                timer.cancel()
+            self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        self._timer = None
+        if self._paused or self.transport.is_closing():
+            return  # not waiting for a request: resume_writing re-arms
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+        elif self._buf:
+            self._reply(
+                408,
+                {"ok": False, "error": f"request not received whole within {READ_DEADLINE_S} s"},
+                False,
+            )
+        else:
+            self.transport.close()
+
+    # ------------------------------------------------------------- serving
+    def _serve(self) -> None:
+        """Answer every whole request in the buffer, in order; after the
+        client's EOF, close once none is left."""
+        transport = self.transport
+        while self._buf and not (self._paused or transport.is_closing()):
+            try:
+                request = self._frame()
+            except HttpError as exc:
+                self._reply(exc.status, {"ok": False, "error": exc.message}, False)
+                return
+            if request is None:
+                break
+            method, path, body, keep_alive = request
+            try:
+                status, payload = self._server._route(method, path, body)
+            except HttpError as exc:
+                status, payload = exc.status, {"ok": False, "error": exc.message}
+            except Exception as exc:  # pragma: no cover - defensive
+                status, payload = 500, {"ok": False, "error": repr(exc)}
+            self._reply(status, payload, keep_alive)
+        if self._eof and not (self._paused or transport.is_closing()):
+            transport.close()  # a partial request gets no reply
+
+    def _frame(self) -> tuple[str, str, bytes, bool] | None:
+        """Take the next whole request off the buffer as ``(method,
+        path, body, keep_alive)``, or None while it is incomplete.
+
+        Raises :class:`HttpError` as soon as the bytes so far break the
+        framing.  Each head line is checked once, in order, however the
+        bytes were split; the header lines are parsed once the head is
+        whole.
+        """
+        buf = self._buf
+        head = self._head
+        if head is None:
+            pos = self._scan
+            n_headers = self._n_headers
+            while True:
+                nl = buf.find(b"\n", pos)
+                if (len(buf) if nl < 0 else nl) - pos > LINE_LIMIT:
+                    raise HttpError(
+                        431, f"request line or header line longer than {LINE_LIMIT} bytes"
+                    )
+                if nl < 0:
+                    self._scan, self._n_headers = pos, n_headers
+                    return None
+                if pos == 0:  # the request line
+                    if len(buf[:nl].split()) != 3:
+                        raise HttpError(400, "malformed request line")
+                elif nl - pos < 2 and (nl == pos or buf[pos] == 13):  # b"\r"
+                    break  # the blank line ending the head
+                else:
+                    n_headers += 1
+                    if n_headers > MAX_HEADERS:
+                        raise HttpError(431, f"more than {MAX_HEADERS} header lines")
+                pos = nl + 1
+            first = buf.find(b"\n")
+            method, target, version = buf[:first].split()
+            headers: dict[str, str] = {}
+            if n_headers:
+                for line in buf[first + 1:pos - 1].decode("latin-1").split("\n"):
+                    name, _, value = line.partition(":")
+                    headers[name.strip().lower()] = value.strip()
+            if "transfer-encoding" in headers:
+                raise HttpError(400, "Transfer-Encoding is not supported; send Content-Length")
+            try:
+                length = int(headers.get("content-length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise HttpError(400, "bad Content-Length")
+            if length > MAX_BODY_BYTES:
+                raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            connection = headers.get("connection", "").lower()
+            if version == b"HTTP/1.0":
+                keep_alive = "keep-alive" in connection
+            else:
+                keep_alive = "close" not in connection
+            head = self._head = (
+                method.decode("latin-1").upper(),
+                target.split(b"?", 1)[0].decode("latin-1"),
+                keep_alive,
+                nl + 1,
+                length,
+            )
+        method, path, keep_alive, body_at, length = head
+        end = body_at + length
+        if len(buf) < end:
+            return None
+        body = bytes(buf[body_at:end])
+        del buf[:end]
+        self._scan = self._n_headers = 0
+        self._head = None
+        return method, path, body, keep_alive
+
+    def _reply(self, status: int, payload, keep_alive: bool) -> None:
+        """Write one reply; then await the next request, or close."""
+        keep_alive = keep_alive and not self._server._stop.is_set()
+        data = json.dumps(payload).encode()
+        self.transport.write(
+            (
+                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+            ).encode("latin-1")
+            + data
+        )
+        if keep_alive:
+            self._await_request()
+        else:
+            self.transport.close()
 
 
 class ServiceServer:
@@ -204,8 +367,8 @@ class ServiceServer:
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
         self._pump_task: asyncio.Task | None = None
-        #: Open connections and the task serving each.
-        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Open connections.
+        self._connections: set[_Connection] = set()
 
     # ---------------------------------------------------------- lifecycle
     @property
@@ -215,8 +378,9 @@ class ServiceServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "ServiceServer":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port, limit=LINE_LIMIT
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         if self.config.clock == "wall":
             self._pump_task = asyncio.ensure_future(self._pump_loop())
@@ -239,7 +403,7 @@ class ServiceServer:
 
     async def stop(self) -> None:
         """Stop listening, close every open connection and wait until
-        the handlers serving them have finished."""
+        each is gone."""
         self._stop.set()
         if self._pump_task is not None:
             self._pump_task.cancel()
@@ -248,10 +412,11 @@ class ServiceServer:
             self._server.close()
             # Since Python 3.12 wait_closed() also waits for every open
             # connection, so an idle kept-alive one would block it.
-            for writer in self._connections:
-                writer.transport.abort()
-            if self._connections:
-                await asyncio.wait(list(self._connections.values()))
+            connections = list(self._connections)
+            for connection in connections:
+                connection.transport.abort()
+            if connections:
+                await asyncio.wait([c.closed for c in connections])
             await self._server.wait_closed()
             self._server = None
 
@@ -294,67 +459,6 @@ class ServiceServer:
                 return 200, {"ok": True, "stopping": True}
             raise HttpError(404, f"no such endpoint: POST {path}")
         raise HttpError(405, f"method {method} not supported")
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve requests on one connection until it is to be closed."""
-        loop = asyncio.get_running_loop()
-        transport = writer.transport
-        self._connections[writer] = asyncio.current_task()
-        try:
-            keep_alive = True
-            while keep_alive and not self._stop.is_set():
-                # Stays False unless a whole request is read: an error
-                # raised while reading it means the framing is lost.
-                keep_alive = False
-                deadline = loop.call_later(READ_DEADLINE_S, _expire, reader, transport)
-                try:
-                    request = await _read_request(reader)
-                    if request is None:
-                        return
-                    method, path, body, keep_alive = request
-                    status, payload = self._route(method, path, body)
-                except HttpError as exc:
-                    status, payload = exc.status, {"ok": False, "error": exc.message}
-                except EOFError:
-                    # The stream ended partway through a request.  The
-                    # deadline pauses the transport before it ends the
-                    # stream; a client that closed its side leaves it
-                    # reading, and gets no reply.
-                    if transport.is_reading():
-                        return
-                    status, payload = 408, {
-                        "ok": False,
-                        "error": f"request not received whole within {READ_DEADLINE_S} s",
-                    }
-                except ConnectionError:
-                    return
-                except Exception as exc:  # pragma: no cover - defensive
-                    status, payload = 500, {"ok": False, "error": repr(exc)}
-                finally:
-                    deadline.cancel()
-                keep_alive = keep_alive and not self._stop.is_set()
-                data = json.dumps(payload).encode()
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"Content-Length: {len(data)}\r\n"
-                        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
-                    ).encode("latin-1")
-                    + data
-                )
-                await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            del self._connections[writer]
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
 
 
 async def serve_async(config: ServiceConfig | None = None) -> None:

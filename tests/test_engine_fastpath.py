@@ -9,6 +9,10 @@ scheduler against a reference implementation of the original
 quadratic loop.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.mapreduce.engine import (
@@ -21,7 +25,7 @@ from repro.mapreduce.engine import (
 from repro.mapreduce.job import JobSpec
 from repro.model.config import JobConfig
 from repro.utils.units import GB, GHZ, MB
-from repro.workloads.base import AppInstance
+from repro.workloads.base import AppInstance, AppProfile, Application
 from repro.workloads.registry import get_app
 from repro.workloads.streams import poisson_job_stream
 
@@ -141,6 +145,79 @@ class TestCachePoisoning:
         assert cache.telemetry.recontext_rejects > 0
         assert replay.makespan == clean.makespan
         assert replay.total_energy() == clean.total_energy()
+
+
+class TestRecontextKeys:
+    def test_a_hit_hashes_no_profile(self, monkeypatch):
+        """A running job's key names its profile by an id the cache
+        interned at submit, so a recontext that hits the cache never
+        walks an AppProfile's fields to hash it."""
+        cache = RecontextCache()
+        warm = NodeEngine(cache=cache)
+        warm.submit(_spec(m=2))
+        warm.submit(_spec("st", m=2))
+        warm.run_to_completion()
+        e = NodeEngine(cache=cache)
+        e.submit(_spec(m=2))
+        e.submit(_spec("st", m=2))
+        hashed = []
+        original = AppProfile.__hash__
+
+        def counting_hash(profile):
+            hashed.append(profile)
+            return original(profile)
+
+        monkeypatch.setattr(AppProfile, "__hash__", counting_hash)
+        hits = cache.telemetry.recontext_hits
+        e.run_to_completion()  # the first completion recontexts the other job
+        assert cache.telemetry.recontext_hits > hits
+        assert hashed == []
+
+    def test_equal_profiles_share_entries(self):
+        """Distinct but equal profile objects get one id, so they share
+        cache entries exactly as equal profiles always did."""
+        base = get_app("wc").profile
+        app = Application()
+        app.profile = dataclasses.replace(base)
+        assert app.profile is not base and app.profile == base
+        cache = RecontextCache()
+        NodeEngine(cache=cache).submit(_spec(m=2))
+        copy = NodeEngine(cache=cache)
+        copy.submit(
+            JobSpec(
+                instance=AppInstance(app, 1 * GB),
+                config=JobConfig(frequency=2.4 * GHZ, block_size=128 * MB, n_mappers=2),
+            )
+        )
+        assert cache.telemetry.recontext_hits == 1
+
+    def test_no_profile_outlives_its_engine(self):
+        """The profile ids live in the engine's own cache: once an
+        engine that saw 10k distinct profiles is gone, nothing at module
+        level keeps any of them alive."""
+        refs = _run_distinct_profiles(10_000)
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0
+
+
+def _run_distinct_profiles(n: int) -> list[weakref.ref]:
+    """Run ``n`` jobs, each with its own profile, through one engine and
+    return weak references to the profiles."""
+    base = get_app("wc").profile
+    config = JobConfig(frequency=2.4 * GHZ, block_size=128 * MB, n_mappers=2)
+    engine = NodeEngine(recorder="off")
+    refs = []
+    for i in range(n):
+        app = Application()
+        app.profile = dataclasses.replace(
+            base, instructions_per_byte=base.instructions_per_byte * (1.0 + i * 1e-6)
+        )
+        refs.append(weakref.ref(app.profile))
+        engine.submit(JobSpec(instance=AppInstance(app, 1 * GB), config=config))
+        engine.run_to_completion()
+    assert len(engine.finished) == n
+    assert engine.telemetry.kernel_evals == n  # every profile was a miss
+    return refs
 
 
 # ------------------------------------------------------------ event core

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.mapreduce.engine import ClusterEngine
+from repro.model.config import JobConfig
 from repro.service import (
     ClusterService,
     REJECT_QUEUE_DEPTH,
@@ -246,6 +247,29 @@ class TestParseRequest:
     def test_malformed_payloads(self, payload, match):
         with pytest.raises(RequestError, match=match):
             parse_request(payload, default_time=0.0)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"code": "wc", "data_bytes": 10**9},
+            {"code": "st", "data_bytes": 10**9, "frequency": 1.2e9, "n_mappers": 3},
+        ],
+        ids=["tuned", "explicit"],
+    )
+    def test_spec_carries_the_validated_config(self, monkeypatch, payload):
+        """One JobConfig per request: the spec's config is the object
+        parse_request validated, not a rebuilt copy."""
+        validated = []
+        original = JobConfig.validate_for
+
+        def recording(config, node):
+            validated.append(config)
+            return original(config, node)
+
+        monkeypatch.setattr(JobConfig, "validate_for", recording)
+        spec = parse_request(payload, default_time=0.0).build_spec()
+        assert len(validated) == 1
+        assert spec.config is validated[0]
 
     def test_time_required_without_default(self):
         with pytest.raises(RequestError, match="'time'"):

@@ -304,6 +304,11 @@ def _statuses(replies) -> list[tuple[int, str]]:
 
 
 _SUBMIT = {"code": "wc", "data_bytes": 10**9, "time": 0.0}
+_VALID_BODY = json.dumps(_SUBMIT).encode()
+_VALID_REQUEST = (
+    b"POST /submit HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\n\r\n%s" % (len(_VALID_BODY), _VALID_BODY)
+)
 
 
 # --------------------------------------------- persistent connections
@@ -421,6 +426,117 @@ def test_stop_returns_promptly_with_an_idle_connection():
     loop.close()
 
 
+# ---------------------------------------------------- request framing
+def test_pipelined_requests_in_one_write_get_replies_in_order(server):
+    data = _VALID_REQUEST + b"GET /status HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n"
+    replies = _raw_session(server.port, data)
+    assert _statuses(replies) == [(200, "keep-alive")] * 3
+    assert replies[0][2]["accepted"] is True
+    assert replies[1][2]["requests"] == 1  # the submit before it was read whole
+    assert replies[2][2] == {"ok": True}
+
+
+def test_request_sent_byte_by_byte_gets_one_reply(server):
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(_VALID_REQUEST)):
+            sock.sendall(_VALID_REQUEST[i:i + 1])
+            time.sleep(0.001)
+        sock.shutdown(socket.SHUT_WR)
+        replies = []
+        stream = sock.makefile("rb")
+        while (reply := _read_reply(stream)) is not None:
+            replies.append(reply)
+    assert _statuses(replies) == [(200, "keep-alive")]
+    assert replies[0][2]["accepted"] is True
+
+
+@pytest.mark.parametrize(
+    "head",
+    [b"GET /", b"GET /healthz HTTP/1.1\r\nX-Big: "],
+    ids=["request-line", "header-line"],
+)
+def test_unterminated_line_gets_431_as_it_passes_the_limit(server, monkeypatch, head):
+    """No newline ever comes: a line of LINE_LIMIT bytes waits for more
+    (and meets the read deadline), one byte more is refused at once."""
+    line_start = head.rfind(b"\n") + 1
+    at_limit = head + b"a" * (server_module.LINE_LIMIT - (len(head) - line_start))
+    monkeypatch.setattr(server_module, "READ_DEADLINE_S", 1.0)
+    t0 = time.monotonic()
+    replies = _raw_session(server.port, at_limit + b"a", half_close=False)
+    assert _statuses(replies) == [(431, "close")]
+    assert time.monotonic() - t0 < 0.9  # before the read deadline
+    assert _statuses(_raw_session(server.port, at_limit, half_close=False)) == [(408, "close")]
+
+
+def _only_connection(server) -> "asyncio.Transport":
+    """The server-side transport of the one open connection."""
+    deadline = time.monotonic() + 5
+    while len(server.server._connections) != 1:
+        assert time.monotonic() < deadline, "no connection registered"
+        time.sleep(0.01)
+    return next(iter(server.server._connections)).transport
+
+
+def test_client_that_stops_reading_is_held_at_the_high_water_mark(server):
+    """Pipelined requests whose replies go unread: once the write buffer
+    passes its high-water mark the server stops reading and answering,
+    so its buffer stays bounded however much is pipelined.  When the
+    client reads again, every request gets its reply, in order."""
+    request = b"GET /metrics HTTP/1.1\r\n\r\n"
+    n_requests = 2000  # about 1.4 MB of replies
+    with socket.socket() as sock:
+        sock.settimeout(10)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        transport = _only_connection(server)
+        # Small kernel buffers, so that the transport's own buffer fills.
+        transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 16384
+        )
+        sock.sendall(request * n_requests)
+        deadline = time.monotonic() + 10
+        while transport.is_reading():
+            assert time.monotonic() < deadline, "the server kept reading"
+            time.sleep(0.01)
+        assert not transport.is_closing()
+        _low, high = transport.get_write_buffer_limits()
+        bound = high + 64 * 1024  # the high-water mark plus one reply
+        assert 0 < transport.get_write_buffer_size() <= bound
+        time.sleep(0.3)  # the client still reads nothing
+        assert transport.get_write_buffer_size() <= bound
+        sock.shutdown(socket.SHUT_WR)
+        stream = sock.makefile("rb")
+        replies = []
+        while (reply := _read_reply(stream)) is not None:
+            replies.append(reply)
+    assert len(replies) == n_requests
+    assert {(status, headers["connection"]) for status, headers, _body in replies} == {
+        (200, "keep-alive")
+    }
+    assert server.client.healthz() == {"ok": True}
+
+
+def test_read_deadline_counts_from_the_last_reply(server, monkeypatch):
+    """One timer per connection: a request just before the first
+    deadline moves the next one, the timer that fires early re-arms
+    instead of closing, and a partial request then gets its 408."""
+    monkeypatch.setattr(server_module, "READ_DEADLINE_S", 1.0)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        stream = sock.makefile("rb")
+        time.sleep(0.6)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        status, headers, _body = _read_reply(stream)
+        assert (status, headers["connection"]) == (200, "keep-alive")
+        time.sleep(0.6)  # past the first timer, before the moved deadline
+        t0 = time.monotonic()
+        sock.sendall(b"GET /heal")
+        status, headers, _body = _read_reply(stream)
+        assert (status, headers["connection"]) == (408, "close")
+        assert 0.1 < time.monotonic() - t0 < 1.0
+        assert _read_reply(stream) is None
+
+
 # ------------------------------------------------------ hostile bytes
 @pytest.mark.parametrize(
     "head, status",
@@ -467,13 +583,6 @@ def test_idle_connection_is_closed_at_the_deadline(server, monkeypatch):
     assert _raw_session(server.port, b"", half_close=False) == []
     replies = _raw_session(server.port, b"GET /healthz HTTP/1.1\r\n\r\n", half_close=False)
     assert _statuses(replies) == [(200, "keep-alive")]
-
-
-_VALID_BODY = json.dumps(_SUBMIT).encode()
-_VALID_REQUEST = (
-    b"POST /submit HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
-    b"Content-Length: %d\r\n\r\n%s" % (len(_VALID_BODY), _VALID_BODY)
-)
 
 
 def _hostile_bytes(pick) -> tuple[bytes, bool]:
@@ -533,6 +642,104 @@ def test_any_request_bytes_get_a_named_reply_or_a_clean_close(server, monkeypatc
 
 
 # --------------------------------------------------------------- client
+def _scripted_server(*connections):
+    """A listener that accepts one connection per script in turn and
+    answers each request it reads with the script's next list of
+    chunks: bytes to send, or a float of seconds to pause."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        for script in connections:
+            conn, _ = listener.accept()
+            with conn:
+                for chunks in script:
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(65536)
+                    for chunk in chunks:
+                        if isinstance(chunk, float):
+                            time.sleep(chunk)
+                        else:
+                            conn.sendall(chunk)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+def _reply_bytes(body: bytes, *headers: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n%s\r\n%s" % (
+        len(body), b"".join(h + b"\r\n" for h in headers), body
+    )
+
+
+def test_client_reads_a_reply_that_arrives_in_pieces():
+    reply = _reply_bytes(b'{"ok": true}')
+    pieces = [reply[:20], 0.05, reply[20:-7], 0.05, reply[-7:-3], 0.05, reply[-3:]]
+    listener, thread = _scripted_server([pieces])
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        assert client.healthz() == {"ok": True}
+    thread.join(5)
+
+
+def test_client_reads_a_head_with_bare_newlines():
+    listener, thread = _scripted_server([[b'HTTP/1.1 200 OK\nContent-Length: 12\n\n{"ok": true}']])
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        assert client.healthz() == {"ok": True}
+    thread.join(5)
+
+
+def test_client_reads_a_body_larger_than_one_recv():
+    payload = list(range(200_000))  # about 1.3 MB of JSON
+    listener, thread = _scripted_server([[_reply_bytes(json.dumps(payload).encode())]])
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        assert client.healthz() == payload
+    thread.join(5)
+
+
+def test_client_honours_connection_close():
+    ok = b'{"ok": true}'
+    listener, thread = _scripted_server(
+        [[_reply_bytes(ok, b"Connection: close")]], [[_reply_bytes(ok)]]
+    )
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        assert client.healthz() == {"ok": True}
+        assert client._sock is None  # closed after the reply
+        assert client.healthz() == {"ok": True}  # on a second connection
+        assert client._sock is not None
+    thread.join(5)
+
+
+def test_client_keeps_bytes_past_the_body_for_the_next_reply():
+    listener, thread = _scripted_server(
+        [[_reply_bytes(b'{"n": 1}') + _reply_bytes(b'{"n": 2}')], []]
+    )
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        assert client.healthz() == {"n": 1}
+        assert client.healthz() == {"n": 2}
+    thread.join(5)
+
+
+@pytest.mark.parametrize(
+    "reply, status, match",
+    [
+        (b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\n{}", 200, "no Content-Length"),
+        (b"HTTP/1.1 503 Busy\r\nContent-Length: x\r\n\r\n", 503, "bad Content-Length"),
+        (b"HTTQ/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", 0, "malformed status line"),
+        (b"HTTP/1.1 200 OK\r\nX: " + b"a" * 70_000 + b"\r\n\r\n", 0, "head line"),
+    ],
+    ids=["no-length", "bad-length", "bad-status-line", "long-head-line"],
+)
+def test_client_refuses_a_malformed_reply(reply, status, match):
+    listener, thread = _scripted_server([[reply]])
+    with listener, ServiceClient(port=listener.getsockname()[1], timeout=5) as client:
+        with pytest.raises(ServiceClientError, match=match) as err:
+            client.healthz()
+        assert err.value.status == status
+        assert client._sock is None
+    thread.join(5)
+
+
 @pytest.mark.parametrize(
     "second_reply, error",
     [(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{", ConnectionError), (None, TimeoutError)],
