@@ -38,6 +38,7 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.reptree import REPTree
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig, pair_config_grid
+from repro.parallel.executor import sweep_pairs_sampled, sweep_solos
 from repro.telemetry.profiling import REDUCED_FEATURE_NAMES, profile_features, reduced_vector
 from repro.analysis.features import PROFILING_CONFIG
 from repro.utils.rng import SeedLike, rng_from
@@ -301,7 +302,6 @@ def build_offline(
     constants: SimConstants = DEFAULT_CONSTANTS,
     rows_per_pair: int = 400,
     seed: SeedLike = 0,
-    executor: "SweepExecutor | None" = None,
     descriptors: Sequence[AppDescriptor] | None = None,
 ) -> tuple[ConfigDatabase, TrainingDataset]:
     """The configuration database and the MLM-STP rows from one sweep
@@ -311,19 +311,16 @@ def build_offline(
     replacement — always including the optimum, so models can learn
     where the minimum lives.  The grid indices are drawn up front, one
     set per pair in :func:`training_pairs` order, from one generator
-    seeded with ``seed``; the task that sweeps a pair (inline, or in a
-    pool worker of ``executor``, by default a fresh ``SweepExecutor``
-    honouring ``REPRO_WORKERS``) keeps only the optimum and the rows at
-    those indices, so at most one full sweep is alive at a time per
-    process and the result is the same serial or pooled.
+    seeded with ``seed``; each pair's sweep is reduced to its optimum
+    and the rows at those indices before the next pair is swept
+    (:func:`~repro.parallel.executor.sweep_pairs_sampled`), so at most
+    one full sweep is alive at a time.
 
     ``descriptors``, one per instance in order, are the instances'
     :func:`describe_instance` profiles under the same ``node``,
     ``constants`` and ``seed``, for a caller that already has them;
     by default each instance is profiled here.
     """
-    from repro.parallel import SweepExecutor
-
     rng = rng_from(seed)
     if descriptors is None:
         descriptors = [
@@ -335,8 +332,7 @@ def build_offline(
     n = len(pair_config_grid(node)[0])
     take = min(rows_per_pair, n)
     indices = [rng.choice(n, size=take, replace=False) for _ in pairs]
-    exec_ = executor if executor is not None else SweepExecutor()
-    swept = exec_.sweep_pairs_sampled(pairs, indices, node=node, constants=constants)
+    swept = sweep_pairs_sampled(pairs, indices, node=node, constants=constants)
     X = np.empty((len(pairs) * take, N_MODEL_FEATURES))
     y = np.empty(len(pairs) * take)
     codes = []
@@ -720,24 +716,15 @@ class SoloSTP:
         self,
         instances: Sequence[AppInstance],
         features: np.ndarray,
-        *,
-        executor: "SweepExecutor | None" = None,
     ) -> "SoloSTP":
         """Train on log-EDP of the full 160-point solo sweeps.
 
         ``features[i]`` is instance ``i``'s reduced feature vector, its
         descriptor's :meth:`~AppDescriptor.reduced` (the offline stage
         keeps them as :attr:`TrainingDataset.train_features`); they are
-        also the projection manifold.  The per-instance sweeps fan out
-        through ``executor`` (default: a fresh ``SweepExecutor``
-        honouring ``REPRO_WORKERS``).
+        also the projection manifold.
         """
-        from repro.parallel import SweepExecutor
-
-        exec_ = executor if executor is not None else SweepExecutor()
-        solo_sweeps = exec_.sweep_solos(
-            instances, node=self.node, constants=self.constants
-        )
+        solo_sweeps = sweep_solos(instances, node=self.node, constants=self.constants)
         feats = np.vstack(features)
         X = np.vstack(
             [

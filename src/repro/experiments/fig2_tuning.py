@@ -24,6 +24,7 @@ from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.costmodel import standalone_metrics
 from repro.utils.tables import render_series
 from repro.utils.units import GB, GHZ, MB
+from repro.workloads.base import AppProfile
 from repro.workloads.registry import get_app
 
 BASELINE_BLOCK = 64 * MB
@@ -66,10 +67,15 @@ class Fig2Report:
         )
 
 
-def _mapper_point(task) -> tuple[float, float, float]:
+def _mapper_point(
+    profile: AppProfile,
+    data_bytes: int,
+    m: int,
+    node: NodeSpec,
+    constants: SimConstants,
+) -> tuple[float, float, float]:
     """(block-only, freq-only, concurrent) improvements at one mapper
-    count — module-level so the sweep executor can fan it out."""
-    profile, data_bytes, m, node, constants = task
+    count."""
     freqs = np.asarray(node.frequencies)
     blocks = np.asarray(HDFS_BLOCK_SIZES, dtype=float)
 
@@ -105,22 +111,11 @@ def run_fig2(
     data_bytes: int = 10 * GB,
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
-    executor: "SweepExecutor | None" = None,
 ) -> Fig2Report:
-    """Sweep the knobs at every mapper count for one application.
-
-    The per-mapper-count grid evaluations are independent and fan out
-    through ``executor`` (honouring ``REPRO_WORKERS`` when omitted).
-    """
-    from repro.parallel import SweepExecutor
-
+    """Sweep the knobs at every mapper count for one application."""
     profile = get_app(app_code).profile
     mappers = tuple(range(1, node.n_cores + 1))
-    exec_ = executor if executor is not None else SweepExecutor()
-    points = exec_.map(
-        _mapper_point,
-        [(profile, data_bytes, m, node, constants) for m in mappers],
-    )
+    points = [_mapper_point(profile, data_bytes, m, node, constants) for m in mappers]
     block_only = [p[0] for p in points]
     freq_only = [p[1] for p in points]
     concurrent = [p[2] for p in points]

@@ -81,18 +81,6 @@ class Fig9Report:
         return "\n\n".join(blocks)
 
 
-def _scenario_cell(task) -> dict[str, PolicyOutcome]:
-    """All policies for one (scenario workload, cluster size) cell —
-    module-level so the sweep executor can fan it out."""
-    workload, n, node, constants, comp = task
-    return {
-        policy: evaluate_policy(
-            policy, workload, n, node=node, constants=constants, components=comp
-        )
-        for policy in POLICIES
-    }
-
-
 def run_fig9(
     *,
     scenarios: Sequence[str] | None = None,
@@ -102,18 +90,13 @@ def run_fig9(
     model_kind: str = "mlp",
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
-    executor: "SweepExecutor | None" = None,
 ) -> Fig9Report:
     """Evaluate every policy × scenario × cluster size.
 
     ECoST's self-tuning backend defaults to the MLP model (the most
     accurate STP; the REPTree variant is exercised by the ablation
-    benchmark).  The (scenario, cluster-size) cells are independent
-    and fan out through ``executor`` (honouring ``REPRO_WORKERS`` when
-    omitted); the fitted components are pickled once per cell.
+    benchmark).
     """
-    from repro.parallel import SweepExecutor
-
     names = tuple(scenarios) if scenarios is not None else tuple(WORKLOAD_SCENARIOS)
     if components is None:
         components = train_pipeline().components(model_kind)
@@ -122,15 +105,12 @@ def run_fig9(
         for ws in names
         for n in node_counts
     ]
-    exec_ = executor if executor is not None else SweepExecutor()
-    results = exec_.map(
-        _scenario_cell,
-        [(workload, n, node, constants, components) for _ws, workload, n in cells],
-    )
     outcomes: dict[tuple[str, int, str], PolicyOutcome] = {}
-    for (ws, _workload, n), by_policy in zip(cells, results):
-        for policy, outcome in by_policy.items():
-            outcomes[(ws, n, policy)] = outcome
+    for ws, workload, n in cells:
+        for policy in POLICIES:
+            outcomes[(ws, n, policy)] = evaluate_policy(
+                policy, workload, n, node=node, constants=constants, components=components
+            )
     return Fig9Report(
         node_counts=tuple(node_counts),
         scenarios=names,

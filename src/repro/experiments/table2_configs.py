@@ -17,6 +17,7 @@ from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
 from repro.model.costmodel import pair_metrics
+from repro.parallel.executor import sweep_pairs_best
 from repro.utils.tables import render_table
 from repro.utils.units import GB
 from repro.workloads.base import AppInstance
@@ -79,22 +80,14 @@ def run_table2(
     node: NodeSpec = ATOM_C2758,
     constants: SimConstants = DEFAULT_CONSTANTS,
     seed: int = 0,
-    executor: "SweepExecutor | None" = None,
 ) -> Table2Report:
-    """Reproduce Table 2 for the configured workloads.
-
-    The per-row oracle sweeps are independent and fan out through
-    ``executor`` (honouring ``REPRO_WORKERS`` when omitted).
-    """
-    from repro.parallel import SweepExecutor
-
+    """Reproduce Table 2 for the configured workloads."""
     techs = dict(techniques) if techniques is not None else dict(default_techniques())
     pairs = [
         (AppInstance(get_app(code_a), gb_a * GB), AppInstance(get_app(code_b), gb_b * GB))
         for (code_a, gb_a), (code_b, gb_b) in workloads
     ]
-    exec_ = executor if executor is not None else SweepExecutor()
-    optima = exec_.sweep_pairs_best(pairs, node=node, constants=constants)
+    optima = sweep_pairs_best(pairs, node=node, constants=constants)
     rows = []
     for (a, b), oracle in zip(pairs, optima):
         da = describe_instance(a, node=node, constants=constants, seed=seed)

@@ -62,10 +62,3 @@ def split_file(file_name: str, size: int, block_size: int) -> list[Block]:
         offset += length
         index += 1
     return blocks
-
-
-def n_blocks(size: int, block_size: int) -> int:
-    """Number of blocks without materialising them (vector-safe math)."""
-    check_positive("size", size)
-    check_positive("block_size", block_size)
-    return -(-size // block_size)

@@ -24,10 +24,6 @@ class DataNode:
         check_positive("capacity_bytes", self.capacity_bytes)
 
     @property
-    def used_bytes(self) -> float:
-        return self._used
-
-    @property
     def free_bytes(self) -> float:
         return self.capacity_bytes - self._used
 
@@ -41,9 +37,6 @@ class DataNode:
             )
         self._blocks[block.block_id] = block
         self._used += block.length
-
-    def has_block(self, block_id: str) -> bool:
-        return block_id in self._blocks
 
     def get_block(self, block_id: str) -> Block:
         """The stored replica's metadata (re-replication source read)."""

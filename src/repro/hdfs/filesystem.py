@@ -1,10 +1,8 @@
 """MiniHdfs: the file-level facade over namenode/datanodes.
 
-Supports writing (placing) files, listing their blocks, computing the
-input splits MapReduce will create, and deleting files.  The paper's
-methodology flushes page caches before each run (§2.1), so we expose
-:meth:`drop_caches` as an explicit (no-op placeholder for state) hook
-the engine calls to model cold reads.
+Supports writing (placing) files, listing them, and computing the
+input splits MapReduce will create; the fault injector reads block
+locality and re-replication through :attr:`MiniHdfs.namenode`.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ class MiniHdfs:
     replication: int = 3
     namenode: NameNode = field(init=False)
     _files: dict[str, HdfsFile] = field(default_factory=dict, repr=False)
-    _cold: bool = True
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -66,30 +63,9 @@ class MiniHdfs:
         except KeyError:
             raise FileNotFoundError(f"no HDFS file {name!r}") from None
 
-    def delete_file(self, name: str) -> None:
-        f = self.get_file(name)
-        for block in f.blocks:
-            self.namenode.delete_block(block.block_id)
-        del self._files[name]
-
     def list_files(self) -> list[str]:
         return sorted(self._files)
 
     def splits_for(self, name: str) -> list[Block]:
         """Input splits for a MapReduce job over ``name`` (1 per block)."""
         return list(self.get_file(name).blocks)
-
-    def splits_on_node(self, name: str, node_id: int) -> list[Block]:
-        """The file's blocks with a local replica on ``node_id``."""
-        return [
-            b for b in self.get_file(name).blocks
-            if self.namenode.is_local(b.block_id, node_id)
-        ]
-
-    def drop_caches(self) -> None:
-        """Model the paper's pre-run page-cache flush (§2.1)."""
-        self._cold = True
-
-    @property
-    def cold_read(self) -> bool:
-        return self._cold

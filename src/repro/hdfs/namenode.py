@@ -141,8 +141,3 @@ class NameNode:
         if node_id not in self._dead:
             raise ValueError(f"node {node_id} is not dead")
         self._dead.remove(node_id)
-
-    def under_replicated(self) -> list[str]:
-        """Blocks with fewer live replicas than the effective target."""
-        want = self.effective_replication()
-        return [b for b, holders in self._placement.items() if len(holders) < want]

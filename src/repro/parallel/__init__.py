@@ -1,30 +1,34 @@
-"""Parallel sweep execution (process-pool fan-out with serial fallback).
+"""The offline stage's sweep reductions.
 
 Public surface:
 
-* :class:`SweepExecutor` — ordered, deterministic fan-out of solo and
-  pair sweeps (one task per instance or pair) and of arbitrary
-  picklable functions (one task per item) over a process pool; serial
-  inline execution when ``REPRO_WORKERS=1`` (the default).  It is the
-  repository's only fan-out layer.
-* :func:`worker_count` — ``REPRO_WORKERS`` resolution.
+* :func:`sweep_solos` — every instance's 160-point standalone sweep.
+* :func:`sweep_pairs_sampled` — each pair's optimum and its sweep at
+  sampled grid indices, one full sweep alive at a time.
+* :func:`sweep_pairs_best` — each pair's optimum alone.
 * :class:`PairSweepBest` — the lightweight per-pair optimum payload.
 * :class:`PairSample` — a pair sweep's knobs and EDP at sampled grid
   indices (the MLM-STP training rows' payload).
+
+The sweeps run in the calling process.  The package path stays
+because ``perfbench/tracer.py`` wraps the sweep kernels as globals of
+``repro.parallel.executor``.
 """
 
 from repro.parallel.executor import (
-    WORKERS_ENV,
     PairSample,
     PairSweepBest,
-    SweepExecutor,
-    worker_count,
+    sample_pair_sweep,
+    sweep_pairs_best,
+    sweep_pairs_sampled,
+    sweep_solos,
 )
 
 __all__ = [
-    "WORKERS_ENV",
     "PairSample",
     "PairSweepBest",
-    "SweepExecutor",
-    "worker_count",
+    "sample_pair_sweep",
+    "sweep_pairs_best",
+    "sweep_pairs_sampled",
+    "sweep_solos",
 ]

@@ -202,8 +202,7 @@ def seeded_requests(
     mean_interarrival_s=mean_interarrival_s,
     job_ids_from=job_ids_from)``.  Pinned ``job_ids_from`` also makes
     the ids — and every label derived from them — identical across
-    ``REPRO_WORKERS`` pool workers (the per-process default counter is
-    not).
+    processes (the per-process default counter is not).
     """
     if not tenants:
         raise ValueError("at least one tenant is required")

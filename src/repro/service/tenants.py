@@ -37,10 +37,17 @@ class TenantState:
     rejections_by_reason: dict[str, int] = field(default_factory=dict)
     completed: int = 0
     last_arrival: float = 0.0
+    #: The registry whose running in-flight total this tenant keeps
+    #: current (set by :meth:`TenantRegistry.get`; None outside one).
+    registry: TenantRegistry | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def on_accept(self, t: float) -> None:
         self.accepted += 1
         self.inflight += 1
+        if self.registry is not None:
+            self.registry._total_inflight += 1
         self.last_arrival = t
         if self.inflight > self.inflight_highwater:
             self.inflight_highwater = self.inflight
@@ -58,6 +65,8 @@ class TenantState:
                 f"tenant {self.name!r} completed a job it never had in flight"
             )
         self.inflight -= 1
+        if self.registry is not None:
+            self.registry._total_inflight -= 1
         self.completed += 1
 
     def as_dict(self) -> dict:
@@ -79,11 +88,13 @@ class TenantRegistry:
     def __init__(self, admission: AdmissionController) -> None:
         self._admission = admission
         self._tenants: dict[str, TenantState] = {}
+        self._total_inflight = 0
 
     def get(self, name: str) -> TenantState:
         state = self._tenants.get(name)
         if state is None:
             state = TenantState(name=name, bucket=self._admission.new_bucket())
+            state.registry = self
             self._tenants[name] = state
         return state
 
@@ -99,7 +110,10 @@ class TenantRegistry:
 
     @property
     def total_inflight(self) -> int:
-        return sum(t.inflight for t in self._tenants.values())
+        """Accepted-not-completed jobs over every tenant: a running
+        total the tenants' ``on_accept``/``on_complete`` keep, so the
+        admission check does not grow with the tenant count."""
+        return self._total_inflight
 
     @property
     def inflight_highwater(self) -> int:

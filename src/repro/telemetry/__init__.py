@@ -32,7 +32,6 @@ _EXPORT_TO_SUBMODULE = {
     "Tracer": "tracing",
     "NullTracer": "tracing",
     "NULL_TRACER": "tracing",
-    "SWEEP_PID": "tracing",
     "validate_chrome_trace": "tracing",
 }
 

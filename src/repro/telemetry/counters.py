@@ -274,73 +274,3 @@ class OnlineTelemetry(Counters):
     promoted_at: int = -1  # decision index; -1 while unpromoted
     champion_regret: float = 0.0  # cumulative EDP regret (J·s)
     challenger_regret: float = 0.0
-
-
-# ------------------------------------------------------ sweep telemetry
-@dataclass(eq=False)
-class SweepTelemetry(Counters):
-    """Wall-time and cache accounting for fanned-out sweeps.
-
-    The parallel sweep executor records one sample per task — which
-    worker ran it and how long it took — plus the artifact-cache
-    hit/miss delta observed around each batch, so a sweep can report
-    its wall time and cache hit rate without any global state of its
-    own.  Per-worker detail collapses to totals on export.
-    """
-
-    DERIVED = (
-        "n_tasks", "n_workers", "task_wall_s", "cache_hit_rate",
-        "parallel_speedup",
-    )
-
-    worker_wall_s: dict[str, float] = field(default_factory=dict)
-    worker_tasks: dict[str, int] = field(default_factory=dict)
-    n_batches: int = 0
-    batch_wall_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    # -- recording -----------------------------------------------------
-    def record_task(self, worker: str, wall_s: float) -> None:
-        """One executed task: ``worker`` id (pid) and its wall time."""
-        self.worker_wall_s[worker] = self.worker_wall_s.get(worker, 0.0) + wall_s
-        self.worker_tasks[worker] = self.worker_tasks.get(worker, 0) + 1
-
-    def record_batch(self, wall_s: float) -> None:
-        """End-to-end wall time of one fan-out batch."""
-        self.n_batches += 1
-        self.batch_wall_s += wall_s
-
-    def record_cache(self, hits: int, misses: int) -> None:
-        """Artifact-cache activity observed while a batch ran."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-
-    # -- derived -------------------------------------------------------
-    @property
-    def n_tasks(self) -> int:
-        return sum(self.worker_tasks.values())
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.worker_wall_s)
-
-    @property
-    def task_wall_s(self) -> float:
-        """Total task compute time across all workers."""
-        return sum(self.worker_wall_s.values())
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """Hits / (hits + misses), or ``None`` with no cache activity."""
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return None
-        return self.cache_hits / total
-
-    @property
-    def parallel_speedup(self) -> float | None:
-        """Aggregate task time over batch wall time (≈ effective workers)."""
-        if self.batch_wall_s <= 0.0:
-            return None
-        return self.task_wall_s / self.batch_wall_s

@@ -1,7 +1,7 @@
 """One snapshot/delta API over every counter family in the repository.
 
 The counter families of :mod:`repro.telemetry.counters` (engine,
-service, online, sweep) and the artifact-cache
+service, online) and the artifact-cache
 :class:`~repro.experiments.artifacts.CacheStats` sit behind one
 :class:`MetricsRegistry`: sources register under a namespace,
 :meth:`snapshot` returns one nested ``{namespace: {metric: number}}``

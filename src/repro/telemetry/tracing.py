@@ -2,10 +2,10 @@
 
 The paper's method is built on *observing* runs — Wattsup power
 traces, perf counters, dstat rows (§2.5, §3.1) — and the reproduction
-grew the same need: the engine, the ECoST controller, the fault
-injector, and the parallel sweep executor each produce events worth
-seeing on one timeline.  This module is the shared substrate: a
-:class:`Tracer` collects *spans* (named intervals with a category, a
+grew the same need: the engine, the ECoST controller and the fault
+injector each produce events worth seeing on one timeline.  This
+module is the shared substrate: a :class:`Tracer` collects *spans*
+(named intervals with a category, a
 process/thread placement, and structured args) plus instant and
 counter events, and renders them to the Chrome trace-event JSON format
 that Perfetto / ``about://tracing`` load directly.
@@ -19,8 +19,6 @@ Chrome traces organise events into *processes* (pid) and *threads*
   events, queue-depth counters.
 * pid ``1 + node_id`` — one process per node; each job's lifetime span
   lives on tid ``job_id`` so co-resident jobs render as parallel rows.
-* pid :data:`SWEEP_PID` — the (wall-clock) sweep-executor row; worker
-  ids become thread rows.
 
 Zero-overhead guarantee
 -----------------------
@@ -33,9 +31,8 @@ observational: it draws no random numbers and never touches engine
 state, so enabling it cannot perturb a seeded run (pinned by
 ``tests/test_tracing.py`` and the golden byte-identity suite).
 
-Timestamps are simulation seconds (wall seconds for the sweep
-executor), scaled to microseconds on export as the trace-event format
-expects.
+Timestamps are simulation seconds, scaled to microseconds on export
+as the trace-event format expects.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
-
-#: Process row hosting wall-clock sweep-executor spans.
-SWEEP_PID = 10_000
 
 #: Microseconds per timestamp unit (trace events use µs).
 _TS_SCALE = 1e6

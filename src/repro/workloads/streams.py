@@ -73,15 +73,15 @@ def poisson_job_stream(
 
     Job ids need care.  By default they come from a *per-process*
     ``itertools`` counter: unique within one process and different on
-    every call, but **not** stable across runs, and under a
-    ``REPRO_WORKERS`` pool each worker process restarts the counter at
-    1, so defaulted ids from different workers collide.  Anything that
-    compares job identities across processes — benchmarks, golden
-    traces, the service's offline-comparison runs — must pass
-    ``job_ids_from``, which assigns sequential ids starting there (job
-    ``i`` gets ``job_ids_from + i``) purely as a function of the
-    arguments: the same ids in every process and pool worker.  The
-    caller then owns id uniqueness within one cluster.
+    every call, but **not** stable across runs, and every new process
+    restarts the counter at 1, so defaulted ids from different
+    processes collide.  Anything that compares job identities across
+    runs or processes — benchmarks, golden traces, the service's
+    offline-comparison runs — must pass ``job_ids_from``, which
+    assigns sequential ids starting there (job ``i`` gets
+    ``job_ids_from + i``) purely as a function of the arguments: the
+    same ids in every process.  The caller then owns id uniqueness
+    within one cluster.
     """
     if n_jobs < 0:
         raise ValueError("n_jobs must be >= 0")

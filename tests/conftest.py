@@ -60,32 +60,12 @@ def isolated_cache_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def isolated_workers():
-    """Strip ``REPRO_WORKERS`` for the whole suite.
-
-    A developer's exported env must never flip the parallel-path
-    selection inside the byte-identity suites (serial vs pool is a
-    *test parameter* there, not an inherited setting).  CI's
-    worker-pool lane opts back in by setting
-    ``REPRO_TEST_KEEP_WORKERS=1`` alongside ``REPRO_WORKERS``.
-    """
-    if os.environ.get("REPRO_TEST_KEEP_WORKERS"):
-        yield
-        return
-    saved = os.environ.pop("REPRO_WORKERS", None)
-    yield
-    if saved is not None:
-        os.environ["REPRO_WORKERS"] = saved
-
-
-@pytest.fixture(scope="session", autouse=True)
 def isolated_service_env():
     """Strip pre-set ``REPRO_SERVICE_*`` knobs for the whole suite.
 
-    Same rationale as ``isolated_workers``: a developer's exported
-    admission limits or scheduler choice must never reshape
-    ``ServiceConfig.from_env()`` inside the service suites.  Restored
-    on exit so the shell is left as found.
+    A developer's exported admission limits or scheduler choice must
+    never reshape ``ServiceConfig.from_env()`` inside the service
+    suites.  Restored on exit so the shell is left as found.
     """
     from repro.service.config import ENV_PREFIX
 

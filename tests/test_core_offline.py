@@ -1,10 +1,10 @@
-"""``build_offline``: each pair's sweep is reduced in the task that ran it.
+"""``build_offline``: each pair's sweep is reduced before the next runs.
 
 ``build_offline`` must store the same database entries and bit-identical
 dataset arrays as the two-step composition it replaced — a full
 ``sweep_pair`` per training pair, all kept until the sampling loop has
-read every one — serially and through a worker pool, while holding at
-most one full sweep at a time.
+read every one — while holding at most one full sweep at a time, and
+must store them again on a repeat build in the same process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.stp import (
     pair_code,
 )
 from repro.model.sweep import sweep_pair
-from repro.parallel import SweepExecutor
 from repro.utils.rng import rng_from
 from repro.utils.units import GB
 from repro.workloads.base import AppInstance
@@ -97,26 +96,23 @@ def reference(small_training_instances):
     return reference_offline(small_training_instances, rows_per_pair=200)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_reduced_set_matches_reference(small_training_instances, reference, workers):
-    built = build_offline(
-        small_training_instances,
-        rows_per_pair=200,
-        seed=0,
-        executor=SweepExecutor(workers),
-    )
-    assert_same_offline(built, reference)
+@pytest.mark.parametrize("builds", [1, 2])
+def test_reduced_set_matches_reference(small_training_instances, reference, builds):
+    """Each of ``builds`` builds in a row matches: nothing one leaves
+    behind in the process (the cost model's caches) changes the next."""
+    for _ in range(builds):
+        built = build_offline(small_training_instances, rows_per_pair=200, seed=0)
+        assert_same_offline(built, reference)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rows_per_pair_above_grid_size_takes_whole_grid(workers):
+@pytest.mark.parametrize("builds", [1, 2])
+def test_rows_per_pair_above_grid_size_takes_whole_grid(builds):
     instances = [AppInstance(get_app(code), 1 * GB) for code in ("wc", "ts")]
-    built = build_offline(
-        instances, rows_per_pair=3000, seed=0, executor=SweepExecutor(workers)
-    )
     reference = reference_offline(instances, rows_per_pair=3000)
-    assert_same_offline(built, reference)
-    assert len(built[1].y) == 2800 * len(training_pairs(instances))
+    for _ in range(builds):
+        built = build_offline(instances, rows_per_pair=3000, seed=0)
+        assert_same_offline(built, reference)
+        assert len(built[1].y) == 2800 * len(training_pairs(instances))
 
 
 def test_reduced_build_traced_peak_stays_small(small_training_instances):
@@ -124,12 +120,7 @@ def test_reduced_build_traced_peak_stays_small(small_training_instances):
     one that kept every sweep until sampling peaked at 40 MiB."""
     tracemalloc.start()
     try:
-        build_offline(
-            small_training_instances,
-            rows_per_pair=200,
-            seed=0,
-            executor=SweepExecutor(1),
-        )
+        build_offline(small_training_instances, rows_per_pair=200, seed=0)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

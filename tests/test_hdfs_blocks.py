@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.hdfs.blocks import (
     HDFS_BLOCK_SIZES,
     Block,
-    n_blocks,
     split_file,
     validate_block_size,
 )
@@ -45,7 +44,7 @@ def test_split_smaller_than_block():
 def test_split_covers_file_exactly(size, block):
     blocks = split_file("f", size, block)
     assert sum(b.length for b in blocks) == size
-    assert len(blocks) == n_blocks(size, block)
+    assert len(blocks) == -(-size // block)
     # Offsets are contiguous and ordered.
     offset = 0
     for b in blocks:

@@ -47,26 +47,9 @@ def test_blocks_spread_across_nodes(fs):
     assert set(primaries) == {0, 1, 2, 3}
 
 
-def test_splits_on_node_respects_replication(fs):
-    fs.write_file("input", 1 * GB, 256 * MB)
-    total_local = sum(len(fs.splits_on_node("input", n)) for n in range(4))
-    # 4 blocks x replication 3 = 12 (node count 4 > replication).
-    assert total_local == 12
-
-
-def test_delete_file(fs):
-    fs.write_file("tmp", 128 * MB, 64 * MB)
-    fs.delete_file("tmp")
-    assert fs.list_files() == []
-    assert all(len(dn) == 0 for dn in fs.namenode.datanodes)
-
-
-def test_drop_caches_flag(fs):
-    fs.drop_caches()
-    assert fs.cold_read
-
-
 def test_single_node_cluster():
     fs = MiniHdfs(n_nodes=1)
     fs.write_file("x", 256 * MB, 64 * MB)
-    assert len(fs.splits_on_node("x", 0)) == 4
+    splits = fs.splits_for("x")
+    assert len(splits) == 4
+    assert all(fs.namenode.locate(b.block_id) == [0] for b in splits)

@@ -16,8 +16,8 @@ class TestDataNode:
     def test_store_and_account(self):
         dn = DataNode(node_id=0)
         dn.store(_block())
-        assert dn.used_bytes == 64 * MB
-        assert dn.has_block("f#0")
+        assert dn.capacity_bytes - dn.free_bytes == 64 * MB
+        assert dn.block_ids() == ["f#0"]
         assert len(dn) == 1
 
     def test_duplicate_store_rejected(self):
@@ -36,7 +36,7 @@ class TestDataNode:
         dn = DataNode(node_id=0)
         dn.store(_block())
         dn.drop("f#0")
-        assert dn.used_bytes == 0
+        assert dn.free_bytes == dn.capacity_bytes
         with pytest.raises(KeyError):
             dn.drop("f#0")
 
@@ -78,7 +78,7 @@ class TestNameNode:
         nn = self._nn()
         nn.place_block(_block(), writer_node=0)
         nn.delete_block("f#0")
-        assert all(not dn.has_block("f#0") for dn in nn.datanodes)
+        assert all("f#0" not in dn.block_ids() for dn in nn.datanodes)
         with pytest.raises(KeyError):
             nn.locate("f#0")
 

@@ -19,11 +19,11 @@ The suite asserts the invariants the fault-injection PR must preserve:
   default cache, byte-identical results);
 * a node generation bump invalidates stale completion events — an
   evicted job never completes from its pre-eviction schedule;
-* repeated identical runs yield identical recovery traces
-  (independent of ``REPRO_WORKERS``, which CI varies);
-* the process-pool sweep path is bit-identical to the serial path.
+* repeated identical runs yield identical recovery traces.
 
-Total generated cases across the suite: >= 200.
+Six properties: 180 generated cases under the ``dev`` hypothesis
+profile (30 each), 720 under ``ci`` (120 each), and 235 fixed seeds
+without hypothesis.
 """
 
 from __future__ import annotations
@@ -211,22 +211,3 @@ def test_no_completion_survives_generation_bump(case_seed):
     assert len(evicted) == 1
     assert results[0].finish_time == pytest.approx(cut + d)
     assert results[0].finish_time > spec.submit_time + d + 1e-9
-
-
-@seeded_cases(15)
-def test_pool_sweep_matches_serial(case_seed):
-    """SweepExecutor (REPRO_WORKERS-driven) == serial sweep, bitwise."""
-    import numpy as np
-
-    from repro.model.sweep import sweep_solo
-    from repro.parallel.executor import SweepExecutor
-    from repro.utils.units import GB
-    from repro.workloads.base import AppInstance
-    from repro.workloads.registry import ALL_APPS, get_app
-
-    rng = rng_from(case_seed)
-    code = ALL_APPS[int(rng.integers(len(ALL_APPS)))]
-    inst = AppInstance(get_app(code), int(rng.choice([1 * GB, 5 * GB])))
-    [pooled] = SweepExecutor().sweep_solos([inst])
-    serial = sweep_solo(inst)
-    assert np.array_equal(pooled.edp, serial.edp)

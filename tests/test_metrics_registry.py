@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry.counters import EngineTelemetry, SweepTelemetry
+from repro.telemetry.counters import EngineTelemetry
 from repro.telemetry.registry import MetricsRegistry, cluster_registry
 
 
@@ -93,18 +93,6 @@ class TestTelemetryAsDict:
         assert d["recontext_hits"] == 2
         assert d["faults_injected"] == 1
         assert d["recontext_hit_rate"] == pytest.approx(2 / 3)
-
-    def test_sweep_derived_rates_conditional(self):
-        tel = SweepTelemetry()
-        d = tel.as_dict()
-        assert d["n_tasks"] == 0
-        assert "cache_hit_rate" not in d
-        tel.record_task("1", 0.5)
-        tel.record_batch(0.25)
-        tel.record_cache(3, 1)
-        d = tel.as_dict()
-        assert d["cache_hit_rate"] == pytest.approx(0.75)
-        assert d["parallel_speedup"] == pytest.approx(2.0)
 
 
 class TestClusterRegistry:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.mapreduce.engine import ClusterEngine
@@ -28,7 +29,7 @@ from repro.service import (
     spec_to_request,
 )
 from repro.service.admission import AdmissionController, REJECT_CAPACITY
-from repro.service.tenants import TenantRegistry
+from repro.service.tenants import TenantRegistry, TenantState
 from repro.telemetry.registry import service_registry
 from repro.workloads.streams import poisson_job_stream
 
@@ -215,6 +216,54 @@ class TestTenants:
         )
         with pytest.raises(RuntimeError):
             registry.get("a").on_complete()
+        assert registry.total_inflight == 0
+
+    def test_total_inflight_is_a_running_total(self, monkeypatch):
+        """Over a seeded accept/complete/reject walk across 1,200
+        tenants the total equals the tenants' sum after every step, and
+        reading it reads no tenant's ``inflight``."""
+        reads = 0
+
+        def read_inflight(state):
+            nonlocal reads
+            reads += 1
+            return state.__dict__["inflight"]
+
+        def write_inflight(state, value):
+            state.__dict__["inflight"] = value
+
+        monkeypatch.setattr(
+            TenantState, "inflight", property(read_inflight, write_inflight)
+        )
+        registry = TenantRegistry(
+            AdmissionController(
+                rate_per_s=float("inf"), burst=64.0,
+                max_inflight=10**6, max_pending=10**6,
+            )
+        )
+        names = [f"t{i}" for i in range(1200)]
+        rng = np.random.default_rng(5)
+        for step in range(2400):
+            # The first pass meets every tenant once, in order.
+            name = names[step] if step < len(names) else names[rng.integers(len(names))]
+            tenant = registry.get(name)
+            draw = rng.random()
+            if draw < 0.1:
+                tenant.on_reject(REJECT_RATE_LIMIT, float(step))
+            elif draw < 0.5:
+                if tenant.__dict__["inflight"]:
+                    tenant.on_complete()
+                else:
+                    with pytest.raises(RuntimeError):
+                        tenant.on_complete()
+            else:
+                tenant.on_accept(float(step))
+            expected = sum(t.__dict__["inflight"] for t in registry)
+            reads = 0
+            assert registry.total_inflight == expected
+            assert reads == 0
+        assert len(registry) == len(names)
+        assert 0 < registry.total_inflight
 
 
 # ----------------------------------------------------------------- requests

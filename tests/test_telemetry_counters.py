@@ -1,8 +1,8 @@
 """Every counter family's numeric export, pinned to a golden file.
 
 ``tests/golden/telemetry_counters.json`` holds the numeric ``as_dict``
-entries of the four counter families (engine, service, online, sweep)
-and one whole service ``metrics_snapshot()``, captured from the seeded
+entries of the three counter families (engine, service, online) and
+one whole service ``metrics_snapshot()``, captured from the seeded
 inputs below.  ``MetricsRegistry`` snapshots, the service's
 ``/metrics`` body and the ``metrics`` block of ``tools/bench.py``
 payloads are all built from these exports, so a change to how the
@@ -27,7 +27,6 @@ from repro.telemetry.counters import (
     EngineTelemetry,
     OnlineTelemetry,
     ServiceTelemetry,
-    SweepTelemetry,
 )
 from repro.workloads.streams import poisson_job_stream
 
@@ -109,18 +108,6 @@ def _service() -> tuple[dict, dict]:
     return live, service.metrics_snapshot()
 
 
-def _sweep_calls() -> dict:
-    """Fixed ``record_*`` calls: a real sweep's wall times are not seeded."""
-    tel = SweepTelemetry()
-    tel.record_task("101", 0.1)
-    tel.record_task("202", 0.2)
-    tel.record_task("101", 0.7)
-    tel.record_batch(0.3)
-    tel.record_batch(0.15)
-    tel.record_cache(3, 1)
-    return _numeric(tel.as_dict())
-
-
 def _online_fields() -> dict:
     """Direct field updates, as ``OnlineSTP`` and ``ShadowSTP`` make them."""
     tel = OnlineTelemetry()
@@ -153,8 +140,6 @@ def compute_pins() -> dict[str, dict]:
         "service_empty": _numeric(ServiceTelemetry().as_dict()),
         "online_fields": _online_fields(),
         "online_empty": _numeric(OnlineTelemetry().as_dict()),
-        "sweep_calls": _sweep_calls(),
-        "sweep_empty": _numeric(SweepTelemetry().as_dict()),
     }
 
 

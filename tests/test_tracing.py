@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.trace_run import TRACE_EXPERIMENTS, run_traced
 from repro.telemetry.tracing import (
     NULL_TRACER,
-    SWEEP_PID,
     NullTracer,
     Tracer,
     validate_chrome_trace,
@@ -71,11 +70,9 @@ class TestNullTracer:
 
     def test_shared_singleton_is_default(self):
         from repro.mapreduce.engine import ClusterEngine, NodeEngine
-        from repro.parallel.executor import SweepExecutor
 
         assert NodeEngine().tracer is NULL_TRACER
         assert ClusterEngine(1).tracer is NULL_TRACER
-        assert SweepExecutor(1).tracer is NULL_TRACER
 
     def test_no_slots_no_allocation_surface(self):
         with pytest.raises(AttributeError):
@@ -162,22 +159,6 @@ class TestTracedRuns:
 
     def test_experiment_list_stable(self):
         assert TRACE_EXPERIMENTS == ("steady", "faulty", "ecost")
-
-
-class TestSweepExecutorTracing:
-    def test_serial_map_emits_task_and_batch_spans(self):
-        from repro.parallel.executor import SweepExecutor
-
-        tracer = Tracer()
-        ex = SweepExecutor(1, tracer=tracer)
-        assert ex.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        sweep = tracer.spans_by_cat("sweep")
-        names = [s.name for s in sweep]
-        assert sum(1 for n in names if n.startswith("batch")) == 1
-        assert all(s.pid == SWEEP_PID for s in sweep)
-        # 3 task spans + 1 batch span, all on the wall-clock row.
-        assert len(sweep) == 4
-        assert validate_chrome_trace(tracer.to_chrome()) == []
 
 
 class TestCli:

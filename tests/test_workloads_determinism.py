@@ -97,7 +97,7 @@ class TestStreamDeterminism:
 class TestJobIdStability:
     """The pinned job-id contract: ids from ``job_ids_from`` are a pure
     function of the arguments — stable across processes (a fresh
-    ``REPRO_WORKERS`` pool worker restarts the default counter)."""
+    process restarts the default counter)."""
 
     def test_pinned_ids_are_sequential_from_start(self):
         ids = [s.job_id for s in poisson_job_stream(8, seed=4, job_ids_from=10)]
@@ -132,20 +132,6 @@ class TestJobIdStability:
         # counter does not (this parent has already consumed ids).
         assert child["pinned"] == parent_pinned == list(range(1, 7))
         assert child["default"] != parent_default
-
-    def test_pinned_ids_unaffected_by_repro_workers(self, monkeypatch):
-        # The generator never consults the pool size: the id sequence
-        # is fixed before any worker fan-out happens.
-        baseline = [
-            _spec_key(s) for s in poisson_job_stream(6, seed=4, job_ids_from=1)
-        ]
-        for workers in ("1", "2", "8"):
-            monkeypatch.setenv("REPRO_WORKERS", workers)
-            again = [
-                _spec_key(s)
-                for s in poisson_job_stream(6, seed=4, job_ids_from=1)
-            ]
-            assert again == baseline
 
 
 class TestSeededRequestsMatchPlainStream:
