@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.units import GHZ
 from repro.utils.validation import check_positive
 
@@ -63,6 +65,18 @@ class DvfsTable:
         freqs = [p.frequency for p in self._levels]
         if len(set(freqs)) != len(freqs):
             raise ValueError("duplicate frequencies in DVFS table")
+        ref = self._levels[-1]
+        #: Exact frequency -> dynamic-power scale against the top level,
+        #: the cost kernel's per-call lookup.
+        self.dyn_scales: dict[float, float] = {
+            p.frequency: p.dynamic_scale(ref) for p in self._levels
+        }
+        #: The same map as two read-only ascending arrays, for the
+        #: kernel's vectorised lookup.
+        self.frequency_array = np.array(freqs)
+        self.dyn_scale_array = np.array(list(self.dyn_scales.values()))
+        self.frequency_array.flags.writeable = False
+        self.dyn_scale_array.flags.writeable = False
 
     @property
     def levels(self) -> tuple[OperatingPoint, ...]:

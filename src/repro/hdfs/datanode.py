@@ -46,7 +46,9 @@ class DataNode:
             raise KeyError(f"block {block_id} not on node {self.node_id}") from None
 
     def drop(self, block_id: str) -> None:
-        """Remove a replica (file deletion / rebalancing)."""
+        """Remove a replica.  The failure path is the one caller:
+        :meth:`~repro.hdfs.namenode.NameNode.handle_node_failure` drops
+        every replica the failed node held."""
         block = self._blocks.pop(block_id, None)
         if block is None:
             raise KeyError(f"block {block_id} not on node {self.node_id}")

@@ -80,12 +80,6 @@ class NameNode:
         """Whether a block has a replica on ``node_id`` (task locality)."""
         return node_id in self.locate(block_id)
 
-    def delete_block(self, block_id: str) -> None:
-        """Drop every replica of a block."""
-        for node_id in self.locate(block_id):
-            self.datanodes[node_id].drop(block_id)
-        del self._placement[block_id]
-
     def locality_fraction(self, block_ids: list[str], node_id: int) -> float:
         """Fraction of the given blocks readable locally from ``node_id``."""
         if not block_ids:

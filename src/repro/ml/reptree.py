@@ -17,7 +17,8 @@ the order a stable argsort of the node's own rows gives.  All open
 nodes of a depth are scored together, in blocks of (node, feature)
 rows of at most :data:`SPLIT_BLOCK_ELEMENTS` padded elements: each
 row's prefix sums run over that node alone, and a split's squared
-error is read only where the feature's value changes.  Pruning routes
+error is read only where the feature's value changes.  A row whose
+node holds a single value of the feature is not scored at all.  Pruning routes
 the pruning set down the grown tree the same way and collapses
 subtrees bottom-up, one depth at a time.
 
@@ -47,7 +48,8 @@ from repro.utils.rng import SeedLike
 #: Most padded elements one scoring block covers: (node, feature) rows
 #: times the widest node's row count.  A block holds about ten
 #: temporaries of this size, about half a MiB at 2^13, so the cap
-#: bounds the fit's scratch memory beside the presorted row orders
+#: (which also sizes the partition's 2-D sorts) bounds the fit's
+#: scratch memory beside the presorted row orders
 #: (features + 1 small integers per training row) whatever the node
 #: sizes: a whole fit on the STP's 7200 x 22 training matrix peaks at
 #: 2.6 MiB traced.  A node wider than the cap is scored one feature at
@@ -70,10 +72,18 @@ def _partition(
     order: np.ndarray, rows: range, m: int, key: np.ndarray, m_new: int
 ) -> None:
     """Stably sort ``order[j, :m]`` for each ``j`` in ``rows`` by
-    ``key`` of its entries, keeping the first ``m_new``."""
-    for j in rows:
-        line = order[j, :m]
-        order[j, :m_new] = line.take(key.take(line).argsort(kind="stable")[:m_new])
+    ``key`` of its entries, keeping the first ``m_new``.
+
+    The rows are sorted together, in 2-D chunks of at most
+    :data:`SPLIT_BLOCK_ELEMENTS` elements (one row at a time where a
+    row is longer): a stable sort's result is unique, so a chunk's row
+    is sorted exactly as it would be alone.
+    """
+    step = max(1, SPLIT_BLOCK_ELEMENTS // max(m, 1))
+    for j in range(rows.start, rows.stop, step):
+        lines = order[j : min(j + step, rows.stop), :m]
+        by_key = key.take(lines).argsort(axis=1, kind="stable")[:, :m_new]
+        order[j : j + len(lines), :m_new] = np.take_along_axis(lines, by_key, axis=1)
 
 
 def _score(
@@ -91,19 +101,27 @@ def _score(
     has base squared error ``base[i]``; nodes come largest first.  Row
     ``i * d + j`` of the result is node ``i``, feature ``j``: the gain
     of its lowest best threshold, which lies after sorted position
-    ``position`` (``-inf``, or NaN, where no split is valid).
+    ``position`` (``-inf``, or NaN, where no split is valid).  A row
+    whose first and last sorted values are equal has no valid split and
+    is not scored.
     """
     d = X.shape[1]
     stride = order.shape[1]
     flat, x_flat = order.ravel(), X.ravel()
     total = len(sizes) * d
-    gain = np.empty(total)
-    position = np.empty(total, dtype=np.intp)
+    gain = np.full(total, -np.inf)
+    position = np.zeros(total, dtype=np.intp)
+    node, feat = np.divmod(np.arange(total), d)
+    lo = feat * stride + starts[node]
+    first = x_flat.take(flat.take(lo).astype(np.intp) * d + feat)
+    last = x_flat.take(flat.take(lo + sizes[node] - 1).astype(np.intp) * d + feat)
+    live = np.flatnonzero(last > first)
     r0 = 0
-    while r0 < total:
-        width = int(sizes[r0 // d])
-        r1 = min(total, r0 + max(1, SPLIT_BLOCK_ELEMENTS // width))
-        node, feat = np.divmod(np.arange(r0, r1), d)
+    while r0 < len(live):
+        width = int(sizes[live[r0] // d])
+        r1 = min(len(live), r0 + max(1, SPLIT_BLOCK_ELEMENTS // width))
+        rows = live[r0:r1]
+        node, feat = np.divmod(rows, d)
         n = sizes[node]
         # Each row padded to the block's widest node with whatever rows
         # follow it in the order array; nothing past a node's end is read.
@@ -128,8 +146,8 @@ def _score(
         sse = np.full(valid.shape, np.inf)
         sse[r, p] = (left_sq - left_sum**2 / k) + (right_sq - right_sum**2 / (nr - k))
         best = sse.argmin(axis=1)
-        gain[r0:r1] = base[node] - sse[np.arange(len(best)), best]
-        position[r0:r1] = best
+        gain[rows] = base[node] - sse[np.arange(len(best)), best]
+        position[rows] = best
         r0 = r1
     return gain, position
 

@@ -8,8 +8,10 @@ brute-force oracle (COLAO) tractable in seconds.
 :mod:`repro.mapreduce.engine` replays the same per-job quantities event
 by event through the kernel's scalar twin
 (:func:`~repro.model.costmodel.standalone_metrics_scalar`), which is
-over 10x cheaper per single-job call; tests hold the twin
-bit-identical to the array kernel.
+over 10x cheaper per single-job call, and the online shadow scorer
+prices single pair configurations through a second one
+(:func:`~repro.model.costmodel.pair_edp_scalar`); tests hold both
+twins bit-identical to the array kernel.
 """
 
 from repro.model.calibration import SimConstants, DEFAULT_CONSTANTS

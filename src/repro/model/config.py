@@ -86,6 +86,19 @@ def config_grid(
     return f, b, m
 
 
+def core_partitions(
+    n_cores: int, partitions: Sequence[tuple[int, int]] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The pair grid's core splits ``(m1, m2)``, checked against
+    ``n_cores``: by default every full partition ``m1 + m2 = n_cores``."""
+    if partitions is None:
+        partitions = [(m, n_cores - m) for m in range(1, n_cores)]
+    for m1, m2 in partitions:
+        if m1 < 1 or m2 < 1 or m1 + m2 > n_cores:
+            raise ValueError(f"invalid core partition ({m1}, {m2})")
+    return tuple((m1, m2) for m1, m2 in partitions)
+
+
 def pair_config_grid(
     node: NodeSpec,
     *,
@@ -99,11 +112,7 @@ def pair_config_grid(
     "every combination of core partitioning" of Fig. 5); pass
     ``partitions`` to study under-committed splits too.
     """
-    if partitions is None:
-        partitions = [(m, node.n_cores - m) for m in range(1, node.n_cores)]
-    for m1, m2 in partitions:
-        if m1 < 1 or m2 < 1 or m1 + m2 > node.n_cores:
-            raise ValueError(f"invalid core partition ({m1}, {m2})")
+    partitions = core_partitions(node.n_cores, partitions)
     freqs = np.asarray(node.frequencies)
     blocks = np.asarray(block_sizes, dtype=float)
     parts = np.asarray(partitions, dtype=float)

@@ -40,15 +40,16 @@ One array kernel, :func:`standalone_metrics` / :func:`pair_metrics`,
 serves the grid sweeps, one :class:`~repro.workloads.base.AppProfile`
 per call.  The discrete-event engine calls the kernel one job at a
 time, where array overhead dominates, so it runs the scalar twin
-:func:`standalone_metrics_scalar` / :func:`colocation_context_scalar`,
-which tests hold bit-identical to the array code.
+:func:`standalone_metrics_scalar` / :func:`colocation_context_scalar`;
+the online shadow scorer prices one pair configuration at a time
+with :func:`pair_edp_scalar`.  Tests hold both twins bit-identical to
+the array code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -147,7 +148,13 @@ class ScalarJobMetrics:
 
 @dataclass(frozen=True)
 class PairMetrics:
-    """Closed-form metrics of a co-located pair on one node."""
+    """Closed-form metrics of a co-located pair on one node.
+
+    ``job_a`` and ``job_b`` are each job's metrics at the pair's
+    points, or None where :func:`pair_step` read them from other points
+    (a factored sweep keeps them per job point, see
+    :class:`~repro.model.sweep.PairSweepResult`).
+    """
 
     makespan: np.ndarray
     energy: np.ndarray
@@ -156,8 +163,8 @@ class PairMetrics:
     t_first_done: np.ndarray  # when the shorter job completes
     duration_a: np.ndarray  # completion time of job A
     duration_b: np.ndarray
-    job_a: JobMetrics
-    job_b: JobMetrics
+    job_a: JobMetrics | None
+    job_b: JobMetrics | None
 
     def scalar(self, field: str) -> float:
         return float(np.asarray(getattr(self, field)))
@@ -165,27 +172,18 @@ class PairMetrics:
 
 def _dyn_scale_lookup(node: NodeSpec, frequency) -> np.ndarray:
     """Vectorised V²f dynamic-power scale for arrays of DVFS levels."""
-    freqs = np.asarray(node.dvfs.frequencies)
-    ref = node.dvfs.max_point
-    scales = np.array([p.dynamic_scale(ref) for p in node.dvfs.levels])
+    freqs = node.dvfs.frequency_array
     f = np.asarray(frequency, dtype=float)
     idx = np.searchsorted(freqs, f * (1 - 1e-6))
     idx = np.clip(idx, 0, len(freqs) - 1)
     if not np.allclose(freqs[idx], f, rtol=1e-3):
         raise ValueError("frequency array contains non-DVFS levels")
-    return scales[idx]
-
-
-@lru_cache(maxsize=None)
-def _dyn_scale_table(node: NodeSpec) -> dict[float, float]:
-    """Exact-frequency → dynamic-power-scale map for the scalar path."""
-    ref = node.dvfs.max_point
-    return {p.frequency: p.dynamic_scale(ref) for p in node.dvfs.levels}
+    return node.dvfs.dyn_scale_array[idx]
 
 
 def _dyn_scale_scalar(node: NodeSpec, frequency: float) -> float:
     """Scalar twin of :func:`_dyn_scale_lookup` (same tolerance rule)."""
-    table = _dyn_scale_table(node)
+    table = node.dvfs.dyn_scales
     hit = table.get(frequency)
     if hit is not None:
         return hit
@@ -632,25 +630,47 @@ def pair_metrics(
         mpki_scale=mpki_scale_b, disk_traffic_scale=disk_scale,
         extra_streams=ma,
     )
+    return pair_step(job_a, job_b, node)
 
+
+def _step_inputs(job: JobMetrics, take: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The five job fields :func:`pair_step` reads, at ``take`` if given."""
+    fields = (job.duration, job.core_power, job.mem_demand, job.u_disk, job.u_net)
+    return fields if take is None else tuple(v[take] for v in fields)
+
+
+def pair_step(
+    job_a: JobMetrics,
+    job_b: JobMetrics,
+    node: NodeSpec,
+    take_a: np.ndarray | None = None,
+    take_b: np.ndarray | None = None,
+) -> PairMetrics:
+    """The pair's fluid stretch and two-segment schedule from its two
+    co-located jobs: the last step of :func:`pair_metrics`.
+
+    Without ``take_a``/``take_b`` both jobs are evaluated at the pair's
+    points.  The factored sweep (:func:`repro.model.sweep.sweep_pair`)
+    evaluates each job once per job point and passes, for each pair
+    point ``g``, the job point ``take_a[g]`` (``take_b[g]``) to read;
+    the result's ``job_a``/``job_b`` are then None.
+    """
+    dur_a, core_a, mem_a, disk_a, net_a = _step_inputs(job_a, take_a)
+    dur_b, core_b, mem_b, disk_b, net_b = _step_inputs(job_b, take_b)
     cap = node.membw.achievable_bw
-    u_mem_pair = (job_a.mem_demand + job_b.mem_demand) / cap
-    u_disk_pair = job_a.u_disk + job_b.u_disk
-    u_net_pair = job_a.u_net + job_b.u_net
+    u_mem_pair = (mem_a + mem_b) / cap
+    u_disk_pair = disk_a + disk_b
+    u_net_pair = net_a + net_b
     stretch = np.maximum(
         1.0, np.maximum(u_disk_pair, np.maximum(u_net_pair, u_mem_pair))
     )
 
-    t_short = np.minimum(job_a.duration, job_b.duration)
-    t_long = np.maximum(job_a.duration, job_b.duration)
+    t_short = np.minimum(dur_a, dur_b)
+    t_long = np.maximum(dur_a, dur_b)
     t_first_done = stretch * t_short
     makespan = t_first_done + (t_long - t_short)
-    duration_a = np.where(
-        job_a.duration <= job_b.duration, t_first_done, makespan
-    )
-    duration_b = np.where(
-        job_b.duration <= job_a.duration, t_first_done, makespan
-    )
+    duration_a = np.where(dur_a <= dur_b, t_first_done, makespan)
+    duration_b = np.where(dur_b <= dur_a, t_first_done, makespan)
 
     pm = node.power
     # Overlap segment: both jobs progress at rate 1/stretch, so their
@@ -658,20 +678,18 @@ def pair_metrics(
     # resource runs at exactly 1.0).
     p_overlap = (
         pm.idle_power
-        + (job_a.core_power + job_b.core_power) / stretch
+        + (core_a + core_b) / stretch
         + pm.mem_max_power * np.minimum(u_mem_pair / stretch, 1.0)
         + pm.disk_max_power * np.minimum(u_disk_pair / stretch, 1.0)
     )
     # Tail segment: the longer job alone (still with its co-location
     # cache/footprint context — a documented approximation).
-    a_is_long = job_a.duration > job_b.duration
-    tail_core = np.where(a_is_long, job_a.core_power, job_b.core_power)
+    a_is_long = dur_a > dur_b
+    tail_core = np.where(a_is_long, core_a, core_b)
     tail_mem = np.where(
-        a_is_long,
-        np.minimum(job_a.mem_demand / cap, 1.0),
-        np.minimum(job_b.mem_demand / cap, 1.0),
+        a_is_long, np.minimum(mem_a / cap, 1.0), np.minimum(mem_b / cap, 1.0)
     )
-    tail_disk = np.where(a_is_long, job_a.u_disk, job_b.u_disk)
+    tail_disk = np.where(a_is_long, disk_a, disk_b)
     p_tail = (
         pm.idle_power
         + tail_core
@@ -689,9 +707,107 @@ def pair_metrics(
         t_first_done=np.asarray(t_first_done),
         duration_a=np.asarray(duration_a),
         duration_b=np.asarray(duration_b),
-        job_a=job_a,
-        job_b=job_b,
+        job_a=job_a if take_a is None else None,
+        job_b=job_b if take_b is None else None,
     )
+
+
+def pair_edp_scalar(
+    profile_a: AppProfile,
+    data_a: float,
+    freq_a: float,
+    block_a: float,
+    mappers_a: float,
+    profile_b: AppProfile,
+    data_b: float,
+    freq_b: float,
+    block_b: float,
+    mappers_b: float,
+    *,
+    node: NodeSpec = ATOM_C2758,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+) -> float:
+    """Scalar twin of ``pair_metrics(...).edp`` at one configuration.
+
+    Mirrors :func:`pair_metrics` operation for operation in Python
+    floats: the two-job cache coupling (``share_b = 1 - share_a``, as
+    :func:`_cache_coupling` computes it), the footprint coupling, two
+    :func:`standalone_metrics_scalar` calls and the EDP of
+    :func:`pair_step`.  The engine's :func:`colocation_context_scalar`
+    divides each job's pressure by the total instead, which differs
+    from ``1 - share_a`` in the last bit for some pairs, so it cannot
+    stand in here.  ``tests/test_costmodel_scalar.py`` pins this twin
+    to one-point :func:`pair_metrics`.
+    """
+    ma = float(mappers_a)
+    mb = float(mappers_b)
+    if ma + mb > node.n_cores:
+        raise ValueError("core partition exceeds the node's core count")
+    pa, pb = profile_a, profile_b
+
+    cores_per_module = 2.0
+    n_modules = node.n_cores / cores_per_module
+    mods_a = float(math.ceil(ma / cores_per_module))
+    mods_b = float(math.ceil(mb / cores_per_module))
+    shared = max(mods_a + mods_b - n_modules, 0.0)
+    pres_a = pa.cache_pressure * ma
+    pres_b = pb.cache_pressure * mb
+    floor = constants.cache_share_floor
+    share_a = min(max(pres_a / (pres_a + pres_b), floor), 1.0 - floor)
+    share_b = 1.0 - share_a
+    cache = node.cache
+    # np.power, not **: NumPy's pow differs from libm by ULPs.
+    infl_a = min(
+        max(float(np.power(min(share_a, 1.0), -pa.cache_alpha)), 1.0),
+        cache.max_inflation,
+    )
+    infl_b = min(
+        max(float(np.power(min(share_b, 1.0), -pb.cache_alpha)), 1.0),
+        cache.max_inflation,
+    )
+    frac_a = shared / mods_a
+    frac_b = shared / mods_b
+    scale_a = 1.0 + frac_a * (infl_a - 1.0)
+    scale_b = 1.0 + frac_b * (infl_b - 1.0)
+
+    footprint = ma * pa.footprint_per_task + mb * pb.footprint_per_task
+    over = max(footprint / node.available_memory_bytes - 1.0, 0.0)
+    disk_scale = 1.0 + constants.swap_penalty * over
+
+    job_a = standalone_metrics_scalar(
+        pa, data_a, freq_a, block_a, ma, node=node, constants=constants,
+        mpki_scale=scale_a, disk_traffic_scale=disk_scale, extra_streams=mb,
+    )
+    job_b = standalone_metrics_scalar(
+        pb, data_b, freq_b, block_b, mb, node=node, constants=constants,
+        mpki_scale=scale_b, disk_traffic_scale=disk_scale, extra_streams=ma,
+    )
+
+    cap = node.membw.achievable_bw
+    u_mem_pair = (job_a.mem_demand + job_b.mem_demand) / cap
+    u_disk_pair = job_a.u_disk + job_b.u_disk
+    u_net_pair = job_a.u_net + job_b.u_net
+    stretch = max(1.0, max(u_disk_pair, max(u_net_pair, u_mem_pair)))
+    t_short = min(job_a.duration, job_b.duration)
+    t_long = max(job_a.duration, job_b.duration)
+    t_first_done = stretch * t_short
+    makespan = t_first_done + (t_long - t_short)
+    pm = node.power
+    p_overlap = (
+        pm.idle_power
+        + (job_a.core_power + job_b.core_power) / stretch
+        + pm.mem_max_power * min(u_mem_pair / stretch, 1.0)
+        + pm.disk_max_power * min(u_disk_pair / stretch, 1.0)
+    )
+    tail = job_a if job_a.duration > job_b.duration else job_b
+    p_tail = (
+        pm.idle_power
+        + tail.core_power
+        + pm.mem_max_power * min(tail.mem_demand / cap, 1.0)
+        + pm.disk_max_power * min(tail.u_disk, 1.0)
+    )
+    energy = p_overlap * t_first_done + p_tail * (t_long - t_short)
+    return energy * makespan
 
 
 def serial_pair_edp(job_a: JobMetrics, job_b: JobMetrics) -> np.ndarray:

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.stp import AppDescriptor, LRUMemo
 from repro.hardware.node import ATOM_C2758, NodeSpec
 from repro.mapreduce.job import JobResult
 from repro.model.calibration import DEFAULT_CONSTANTS, SimConstants
 from repro.model.config import JobConfig
-from repro.model.costmodel import pair_metrics
+from repro.model.costmodel import pair_edp_scalar
 from repro.model.sweep import sweep_pair
 from repro.online.stp import OnlineSTP
 from repro.workloads.base import AppInstance
@@ -39,11 +37,14 @@ class PairScorer:
     """Closed-form EDP pricing of pairing choices, with a grid cache.
 
     ``score`` prices one concrete (cfg_a, cfg_b) choice for an
-    instance pair, memoised per (ordered pair, cfg_a, cfg_b) (LRU,
-    :data:`~repro.core.stp.DECISION_MEMO_CAP` entries): a stream's
-    decisions repeat a few dozen choices.  ``optimum`` is the best EDP
-    over the full 2,800-point pair grid, swept once per distinct (app,
-    size) pair and cached — the regret baseline.
+    instance pair with the cost kernel's scalar pair price
+    (:func:`~repro.model.costmodel.pair_edp_scalar`, bit-identical to
+    a one-point ``pair_metrics``), memoised per (ordered pair, cfg_a,
+    cfg_b): a stream's decisions repeat a few dozen choices.
+    ``optimum`` is the best EDP over the full 2,800-point pair grid,
+    swept once per distinct unordered (app, size) pair and memoised —
+    the regret baseline.  Both memos are LRU, capped at
+    :data:`~repro.core.stp.DECISION_MEMO_CAP` entries.
     """
 
     def __init__(
@@ -54,7 +55,7 @@ class PairScorer:
     ) -> None:
         self.node = node
         self.constants = constants
-        self._optima: dict[tuple, float] = {}
+        self._optima = LRUMemo()
         self._scores = LRUMemo()
 
     @staticmethod
@@ -72,7 +73,7 @@ class PairScorer:
                 inst_a, inst_b, node=self.node, constants=self.constants
             )
             cached = float(sweep.best_edp)
-            self._optima[(ka, kb)] = cached
+            self._optima.put((ka, kb), cached)
         return cached
 
     def score(
@@ -86,21 +87,20 @@ class PairScorer:
         key = (inst_a, inst_b, cfg_a, cfg_b)
         edp = self._scores.get(key)
         if edp is None:
-            metrics = pair_metrics(
+            edp = pair_edp_scalar(
                 inst_a.profile,
                 inst_a.data_bytes,
-                [cfg_a.frequency],
-                [cfg_a.block_size],
-                [cfg_a.n_mappers],
+                cfg_a.frequency,
+                cfg_a.block_size,
+                cfg_a.n_mappers,
                 inst_b.profile,
                 inst_b.data_bytes,
-                [cfg_b.frequency],
-                [cfg_b.block_size],
-                [cfg_b.n_mappers],
+                cfg_b.frequency,
+                cfg_b.block_size,
+                cfg_b.n_mappers,
                 node=self.node,
                 constants=self.constants,
             )
-            edp = float(np.asarray(metrics.edp).reshape(-1)[0])
             self._scores.put(key, edp)
         return edp
 

@@ -85,32 +85,52 @@ class OnlineRidge:
 
 
 class SlidingWindow:
-    """A bounded (X, y) row buffer: newest rows displace the oldest."""
+    """A bounded (X, y) row buffer: newest rows displace the oldest.
+
+    The rows live in a ring buffer of ``capacity`` rows, allocated at
+    the first non-empty :meth:`extend` (which fixes the row width): an
+    extend copies the new rows over the oldest and nothing shifts.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._rows: list[np.ndarray] = []
-        self._targets: list[float] = []
+        self._X: np.ndarray | None = None
+        self._y = np.empty(capacity)
+        self._next = 0  # the slot the next row is written to
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._len
 
     def extend(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).reshape(-1)
         if len(X) != len(y):
             raise ValueError("X and y row counts differ")
-        for row, target in zip(X, y):
-            self._rows.append(np.array(row, dtype=float))
-            self._targets.append(float(target))
-        overflow = len(self._rows) - self.capacity
-        if overflow > 0:
-            del self._rows[:overflow]
-            del self._targets[:overflow]
+        if not len(y):
+            return
+        if self._X is None:
+            self._X = np.empty((self.capacity, X.shape[1]))
+        elif X.shape[1] != self._X.shape[1]:
+            raise ValueError(
+                f"rows have {X.shape[1]} columns, the window holds {self._X.shape[1]}"
+            )
+        # Only the newest ``capacity`` rows can stay.
+        X, y = X[-self.capacity :], y[-self.capacity :]
+        n = len(y)
+        head = min(n, self.capacity - self._next)
+        self._X[self._next : self._next + head] = X[:head]
+        self._y[self._next : self._next + head] = y[:head]
+        self._X[: n - head] = X[head:]
+        self._y[: n - head] = y[head:]
+        self._next = (self._next + n) % self.capacity
+        self._len = min(self.capacity, self._len + n)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._rows:
+        """Copies of the held rows and targets, oldest first."""
+        if not self._len:
             raise RuntimeError("sliding window is empty")
-        return np.vstack(self._rows), np.asarray(self._targets, dtype=float)
+        rows = (self._next - self._len + np.arange(self._len)) % self.capacity
+        return self._X[rows], self._y[rows]

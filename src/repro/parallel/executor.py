@@ -5,8 +5,8 @@ ECoST's knowledge-discovery loop sweeps every training pair over
 2,800-point pair sweep is a single vectorised kernel call, so the
 sweeps run in the calling process, one after another, in input order.
 
-A full :class:`~repro.model.sweep.PairSweepResult` holds ~1 MB of metric
-arrays, while the offline stage reads only each pair's optimum and, for
+A full :class:`~repro.model.sweep.PairSweepResult` holds about 0.2 MB of
+metric arrays, while the offline stage reads only each pair's optimum and, for
 the MLM-STP training rows, the knobs and EDP at a few hundred sampled
 grid points.  :func:`sweep_pairs_sampled` keeps exactly that (about
 11 KB per pair at 200 rows) and :func:`sweep_pairs_best` the optimum

@@ -34,6 +34,8 @@ from __future__ import annotations
 import json
 import socket
 
+from repro.service.server import MAX_BATCH_ITEMS
+
 #: Longest status or header line read from the server, its line ending
 #: included.
 _MAX_LINE = 64 * 1024
@@ -201,7 +203,13 @@ class ServiceClient:
         return self.request("POST", "/submit", request)
 
     def submit_batch(self, requests: list[dict]) -> list[dict]:
-        return self.request("POST", "/batch", requests)
+        """Submit ``requests`` in order through ``POST /batch``, in
+        chunks of at most :data:`~repro.service.server.MAX_BATCH_ITEMS`,
+        and return their acks in order."""
+        acks: list[dict] = []
+        for i in range(0, len(requests), MAX_BATCH_ITEMS):
+            acks += self.request("POST", "/batch", requests[i : i + MAX_BATCH_ITEMS])
+        return acks
 
     def metrics(self) -> dict:
         return self.request("GET", "/metrics")

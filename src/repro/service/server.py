@@ -55,7 +55,11 @@ Endpoints
     happen behind the queue.
 ``POST /batch``
     A JSON list of submission requests; response is the list of acks
-    (one RTT for bulk load generators).
+    (one RTT for bulk load generators).  The whole batch is answered
+    in one turn of the event loop, so a list longer than
+    :data:`MAX_BATCH_ITEMS` gets a 413 before any item is admitted;
+    :meth:`~repro.service.client.ServiceClient.submit_batch` sends a
+    longer list in chunks.
 ``GET /metrics``
     Nested :class:`~repro.telemetry.registry.MetricsRegistry` snapshot
     (``engine``, ``service``, ``tenants`` namespaces).
@@ -80,8 +84,12 @@ import math
 from repro.service.config import ServiceConfig
 from repro.service.core import ClusterService
 
-#: Largest accepted request body (a 64 MiB batch is ~100k requests).
+#: Largest accepted request body, in bytes.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Most requests one ``POST /batch`` may carry.  A batch holds the
+#: event loop while it is admitted, at about 84 us per request, so
+#: this keeps every other connection's wait near 85 ms.
+MAX_BATCH_ITEMS = 1024
 #: Longest request line or header line, in bytes before its newline.
 LINE_LIMIT = 64 * 1024
 #: Most header lines one request may carry.
@@ -441,6 +449,12 @@ class ServiceServer:
                 payload = _json_body(body)
                 if not isinstance(payload, list):
                     raise HttpError(400, "batch body must be a JSON list")
+                if len(payload) > MAX_BATCH_ITEMS:
+                    raise HttpError(
+                        413,
+                        f"batch of {len(payload)} requests exceeds "
+                        f"{MAX_BATCH_ITEMS}; send it in chunks",
+                    )
                 return 200, [service.submit_request(p) for p in payload]
             if path == "/advance":
                 payload = _json_body(body)

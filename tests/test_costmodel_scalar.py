@@ -8,20 +8,32 @@ approximately) equal to the array code it mirrors: the kernel
 array reference for the co-location context kept in this file.  These
 tests assert ``==`` on every field over randomized draws of the full
 knob/coupling space.
+
+The shadow scorer's one-point pair price, :func:`pair_edp_scalar`, is
+the second scalar twin: it must equal a one-point
+:func:`pair_metrics` EDP exactly, or every regret curve would move.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hardware.classes import XEON_E5
 from repro.hardware.node import ATOM_C2758, NodeSpec
+from repro.hdfs.blocks import HDFS_BLOCK_SIZES
 from repro.model.calibration import DEFAULT_CONSTANTS
+from repro.model.config import pair_config_grid
 from repro.model.costmodel import (
     ScalarJobMetrics,
+    _dyn_scale_lookup,
     _dyn_scale_scalar,
     colocation_context_scalar,
+    pair_edp_scalar,
+    pair_metrics,
     standalone_metrics,
     standalone_metrics_scalar,
 )
@@ -115,6 +127,26 @@ class TestDynScaleScalar:
 
         with pytest.raises(ValueError, match="non-DVFS"):
             _dyn_scale_scalar(ATOM_C2758, 3.1 * GHZ)
+
+    @pytest.mark.parametrize("node", [ATOM_C2758, XEON_E5], ids=lambda n: n.name)
+    def test_table_values_bit_for_bit(self, node):
+        """The scale table ``DvfsTable`` builds once holds exactly the
+        V²f scale of each level, and both kernel lookups read it."""
+        dvfs = node.dvfs
+        ref = dvfs.max_point
+        want = [p.dynamic_scale(ref) for p in dvfs.levels]
+        assert list(dvfs.dyn_scales) == list(dvfs.frequencies)
+        assert [v.hex() for v in dvfs.dyn_scales.values()] == [v.hex() for v in want]
+        assert dvfs.frequency_array.tolist() == list(dvfs.frequencies)
+        assert dvfs.dyn_scale_array.tolist() == want
+        assert not dvfs.frequency_array.flags.writeable
+        assert not dvfs.dyn_scale_array.flags.writeable
+        freqs = np.array(dvfs.frequencies)
+        assert _dyn_scale_lookup(node, freqs[::-1]).tolist() == want[::-1]
+        twin = copy.deepcopy(node)  # unequal to ``node``: identity DVFS eq
+        for f, scale in zip(dvfs.frequencies, want):
+            assert _dyn_scale_scalar(node, f) == scale
+            assert _dyn_scale_scalar(twin, f) == scale
 
 
 def colocation_context_soa(
@@ -221,3 +253,66 @@ class TestColocationContextScalar:
             colocation_context_scalar([p], [0.5])
         with pytest.raises(ValueError):
             colocation_context_scalar([p, p], [4.0])
+
+
+def _one_point_edp(a, za, cfg_a, b, zb, cfg_b, node):
+    """``pair_metrics`` at one configuration, as the shadow scorer used
+    to price a choice."""
+    (fa, ba, ma), (fb, bb, mb) = cfg_a, cfg_b
+    metrics = pair_metrics(
+        a, za, [fa], [ba], [ma], b, zb, [fb], [bb], [mb], node=node
+    )
+    return float(np.asarray(metrics.edp).reshape(-1)[0])
+
+
+class TestPairEdpScalar:
+    @pytest.mark.parametrize("node", [ATOM_C2758, XEON_E5], ids=lambda n: n.name)
+    def test_grid_points_bit_identity(self, node):
+        """Sampled points of the full pair grid, for pairs of every
+        registry app."""
+        rng = np.random.default_rng(17)
+        f1, b1, m1, f2, b2, m2 = pair_config_grid(node)
+        for i, code in enumerate(ALL_APPS):
+            a = get_app(code).profile
+            b = get_app(ALL_APPS[(3 * i + 1) % len(ALL_APPS)]).profile
+            za, zb = (1 * GB, 5 * GB) if i % 2 else (10 * GB, 1 * GB)
+            for g in rng.choice(len(f1), size=24, replace=False):
+                cfg_a, cfg_b = (f1[g], b1[g], m1[g]), (f2[g], b2[g], m2[g])
+                got = pair_edp_scalar(a, za, *cfg_a, b, zb, *cfg_b, node=node)
+                want = _one_point_edp(a, za, cfg_a, b, zb, cfg_b, node)
+                assert got.hex() == want.hex(), f"{node.name} {code} point {g}"
+
+    @given(
+        node=st.sampled_from([ATOM_C2758, XEON_E5]),
+        codes=st.tuples(st.sampled_from(ALL_APPS), st.sampled_from(ALL_APPS)),
+        sizes=st.tuples(
+            st.integers(1, 24).map(lambda k: k * 512 * MB),
+            st.integers(1, 24).map(lambda k: k * 512 * MB),
+        ),
+        freqs=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        blocks=st.tuples(st.sampled_from(HDFS_BLOCK_SIZES), st.sampled_from(HDFS_BLOCK_SIZES)),
+        split=st.integers(1, 15).flatmap(
+            lambda m_a: st.tuples(st.just(m_a), st.integers(1, 16 - m_a))
+        ),
+    )
+    def test_drawn_choices_both_orientations(self, node, codes, sizes, freqs, blocks, split):
+        """DVFS, block and mapper choices drawn freely, core splits that
+        fit the node (full or not); both orientations of each pair."""
+        m_a, m_b = split
+        if m_a + m_b > node.n_cores:
+            m_a, m_b = max(1, m_a * node.n_cores // 16), max(1, m_b * node.n_cores // 16)
+        a, b = (get_app(c).profile for c in codes)
+        cfg_a = (node.frequencies[freqs[0]], blocks[0], m_a)
+        cfg_b = (node.frequencies[freqs[1]], blocks[1], m_b)
+        for (x, zx, cx), (y, zy, cy) in (
+            ((a, sizes[0], cfg_a), (b, sizes[1], cfg_b)),
+            ((b, sizes[1], cfg_b), (a, sizes[0], cfg_a)),
+        ):
+            got = pair_edp_scalar(x, zx, *cx, y, zy, *cy, node=node)
+            assert type(got) is float
+            assert got.hex() == _one_point_edp(x, zx, cx, y, zy, cy, node).hex()
+
+    def test_rejects_oversubscribed_split(self):
+        p = get_app("wc").profile
+        with pytest.raises(ValueError, match="core partition"):
+            pair_edp_scalar(p, GB, 2.4 * GHZ, 64 * MB, 5, p, GB, 2.4 * GHZ, 64 * MB, 4)

@@ -74,14 +74,6 @@ class TestNameNode:
         with pytest.raises(ValueError, match="already placed"):
             nn.place_block(_block(), writer_node=1)
 
-    def test_delete_block_drops_all_replicas(self):
-        nn = self._nn()
-        nn.place_block(_block(), writer_node=0)
-        nn.delete_block("f#0")
-        assert all("f#0" not in dn.block_ids() for dn in nn.datanodes)
-        with pytest.raises(KeyError):
-            nn.locate("f#0")
-
     def test_locality_fraction(self):
         nn = self._nn(n=8)
         b0, b1 = _block(0), _block(1)

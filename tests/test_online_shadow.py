@@ -16,6 +16,7 @@ import repro.core.stp as stp_module
 import repro.online.shadow as shadow_module
 from repro.core.stp import MLMSTP, describe_instance
 from repro.model.config import JobConfig
+from repro.model.costmodel import pair_metrics
 from repro.model.sweep import sweep_pair
 from repro.online import OnlineSTP, PromotionPolicy, ShadowSTP
 from repro.online.shadow import PairScorer
@@ -60,10 +61,10 @@ class TestPairScorer:
 
     def test_score_memoised_per_ordered_pair_and_configs(self, monkeypatch):
         calls = []
-        pair_metrics = shadow_module.pair_metrics
+        price = shadow_module.pair_edp_scalar
         monkeypatch.setattr(
-            shadow_module, "pair_metrics",
-            lambda *args, **kw: calls.append(args) or pair_metrics(*args, **kw),
+            shadow_module, "pair_edp_scalar",
+            lambda *args, **kw: calls.append(args) or price(*args, **kw),
         )
         scorer = PairScorer()
         a = AppInstance(get_app("wc"), 1 * GB)

@@ -86,6 +86,44 @@ class TestSlidingWindow:
         with pytest.raises(ValueError, match="capacity"):
             SlidingWindow(capacity=0)
 
+    def test_matches_list_reference(self):
+        """Seeded extend sequences against a list that keeps the newest
+        ``capacity`` rows: batches larger than the capacity, empty
+        batches and every wrap position of the ring."""
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            capacity = int(rng.integers(1, 10))
+            d = int(rng.integers(1, 4))
+            window = SlidingWindow(capacity)
+            rows: list[np.ndarray] = []
+            targets: list[float] = []
+            for _ in range(int(rng.integers(1, 16))):
+                n = int(rng.integers(0, 2 * capacity + 3))
+                X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+                window.extend(X, y)
+                rows = (rows + list(X))[-capacity:]
+                targets = (targets + list(y))[-capacity:]
+                assert len(window) == len(targets)
+                if targets:
+                    got_X, got_y = window.arrays()
+                    np.testing.assert_array_equal(got_X, np.array(rows))
+                    np.testing.assert_array_equal(got_y, np.array(targets))
+
+    def test_arrays_are_copies(self):
+        window = SlidingWindow(capacity=3)
+        window.extend(np.ones((2, 2)), np.ones(2))
+        X, y = window.arrays()
+        X[:] = 0.0
+        y[:] = 0.0
+        np.testing.assert_array_equal(window.arrays()[0], np.ones((2, 2)))
+
+    def test_row_width_fixed_by_first_rows(self):
+        window = SlidingWindow(capacity=3)
+        window.extend(np.zeros((0, 5)), np.zeros(0))  # empty: fixes nothing
+        window.extend(np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match="columns"):
+            window.extend(np.zeros((1, 3)), np.zeros(1))
+
 
 # -------------------------------------------------------- PageHinkley
 class TestPageHinkley:

@@ -221,6 +221,41 @@ def test_http_stream_matches_direct_core_run(server):
     assert http_summary == direct_summary
 
 
+def test_over_long_batch_is_refused_before_admission(server):
+    """A batch longer than MAX_BATCH_ITEMS gets a named 413 and admits
+    nothing; the connection stays usable."""
+    client = server.client
+    requests = seeded_requests(server_module.MAX_BATCH_ITEMS + 1, seed=4)
+    with pytest.raises(ServiceClientError) as err:
+        client.request("POST", "/batch", requests)
+    assert err.value.status == 413
+    assert f"exceeds {server_module.MAX_BATCH_ITEMS}" in err.value.message
+    assert client.status()["requests"] == 0
+    assert client.metrics()["service"]["accepted"] == 0
+    acks = client.request("POST", "/batch", requests[: server_module.MAX_BATCH_ITEMS])
+    assert len(acks) == server_module.MAX_BATCH_ITEMS
+
+
+def test_chunked_batch_matches_direct_submits(server, monkeypatch):
+    """submit_batch splits a long list into /batch calls of at most
+    MAX_BATCH_ITEMS and returns the same acks, in order, as submitting
+    each request straight into the core."""
+    from repro.service import ClusterService
+
+    sizes = []
+    send = server.client.request
+    monkeypatch.setattr(
+        server.client, "request",
+        lambda method, path, payload=None: sizes.append(len(payload)) or send(method, path, payload),
+    )
+    requests = seeded_requests(2500, seed=6)
+    acks = server.client.submit_batch(requests)
+    n = server_module.MAX_BATCH_ITEMS
+    assert sizes == [n, n, 2500 - 2 * n]
+    direct = ClusterService(ServiceConfig())
+    assert acks == [direct.submit_request(r) for r in requests]
+
+
 def test_shutdown_stops_the_thread():
     thread = ServerThread(ServiceConfig(port=0)).start()
     out = thread.client.shutdown()
